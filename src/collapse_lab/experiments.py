@@ -20,7 +20,7 @@ from .config import resolved_dict
 from .flow import evolve
 from .geometry import ddbar, fiber_diameter
 from .gke import parabolic_gke, solve_gke, twisted_einstein_residual
-from .grids import GridSpec, HermitianField, ScalarField
+from .grids import GridSpec, HermitianField, PositivityError, ScalarField
 from .models import (FiberFlowSpec, GkeTestbedSpec, ProductModelSpec,
                      SemiFlatSpec, density_F, fiber_constancy,
                      rescaling_check, semiflat_form, semiflat_potential,
@@ -565,10 +565,17 @@ def write_report(report, out_dir):
 
 
 def write_error(out_dir, experiment, exc):
-    """Record a solver failure in the output directory."""
+    """Record a solver failure in the output directory.
+
+    A positivity failure also records the grid point where the cone was
+    left and the eigenvalue or density found there.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "error.json"
-    _dump_json(path, {"experiment": experiment,
-                      "error": type(exc).__name__, "message": str(exc)})
+    record = {"experiment": experiment,
+              "error": type(exc).__name__, "message": str(exc)}
+    if isinstance(exc, PositivityError):
+        record.update(point=exc.point, value=exc.value)
+    _dump_json(path, record)
     return path

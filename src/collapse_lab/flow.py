@@ -14,13 +14,15 @@ the initial metric, the curvature norm of the product, and the graph
 diameter of the shrinking fiber.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grids import HermitianField, ScalarField
-from .geometry import ddbar, fiber_diameter, ma_density, riemann_norm, trace_wrt
+from .geometry import (MongeAmpereFlow, ddbar, fiber_diameter,
+                       log_volume_ratio, ma_density, riemann_norm, trace_wrt)
 from .timestep import integrate_lawson
 
 
@@ -47,57 +49,39 @@ def fiber_average(values, weight=None):
     return float(np.sum(vals * w) / np.sum(w))
 
 
+def _velocity(spec, t, twisted):
+    """Pointwise velocity of the potential, less the potential itself.
+
+    log1p keeps the relative precision of the base term once exp(-t) nears
+    the floating-point floor.
+    """
+    return (math.log1p((spec.a0 - 1.0) * math.exp(-t))
+            + log_volume_ratio(twisted, spec.b0 ** spec.grid.complex_dim))
+
+
 def map_rhs(spec, t, potential):
     """Velocity of the potential at time t.
 
     Entries are NaN wherever the twisted fiber metric has left the positive
     cone, which the adaptive stepper treats as a rejected step.
     """
-    g = spec.grid
-    a_hat = 1.0 + (spec.a0 - 1.0) * math.exp(-t)
-    twisted = (HermitianField.scaled_identity(g, spec.b0)
-               + math.exp(t) * ddbar(potential))
-    ratio = ma_density(twisted).values / spec.b0 ** g.complex_dim
-    with np.errstate(invalid="ignore", divide="ignore"):
-        logpart = np.log(ratio)
-    return ScalarField(g, math.log(a_hat) + logpart - potential.values)
+    twisted = (spec.b0 * np.eye(spec.grid.complex_dim)
+               + math.exp(t) * ddbar(potential).values)
+    return ScalarField(spec.grid,
+                       _velocity(spec, t, twisted) - potential.values)
+
+
+def spectral_problem(spec):
+    """The flow in mode space: omega = b0 + exp(t) ddbar(phi), scale b0."""
+    flat = spec.b0 * np.eye(spec.grid.complex_dim)
+    return MongeAmpereFlow(spec.grid, spec.b0, lambda t: flat,
+                           functools.partial(_velocity, spec), stiffening=True)
 
 
 def normalized_potential(spec, t, potential):
     """Blow-up of the potential against its relaxing mean, exp(t)(phi - mean)."""
     shift = relaxation_potential(spec.a0, t)
     return ScalarField(spec.grid, math.exp(t) * (potential.values - shift))
-
-
-class _SpectralFlowProblem:
-    """Mode-space face of the flow for the exponential integrator."""
-
-    def __init__(self, spec):
-        self.spec = spec
-        g = spec.grid
-        ck = np.zeros(g.shape)
-        for ax in range(2 * g.complex_dim):
-            ck = ck + g.wavenumbers(ax) ** 2
-        self.quarter_symbol = ck / 4.0
-
-    def symbol_integral(self, t0, t1):
-        sweep = (math.exp(t1) - math.exp(t0)) / self.spec.b0
-        return -self.quarter_symbol * sweep - (t1 - t0)
-
-    def nonlinear_modes(self, t, u):
-        g = self.spec.grid
-        phi = np.fft.ifftn(u).real
-        rhs = map_rhs(self.spec, t, ScalarField(g, phi)).values
-        lap = np.fft.ifftn(-self.quarter_symbol * u).real
-        linear = (math.exp(t) / self.spec.b0) * lap - phi
-        return np.fft.fftn(rhs - linear)
-
-    def kaehler_margin(self, t, u):
-        g = self.spec.grid
-        phi = ScalarField(g, np.fft.ifftn(u).real)
-        rel = (HermitianField.scaled_identity(g, 1.0)
-               + (math.exp(t) / self.spec.b0) * ddbar(phi))
-        return float(np.min(rel.min_eigenvalue()))
 
 
 @dataclass(frozen=True)
@@ -188,9 +172,8 @@ def evolve(spec, t_end, sample_times=None, controls=None, with_diameter=True):
     if sample_times is None:
         count = max(2, int(round(2.0 * t_end)) + 1)
         sample_times = np.linspace(0.0, float(t_end), count)
-    problem = _SpectralFlowProblem(spec)
     u0 = np.fft.fftn(spec.initial_potential.values)
-    res = integrate_lawson(problem, u0, 0.0, float(t_end),
+    res = integrate_lawson(spectral_problem(spec), u0, 0.0, float(t_end),
                            sample_times=sample_times, controls=controls)
     states, diags = [], []
     for s, modes in zip(res.sample_times, res.sample_modes):

@@ -8,6 +8,9 @@ to minus pi^2 times itself, which pins every sign convention used here.
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
@@ -23,22 +26,52 @@ def _grid_axes(grid):
     return tuple(range(2 * grid.complex_dim))
 
 
-def _dz_symbol(grid, j):
-    """Fourier multiplier of d/dz_j (holomorphic Wirtinger derivative)."""
-    kx = grid.wavenumbers(2 * j)
-    ky = grid.wavenumbers(2 * j + 1)
-    return (1j * kx + ky) / 2.0
+@functools.lru_cache(maxsize=None)
+def _wirtinger(grid):
+    """Fourier multipliers of the Wirtinger derivatives on one grid, cached.
 
-
-def _dzbar_symbol(grid, j):
-    kx = grid.wavenumbers(2 * j)
-    ky = grid.wavenumbers(2 * j + 1)
-    return (1j * kx - ky) / 2.0
-
-
-def _require_spectral(grid):
+    Returns ``(dz, mixed, trace)``: ``dz[j]`` is the symbol of d/dz_j,
+    ``mixed[j][k]`` that of d/dz_j d/dzbar_k, and ``trace`` the real symbol
+    -|k|^2/4 of their trace, the quarter-Laplacian.  The arrays are shared
+    by every caller, so they are frozen read-only.
+    """
     if not grid.periodic:
         raise ValueError("spectral operator called on a non-periodic patch grid")
+    m = grid.complex_dim
+    kx = [grid.wavenumbers(2 * j) for j in range(m)]
+    ky = [grid.wavenumbers(2 * j + 1) for j in range(m)]
+    dz = [(1j * kx[j] + ky[j]) / 2.0 for j in range(m)]
+    dzbar = [(1j * kx[j] - ky[j]) / 2.0 for j in range(m)]
+    mixed = [[dz[j] * dzbar[k] for k in range(m)] for j in range(m)]
+    trace = -sum(grid.wavenumbers(ax) ** 2 for ax in range(2 * m)) / 4.0
+    for sym in dz + [s for row in mixed for s in row] + [trace]:
+        sym.setflags(write=False)
+    return dz, mixed, trace
+
+
+def ddbar_modes(grid, modes):
+    """Coefficient array of i*ddbar(f) from the Fourier modes of f.
+
+    One inverse transform per Hermitian component (one when m = 1); the
+    diagonal is real and the array is Hermitian by construction, so it is
+    returned bare, without the validation of a HermitianField.
+    """
+    _, mixed, _ = _wirtinger(grid)
+    m = grid.complex_dim
+    axes = _grid_axes(grid)
+    out = np.empty(grid.shape + (m, m), dtype=np.complex128)
+    for j in range(m):
+        out[..., j, j] = np.fft.ifftn(mixed[j][j] * modes, axes=axes).real
+        for k in range(j + 1, m):
+            comp = np.fft.ifftn(mixed[j][k] * modes, axes=axes)
+            out[..., j, k] = comp
+            out[..., k, j] = np.conj(comp)
+    return out
+
+
+def ddbar_trace_symbol(grid):
+    """Fourier multiplier of the trace of ddbar, the quarter-Laplacian."""
+    return _wirtinger(grid)[2]
 
 
 def ddbar(f: ScalarField) -> HermitianField:
@@ -47,21 +80,14 @@ def ddbar(f: ScalarField) -> HermitianField:
     Returns the Hermitian coefficient field of i*ddbar(f).  Every component
     is grid-mean-free because the zero mode carries no derivative.
     """
-    grid = f.grid
-    _require_spectral(grid)
-    m = grid.complex_dim
-    spec = np.fft.fftn(f.values, axes=_grid_axes(grid))
-    out = np.empty(grid.shape + (m, m), dtype=np.complex128)
-    for j in range(m):
-        sj = _dz_symbol(grid, j)
-        for k in range(j, m):
-            comp = np.fft.ifftn(sj * _dzbar_symbol(grid, k) * spec, axes=_grid_axes(grid))
-            if j == k:
-                out[..., j, j] = comp.real
-            else:
-                out[..., j, k] = comp
-                out[..., k, j] = np.conj(comp)
-    return HermitianField(grid, out)
+    spec = np.fft.fftn(f.values, axes=_grid_axes(f.grid))
+    return HermitianField(f.grid, ddbar_modes(f.grid, spec))
+
+
+def _det(values):
+    if values.shape[-1] == 1:
+        return values[..., 0, 0].real.copy()
+    return np.linalg.det(values).real
 
 
 def ma_density(omega: HermitianField) -> ScalarField:
@@ -69,11 +95,59 @@ def ma_density(omega: HermitianField) -> ScalarField:
 
     May be non-positive for indefinite input; callers decide what that means.
     """
-    if omega.complex_dim == 1:
-        det = omega.values[..., 0, 0].real.copy()
-    else:
-        det = np.linalg.det(omega.values).real
-    return ScalarField(omega.grid, det)
+    return ScalarField(omega.grid, _det(omega.values))
+
+
+def log_volume_ratio(values, reference):
+    """Pointwise log(det(values) / reference) of a coefficient array.
+
+    NaN wherever the determinant is negative, that is wherever the form has
+    left the positive cone; the adaptive stepper rejects such a step.
+    """
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.log(_det(values) / reference)
+
+
+class MongeAmpereFlow:
+    """Mode-space face of  d(phi)/dt = V(t, omega) - phi  for the stepper.
+
+    The form is omega = B(t) + s(t) ddbar(phi), with ``background(t)``
+    giving B, s(t) = exp(t) when ``stiffening`` (a collapsing fiber, whose
+    stiffness grows like exp(t)) and 1 otherwise, and ``velocity(t, omega)``
+    the pointwise log-volume velocity.  The stiff part handed to the
+    exponential frame is (s(t)/scale) times the quarter-Laplacian, minus the
+    identity; ``scale`` is the flat part of B.
+    """
+
+    def __init__(self, grid, scale, background, velocity, stiffening):
+        self.grid = grid
+        self.scale = scale
+        self.background = background
+        self.velocity = velocity
+        self.stiffening = stiffening
+        self._trace_symbol = ddbar_trace_symbol(grid)
+
+    def symbol_integral(self, t0, t1):
+        sweep = math.exp(t1) - math.exp(t0) if self.stiffening else t1 - t0
+        return self._trace_symbol * (sweep / self.scale) - (t1 - t0)
+
+    def _form(self, t, u):
+        """s(t), ddbar(phi) and omega for the modes u of phi."""
+        s = math.exp(t) if self.stiffening else 1.0
+        hess = ddbar_modes(self.grid, u)
+        return s, hess, self.background(t) + s * hess
+
+    def nonlinear_modes(self, t, u):
+        # the potential itself cancels against the identity in the stiff part;
+        # the quarter-Laplacian is the trace of the same ddbar array
+        s, hess, omega = self._form(t, u)
+        lap = np.einsum("...kk->...", hess).real
+        return np.fft.fftn(self.velocity(t, omega) - (s / self.scale) * lap)
+
+    def kaehler_margin(self, t, u):
+        """Smallest eigenvalue of omega relative to the flat scale."""
+        omega = HermitianField(self.grid, self._form(t, u)[2])
+        return float(np.min(omega.min_eigenvalue())) / self.scale
 
 
 def trace_wrt(omega: HermitianField, eta: HermitianField) -> ScalarField:
@@ -104,20 +178,20 @@ def riemann_norm(omega: HermitianField) -> ScalarField:
     scaling the metric by c scales the result by 1/c.
     """
     grid = omega.grid
-    _require_spectral(grid)
+    dz, mixed, _ = _wirtinger(grid)
     omega.require_positive("riemann_norm")
     m = grid.complex_dim
     axes = _grid_axes(grid)
     g = omega.values
     spec = np.fft.fftn(g, axes=axes)
-    sz = [_dz_symbol(grid, j)[..., None, None] for j in range(m)]
-    szb = [_dzbar_symbol(grid, j)[..., None, None] for j in range(m)]
 
-    dg = np.stack([np.fft.ifftn(sz[a] * spec, axes=axes) for a in range(m)], axis=-3)
+    dg = np.stack([np.fft.ifftn(dz[a][..., None, None] * spec, axes=axes)
+                   for a in range(m)], axis=-3)
     # dbar_l g_{jq} = conj(d_l g_{qj}) by Hermitian symmetry of the metric
     dbg = np.conj(np.swapaxes(dg, -1, -2))
     ddg = np.stack([
-        np.stack([np.fft.ifftn(sz[a] * szb[l] * spec, axes=axes) for l in range(m)], axis=-3)
+        np.stack([np.fft.ifftn(mixed[a][l][..., None, None] * spec, axes=axes)
+                  for l in range(m)], axis=-3)
         for a in range(m)], axis=-4)
 
     gup = np.conj(np.linalg.inv(g))  # gup[p,q] = g^{pq}

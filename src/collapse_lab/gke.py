@@ -23,7 +23,8 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .grids import HermitianField, ScalarField
-from .geometry import ddbar, ma_density, ricci_form, trace_wrt
+from .geometry import (MongeAmpereFlow, ddbar, ddbar_trace_symbol,
+                       log_volume_ratio, ma_density, ricci_form, trace_wrt)
 from .timestep import integrate_lawson
 
 NEWTON_FORCING_CAP = 1e-3
@@ -31,23 +32,21 @@ NEWTON_FORCING_FLOOR = 1e-6
 PSD_SLACK = 1e-12
 
 
-def _quarter_symbol(grid):
-    ck = np.zeros(grid.shape)
-    for ax in range(2 * grid.complex_dim):
-        ck = ck + grid.wavenumbers(ax) ** 2
-    return ck / 4.0
+def _volume_defect(testbed):
+    """The pointwise map omega -> log(det omega / det sigma) - log F.
+
+    NaN wherever omega has left the positive cone.
+    """
+    det_sigma = ma_density(testbed.sigma_form()).values
+    log_f = np.log(testbed.density_field().values)
+    return lambda omega: log_volume_ratio(omega, det_sigma) - log_f
 
 
 def gke_residual(testbed, u):
     """Scalar defect of the volume equation at the potential u."""
-    sigma = testbed.sigma_form()
-    omega = sigma + ddbar(u)
-    ratio = ma_density(omega).values / ma_density(sigma).values
-    with np.errstate(invalid="ignore", divide="ignore"):
-        log_ratio = np.log(ratio)
+    omega = testbed.sigma_form() + ddbar(u)
     return ScalarField(testbed.grid,
-                       log_ratio - np.log(testbed.density_field().values)
-                       - u.values)
+                       _volume_defect(testbed)(omega.values) - u.values)
 
 
 @dataclass
@@ -61,7 +60,7 @@ class GkeSolution:
 def _linear_step(grid, omega, rhs_field, forcing, flat_scale=1.0):
     """Solve (laplacian_omega - 1) v = rhs to the requested relative tolerance."""
     size = rhs_field.size
-    symbol = _quarter_symbol(grid) / flat_scale
+    symbol = ddbar_trace_symbol(grid) / flat_scale
 
     def matvec(v):
         f = ScalarField(grid, v.reshape(grid.shape))
@@ -69,7 +68,7 @@ def _linear_step(grid, omega, rhs_field, forcing, flat_scale=1.0):
 
     def precond(v):
         spec = np.fft.fftn(v.reshape(grid.shape))
-        return np.fft.ifftn(spec / (-symbol - 1.0)).real.ravel()
+        return np.fft.ifftn(spec / (symbol - 1.0)).real.ravel()
 
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
     pre = LinearOperator((size, size), matvec=precond, dtype=float)
@@ -147,46 +146,14 @@ class ParabolicResult:
     rejected: int
 
 
-class _ParabolicProblem:
-    """Relaxation toward the elliptic solution over a decaying background."""
-
-    def __init__(self, testbed, rho):
-        self.testbed = testbed
-        self.grid = testbed.grid
-        self.sigma = testbed.sigma_form()
-        self.log_sigma = np.log(ma_density(self.sigma).values)
-        self.log_f = np.log(testbed.density_field().values)
-        self.rho = rho
-        self.symbol = _quarter_symbol(self.grid) / testbed.flat_scale
-
-    def _background(self, t):
-        if self.rho is None:
-            return self.sigma
-        vals = self.sigma.values + math.exp(-t) * np.broadcast_to(
-            self.rho, self.sigma.values.shape)
-        return HermitianField(self.grid, vals)
-
-    def rhs(self, t, phi):
-        omega = self._background(t).values + ddbar(
-            ScalarField(self.grid, phi)).values
-        dens = ma_density(HermitianField(self.grid, omega)).values
-        with np.errstate(invalid="ignore", divide="ignore"):
-            log_dens = np.log(dens)
-        return log_dens - self.log_sigma - self.log_f - phi
-
-    def symbol_integral(self, t0, t1):
-        return (-self.symbol - 1.0) * (t1 - t0)
-
-    def nonlinear_modes(self, t, u):
-        phi = np.fft.ifftn(u).real
-        lap = np.fft.ifftn(-self.symbol * u).real
-        return np.fft.fftn(self.rhs(t, phi) - (lap - phi))
-
-    def kaehler_margin(self, t, u):
-        phi = ScalarField(self.grid, np.fft.ifftn(u).real)
-        form = HermitianField(self.grid,
-                              self._background(t).values + ddbar(phi).values)
-        return float(np.min(form.min_eigenvalue()))
+def parabolic_problem(testbed, rho=None):
+    """The relaxation in mode space: omega = sigma + exp(-t) rho + ddbar(u)."""
+    sigma = testbed.sigma_form().values
+    excess = 0.0 if rho is None else rho
+    defect = _volume_defect(testbed)
+    return MongeAmpereFlow(testbed.grid, testbed.flat_scale,
+                           lambda t: sigma + math.exp(-t) * excess,
+                           lambda t, omega: defect(omega), stiffening=False)
 
 
 def _envelope_constant(times, gaps):
@@ -222,7 +189,7 @@ def parabolic_gke(testbed, rho=None, t_end=4.0, start=None, controls=None,
             raise ValueError("transient excess must be positive semidefinite")
 
     u_limit = limit if limit is not None else solve_gke(testbed).potential
-    problem = _ParabolicProblem(testbed, rho)
+    problem = parabolic_problem(testbed, rho)
     u0 = ScalarField.constant(grid, 0.0) if start is None else start
 
     times = [0.0]

@@ -14,6 +14,13 @@ or None when absent), and optionally ``kaehler_margin(t, u)``; when a
 margin is exposed, steps that slash it by more than a factor of ten are
 rejected so the state cannot jump out of the positive cone between
 samples.
+
+Cost: each attempted step takes 11 remainder evaluations (4 for the full
+step and 4 for each half step, less the first stage the full step and the
+first half step share). For the potential flows of
+:class:`collapse_lab.geometry.MongeAmpereFlow` one evaluation is two n-d
+FFTs at complex dimension 1: an inverse one for ddbar of the potential and
+a forward one back to mode space.
 """
 
 from dataclasses import dataclass, field
@@ -60,12 +67,17 @@ def _nonlinear(problem, t, u):
     return 0.0 if n is None else n
 
 
-def lawson_step(problem, t, u, h):
-    """One fourth-order step of size h in the exponential frame."""
+def lawson_step(problem, t, u, h, n1=None):
+    """One fourth-order step of size h in the exponential frame.
+
+    ``n1`` is the first stage, the remainder at (t, u); pass it when it is
+    already known, since it does not depend on h.
+    """
     e1 = np.exp(problem.symbol_integral(t, t + 0.5 * h))
     e3 = np.exp(problem.symbol_integral(t + 0.5 * h, t + h))
     e2 = e1 * e3
-    n1 = _nonlinear(problem, t, u)
+    if n1 is None:
+        n1 = _nonlinear(problem, t, u)
     n2 = _nonlinear(problem, t + 0.5 * h, e1 * (u + 0.5 * h * n1))
     n3 = _nonlinear(problem, t + 0.5 * h, e1 * u + 0.5 * h * n2)
     n4 = _nonlinear(problem, t + h, e2 * u + h * e3 * n3)
@@ -77,8 +89,9 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), controls=None,
     """March modes from t0 to t1 with step doubling and margin guarding.
 
     The error estimate compares one full step against two half steps; the
-    half-step result is the one kept. Requested sample times are landed on
-    exactly. ``on_accept(t, modes)`` fires after every accepted step.
+    half-step result is the one kept; the full step and the first half step
+    share their first stage. Requested sample times are landed on exactly.
+    ``on_accept(t, modes)`` fires after every accepted step.
     """
     c = controls or StepControls()
     u = np.array(u0, dtype=complex)
@@ -108,8 +121,9 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), controls=None,
         lands = dt >= remaining
         h = remaining if lands else dt
 
-        full = lawson_step(problem, t, u, h)
-        mid = lawson_step(problem, t, u, 0.5 * h)
+        n1 = _nonlinear(problem, t, u)
+        full = lawson_step(problem, t, u, h, n1)
+        mid = lawson_step(problem, t, u, 0.5 * h, n1)
         fine = lawson_step(problem, t + 0.5 * h, mid, 0.5 * h)
         err = float(np.max(np.abs(full - fine))) / 15.0
 

@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
 
+from collapse_lab.config import validate_config
+from collapse_lab.experiments import run_experiment
 from collapse_lab.grids import GridSpec, HermitianField, ScalarField
 from collapse_lab.geometry import ddbar, riemann_norm
 from collapse_lab.models import FiberFlowSpec
@@ -24,6 +26,7 @@ from collapse_lab.flow import (
     map_rhs,
     normalized_potential,
     relaxation_potential,
+    spectral_problem,
 )
 
 
@@ -61,6 +64,45 @@ def test_map_rhs_constant_potential_reduces_to_relaxation():
     rhs = map_rhs(spec, math.log(2.0), c).values
     want = math.log(2.0) - 0.25
     assert np.max(np.abs(rhs - want)) < 1e-15
+
+
+def quarter_laplacian(grid, values):
+    """Independent Delta/4 from the wavenumbers of every real axis."""
+    ksq = sum(grid.wavenumbers(ax) ** 2 for ax in range(len(grid.shape)))
+    return np.fft.ifftn(-0.25 * ksq * np.fft.fftn(values)).real
+
+
+def two_dim_spec(amp):
+    grid = GridSpec(2, (8,))
+    x0, y0, x1, _ = (grid.axis_coordinates(ax) * np.ones(grid.shape)
+                     for ax in range(4))
+    pot = amp * (np.sin(2 * np.pi * x0) * np.cos(2 * np.pi * x1)
+                 + 0.5 * np.cos(2 * np.pi * y0))
+    return FiberFlowSpec(grid=grid, b0=1.3, a0=2.0,
+                         initial_potential=ScalarField(grid, pot))
+
+
+@pytest.mark.parametrize("spec", [sine_spec(n=32, b0=2.0, a0=3.0, amp=0.05),
+                                  two_dim_spec(0.02)],
+                         ids=["m1", "m2"])
+def test_mode_space_rhs_is_map_rhs_less_its_linear_part(spec):
+    t = 0.9
+    phi = spec.initial_potential
+    linear = (math.exp(t) / spec.b0) * quarter_laplacian(spec.grid, phi.values)
+    want = np.fft.fftn(map_rhs(spec, t, phi).values - (linear - phi.values))
+    got = spectral_problem(spec).nonlinear_modes(t, np.fft.fftn(phi.values))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("spec", [sine_spec(amp=0.05), two_dim_spec(0.05)],
+                         ids=["m1", "m2"])
+def test_mode_space_rhs_is_nan_outside_the_cone(spec):
+    # exp(2.5) * amp * pi^2 exceeds b0 somewhere: the twisted metric is
+    # indefinite there, and NaN is what makes the stepper reject the step
+    t = 2.5
+    modes = np.fft.fftn(spec.initial_potential.values)
+    assert np.isnan(map_rhs(spec, t, spec.initial_potential).values).any()
+    assert np.isnan(spectral_problem(spec).nonlinear_modes(t, modes)).all()
 
 
 # --------------------------------------------------- mean-mode closed form
@@ -118,6 +160,17 @@ def test_evolve_matches_independent_rk45():
     want = sol.y[:, -1].reshape(shape)
     got = hist.states[-1].potential.values
     assert np.max(np.abs(got - want)) < 1e-7
+
+
+def test_horizon_forty_passes_every_check():
+    # exp(-40) is below machine epsilon relative to 1: the base term of the
+    # velocity keeps its precision only through log1p
+    cfg = validate_config({"experiment": "fiber-flow", "model": {"n": 16},
+                           "solver": {"horizon": 40.0,
+                                      "with_diameter": False}})
+    report = run_experiment(cfg)
+    assert len(report.checks) == 8
+    assert [c.name for c in report.checks if not c.passed] == []
 
 
 # -------------------------------------------------------------- diagnostics

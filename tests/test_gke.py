@@ -10,13 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from collapse_lab.grids import GridSpec, ScalarField
+from collapse_lab.grids import GridSpec, HermitianField, ScalarField
 from collapse_lab.geometry import ddbar, ma_density, ricci_form
 from collapse_lab.models import GkeTestbedSpec
 from collapse_lab.gke import (
     GkeSolution,
     gke_residual,
     parabolic_gke,
+    parabolic_problem,
     solve_gke,
     twisted_einstein_residual,
 )
@@ -159,3 +160,42 @@ def test_parabolic_rejects_indefinite_transient():
     rho = ddbar(ScalarField(g, 0.2 * np.cos(2 * np.pi * x))).values
     with pytest.raises(ValueError, match="semidefinite"):
         parabolic_gke(tb, rho=rho, t_end=1.0)
+
+
+def _parabolic_case(m):
+    g = GridSpec(m, (8,) if m == 2 else (16,))
+    x, y = (g.axis_coordinates(ax) * np.ones(g.shape) for ax in range(2))
+    eta = ScalarField(g, 0.01 * np.cos(2 * np.pi * x))
+    dens = ScalarField(g, 1.0 + 0.2 * np.cos(2 * np.pi * y))
+    tb = GkeTestbedSpec(grid=g, eta=eta, density=dens, flat_scale=1.5)
+    rho = (0.25 * np.eye(m, dtype=complex)
+           + ddbar(ScalarField(g, 0.02 * np.sin(2 * np.pi * y))).values)
+    return tb, rho, ScalarField(g, 0.03 * np.sin(2 * np.pi * (x + y)))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_parabolic_mode_space_rhs_is_velocity_less_linear_part(m):
+    tb, rho, phi = _parabolic_case(m)
+    t = 0.7
+    sigma = tb.sigma_form()
+    omega = (HermitianField(tb.grid, sigma.values + math.exp(-t) * rho)
+             + ddbar(phi))
+    velocity = (np.log(ma_density(omega).values / ma_density(sigma).values)
+                - np.log(tb.density_field().values) - phi.values)
+    lap = np.einsum("...kk->...", ddbar(phi).values).real
+    linear = lap / tb.flat_scale - phi.values
+    want = np.fft.fftn(velocity - linear)
+    got = parabolic_problem(tb, rho).nonlinear_modes(t, np.fft.fftn(phi.values))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    # without the transient the velocity is the static residual
+    want = np.fft.fftn(gke_residual(tb, phi).values - linear)
+    got = parabolic_problem(tb).nonlinear_modes(t, np.fft.fftn(phi.values))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_parabolic_mode_space_rhs_is_nan_outside_the_cone(m):
+    tb, rho, phi = _parabolic_case(m)
+    steep = np.fft.fftn(40.0 * phi.values)
+    assert np.isnan(parabolic_problem(tb, rho).nonlinear_modes(0.0, steep)).all()

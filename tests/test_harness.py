@@ -158,6 +158,12 @@ def test_solver_failure_exits_three_with_error_file(tmp_path, capsys):
     error = json.loads((out / "blowup" / "error.json").read_text())
     assert error["error"] == "PositivityError"
     assert "positive definite" in error["message"]
+    # the location in the file is the one the message names
+    assert len(error["point"]) == 2
+    assert all(isinstance(i, int) and 0 <= i < 16 for i in error["point"])
+    assert error["value"] <= 0.0
+    assert f"at grid point {tuple(error['point'])}" in error["message"]
+    assert f"eigenvalue {error['value']:.6e}" in error["message"]
 
 
 def test_error_code_dominates_mixed_runs(tmp_path):

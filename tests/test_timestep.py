@@ -66,6 +66,20 @@ class GrowthWithMargin:
         return 1.0 - float(np.max(np.abs(u)))
 
 
+class CountingProblem:
+    """Bernoulli equation per mode, counting remainder evaluations."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def symbol_integral(self, t0, t1):
+        return np.array([-1.0, -3.0]) * (t1 - t0)
+
+    def nonlinear_modes(self, t, u):
+        self.calls += 1
+        return u * u
+
+
 def bernoulli_exact(u0, t):
     return 1.0 / (1.0 + (1.0 / u0 - 1.0) * np.exp(t))
 
@@ -113,6 +127,29 @@ def test_single_step_has_classical_order():
         errs.append(abs(got - bernoulli_exact(0.5, h)))
     ratio = errs[0] / errs[1]
     assert 24.0 < ratio < 40.0
+
+
+def test_step_doubling_costs_eleven_evaluations_per_attempt():
+    prob = CountingProblem()
+    res = integrate_lawson(prob, np.array([0.5 + 0j, 0.3 + 0j]), 0.0, 2.0,
+                           controls=StepControls(tol=1e-12, dt_init=0.25))
+    assert res.rejected > 0
+    assert prob.calls == 11 * (res.accepted + res.rejected)
+
+
+def test_shared_first_stage_is_bit_identical_to_independent_steps():
+    prob = CountingProblem()
+    u0 = np.array([0.5 + 0j, 0.3 + 0j])
+    h = 0.2
+    res = integrate_lawson(prob, u0, 0.0, h,
+                           controls=StepControls(tol=1.0, dt_init=h, dt_max=h))
+    assert (res.accepted, res.rejected) == (1, 0)
+    mid = lawson_step(prob, 0.0, u0, 0.5 * h)
+    fine = lawson_step(prob, 0.5 * h, mid, 0.5 * h)
+    assert np.array_equal(res.final_modes, fine)
+    n1 = prob.nonlinear_modes(0.0, u0)
+    assert np.array_equal(lawson_step(prob, 0.0, u0, h, n1),
+                          lawson_step(prob, 0.0, u0, h))
 
 
 def test_tolerance_trades_steps_for_error():
