@@ -3,16 +3,13 @@
 Subcommands: ``run`` executes configs and writes reports, ``validate``
 checks configs without running, ``list`` prints the registry.  Exit codes:
 0 all acceptance checks passed, 1 a check failed, 2 usage or config error,
-3 solver failure.  COLLAPSE_LAB_THREADS bounds how many configs run
-concurrently; each config writes to its own directory, named after the
-config file, so parallel runs never share files.
+3 solver failure.  Configs run one after another; each writes to its own
+directory, named after the config file.
 """
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -48,18 +45,6 @@ def _build_parser():
     return parser
 
 
-def _thread_count():
-    raw = os.environ.get("COLLAPSE_LAB_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ConfigError(
-            f"COLLAPSE_LAB_THREADS must be a positive integer, got {raw!r}")
-    return count
-
-
 def _run_one(stem, cfg, out_dir):
     try:
         report = run_experiment(cfg)
@@ -75,7 +60,6 @@ def _run_one(stem, cfg, out_dir):
 
 def _cmd_run(args):
     try:
-        threads = _thread_count()
         jobs = []
         for raw in args.config:
             cfg = load_config(raw)
@@ -85,13 +69,9 @@ def _cmd_run(args):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if len(jobs) > 1 and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda j: _run_one(*j), jobs))
-    else:
-        results = [_run_one(*j) for j in jobs]
     worst = 0
-    for code, line in results:
+    for job in jobs:
+        code, line = _run_one(*job)
         print(line, file=sys.stderr if code else sys.stdout)
         worst = max(worst, code)
     return worst
@@ -112,12 +92,12 @@ def _cmd_validate(args):
 
 def _cmd_list(args):
     if args.json:
-        payload = [{"name": d.name, "description": d.description}
-                   for d in REGISTRY.values()]
+        payload = [{"name": name, "description": d.description}
+                   for name, d in REGISTRY.items()]
         print(json.dumps(payload, indent=2))
     else:
-        for d in REGISTRY.values():
-            print(f"{d.name:22s} {d.description}")
+        for name, d in REGISTRY.items():
+            print(f"{name:22s} {d.description}")
     return 0
 
 

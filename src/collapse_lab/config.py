@@ -8,6 +8,7 @@ suite for its experiment.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 _REQUIRED = object()
@@ -106,9 +107,6 @@ def _apply(path, schema, data):
     return out
 
 
-EXPERIMENTS = ("product-ode", "fiber-flow", "gke-elliptic", "gke-parabolic",
-               "semiflat-identities", "curvature-bound")
-
 _FLOW_MODEL = {
     "n": Field(16, "int", even=True, lo=8, hi=128),
     "b0": Field(1.0, positive=True),
@@ -124,7 +122,6 @@ _FLOW_SOLVER = {
     "mode_fit_window": Field((0.2, 1.0), "floats", length=2),
     "mode_fit_step": Field(0.05, positive=True),
     "with_diameter": Field(True, "bool"),
-    "dt_policy": Field("adaptive", "str", choices=("adaptive",)),
 }
 
 SCHEMAS = {
@@ -140,7 +137,6 @@ SCHEMAS = {
             "horizon": Field(10.0, positive=True, hi=40.0),
             "ode_tol": Field(1e-13, positive=True, hi=1e-4),
             "samples_per_unit": Field(2, "int", lo=1, hi=50),
-            "dt_policy": Field("adaptive", "str", choices=("adaptive",)),
         },
         "acceptance": {
             "closed_form_tol": Field(1e-8, positive=True),
@@ -202,7 +198,6 @@ SCHEMAS = {
             "t_end": Field(6.0, positive=True, hi=40.0),
             "tol": Field(1e-8, positive=True, hi=1e-4),
             "limit_tol": Field(1e-11, positive=True),
-            "dt_policy": Field("adaptive", "str", choices=("adaptive",)),
         },
         "acceptance": {
             "slope_max": Field(-0.5),
@@ -240,7 +235,6 @@ SCHEMAS = {
             "horizon": Field(10.0, positive=True, hi=40.0),
             "tol": Field(1e-8, positive=True, hi=1e-4),
             "samples_per_unit": Field(2, "int", lo=1, hi=50),
-            "dt_policy": Field("adaptive", "str", choices=("adaptive",)),
         },
         "acceptance": {
             "curvature_cap": Field(1e6, positive=True),
@@ -248,6 +242,9 @@ SCHEMAS = {
         },
     },
 }
+
+
+EXPERIMENTS = tuple(SCHEMAS)
 
 
 @dataclass(frozen=True)
@@ -293,6 +290,14 @@ def _cross_checks(name, out):
             raise ConfigError("solver.mode_fit_window: need 0 <= lo < hi")
         if hi > solver["horizon"]:
             raise ConfigError("solver.mode_fit_window: exceeds the horizon")
+    if name == "gke-elliptic" and out["model"]["mode"] == "manufactured":
+        # a sin(2 pi x) cos(2 pi y) has ddbar -2 pi^2 times itself; the
+        # bound on its smallest eigenvalue is exact when 4 divides n
+        amp, scale = out["model"]["amplitude"], out["model"]["flat_scale"]
+        if not 2.0 * math.pi ** 2 * abs(amp) < scale:
+            raise ConfigError(f"model.amplitude: leaves the positive cone, "
+                              f"need 2 pi^2 |amplitude| < flat_scale = "
+                              f"{scale!r}, got {amp!r}")
     if name == "semiflat-identities":
         if any(t < 0 for t in solver["times"]):
             raise ConfigError("solver.times: must be nonnegative")

@@ -140,8 +140,8 @@ class ParabolicResult:
     gap_max: np.ndarray
     gap_min: np.ndarray
     potential: ScalarField
-    limit: ScalarField
     empirical_constant: float
+    envelope_defect: float
     accepted: int
     rejected: int
 
@@ -156,10 +156,13 @@ def parabolic_problem(testbed, rho=None):
                            lambda t, omega: defect(omega), stiffening=False)
 
 
-def _envelope_constant(times, gaps):
-    # largest slack constant in  d(gap)/dt <= C exp(-t) - gap,
-    # estimated at interval midpoints
-    best = 0.0
+def _envelope(times, gaps):
+    """Fit the envelope d(gap)/dt <= C exp(-t) - gap at interval midpoints.
+
+    Returns the smallest such C >= 0 and the largest defect
+    d(gap)/dt - (C exp(-t) - gap) left at the midpoints with it.
+    """
+    mids = []
     for k in range(len(times) - 1):
         dt = times[k + 1] - times[k]
         if dt <= 0:
@@ -167,8 +170,12 @@ def _envelope_constant(times, gaps):
         dgap = (gaps[k + 1] - gaps[k]) / dt
         mid_t = 0.5 * (times[k] + times[k + 1])
         mid_g = 0.5 * (gaps[k] + gaps[k + 1])
-        best = max(best, math.exp(mid_t) * (dgap + mid_g))
-    return best
+        mids.append((dgap, mid_t, mid_g))
+    constant = max([0.0] + [math.exp(mid_t) * (dgap + mid_g)
+                            for dgap, mid_t, mid_g in mids])
+    defect = max([-math.inf] + [dgap - (constant * math.exp(-mid_t) - mid_g)
+                                for dgap, mid_t, mid_g in mids])
+    return constant, defect
 
 
 def parabolic_gke(testbed, rho=None, t_end=4.0, start=None, controls=None,
@@ -207,8 +214,8 @@ def parabolic_gke(testbed, rho=None, t_end=4.0, start=None, controls=None,
     final = ScalarField(grid, np.fft.ifftn(res.final_modes).real)
     t_arr = np.asarray(times)
     gmax = np.asarray(gap_max)
+    constant, defect = _envelope(t_arr, gmax)
     return ParabolicResult(times=t_arr, gap_max=gmax,
                            gap_min=np.asarray(gap_min), potential=final,
-                           limit=u_limit,
-                           empirical_constant=_envelope_constant(t_arr, gmax),
+                           empirical_constant=constant, envelope_defect=defect,
                            accepted=res.accepted, rejected=res.rejected)

@@ -17,8 +17,7 @@ machinery in :mod:`collapse_lab.geometry` stays out of their error budget.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -27,19 +26,6 @@ from .grids import GridSpec, HermitianField, ScalarField
 from .geometry import ddbar, ma_density
 
 MEAN_FREE_TOL = 1e-12
-
-
-class ReferenceScales(NamedTuple):
-    """Coefficients of the reference family: base part and fiber part."""
-
-    base: float
-    fiber: float
-
-
-def hyperbolic_base_component(z):
-    """Metric coefficient 1 / (2 (Im z)^2) of the constant-curvature base."""
-    y = np.imag(z)
-    return 1.0 / (2.0 * y * y)
 
 
 # ------------------------------------------------------------ product model
@@ -109,15 +95,6 @@ class FiberFlowSpec:
     def initial_form(self):
         return (HermitianField.scaled_identity(self.grid, self.b0)
                 + ddbar(self.initial_potential))
-
-    def initial_margin(self):
-        return float(np.min(self.initial_form().min_eigenvalue()))
-
-
-def reference_metric(model, t):
-    """Reference scales at time t for any model carrying (a0, b0)."""
-    base = 1.0 + (model.a0 - 1.0) * math.exp(-t)
-    return ReferenceScales(base=base, fiber=model.b0 * math.exp(-t))
 
 
 # ------------------------------------------------------------- gke testbed
@@ -239,18 +216,6 @@ def _semiflat_components(spec, z, xi):
     h00 = (y * y * np.abs(tp) ** 2 / (2.0 * T ** 3)).astype(complex)
     h01 = -y * tp / (2.0 * T * T)
     h11 = (1.0 / (2.0 * T)).astype(complex) * np.ones_like(y)
-    return ((h00, h01), (np.conj(h01), h11))
-
-
-def _quartic_control_components(spec, z, xi):
-    # same construction for the quartic potential (Im xi)^4 / Im(modulus);
-    # kaehler, but deliberately without the rescaling symmetry
-    T = np.imag(spec.modulus(z))
-    tp = spec.modulus_derivative(z)
-    y = np.imag(xi)
-    h00 = (y ** 4 * np.abs(tp) ** 2 / (2.0 * T ** 3)).astype(complex)
-    h01 = -(y ** 3) * tp / (T * T)
-    h11 = (3.0 * y * y / T).astype(complex)
     return ((h00, h01), (np.conj(h01), h11))
 
 

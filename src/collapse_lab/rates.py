@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 ABSCISSAE = ("t", "exp_t")
+MIN_SAMPLES = 4
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,7 @@ class RateFit:
     abscissa: str
 
 
-def rate_fit(times, values, abscissa="t", window=None, min_samples=4):
+def rate_fit(times, values, abscissa="t", window=None):
     """Fit log(values) = slope * x + intercept over a time window.
 
     ``abscissa`` selects x = t or x = exp(t); ``window`` is an inclusive
@@ -42,8 +43,8 @@ def rate_fit(times, values, abscissa="t", window=None, min_samples=4):
         lo, hi = window
         keep = (t >= lo) & (t <= hi)
     t, y = t[keep], y[keep]
-    if t.size < min_samples:
-        raise ValueError(f"window holds {t.size} samples, need {min_samples}")
+    if t.size < MIN_SAMPLES:
+        raise ValueError(f"window holds {t.size} samples, need {MIN_SAMPLES}")
     if np.any(~np.isfinite(y)) or np.any(y <= 0.0):
         bad = int(np.argmax(~(np.isfinite(y) & (y > 0.0))))
         raise ValueError(f"values must be finite and positive to fit a rate; "

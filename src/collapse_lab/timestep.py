@@ -23,9 +23,12 @@ FFTs at complex dimension 1: an inverse one for ddbar of the potential and
 a forward one back to mode space.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
+
+# a step whose error estimate is this many times below tol doubles dt
+GROW_MARGIN = 50.0
 
 
 class StiffnessError(RuntimeError):
@@ -40,26 +43,21 @@ class StepControls:
     dt_init: float = 1e-2
     dt_min: float = 1e-12
     dt_max: float = 0.25
-    grow_margin: float = 50.0
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
         if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
             raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
-        if self.grow_margin <= 1:
-            raise ValueError("grow_margin must exceed 1")
 
 
 @dataclass
 class IntegrationResult:
-    final_time: float
     final_modes: np.ndarray
     sample_times: tuple
     sample_modes: list
     accepted: int
     rejected: int
-    last_dt: float
 
 
 def _nonlinear(problem, t, u):
@@ -151,9 +149,9 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), controls=None,
         while idx < len(req) and req[idx] <= t:
             out.append(u.copy())
             idx += 1
-        if err < c.tol / c.grow_margin:
+        if err < c.tol / GROW_MARGIN:
             dt = min(2.0 * dt, c.dt_max)
 
-    return IntegrationResult(final_time=t, final_modes=u, sample_times=req,
+    return IntegrationResult(final_modes=u, sample_times=req,
                              sample_modes=out, accepted=accepted,
-                             rejected=rejected, last_dt=dt)
+                             rejected=rejected)

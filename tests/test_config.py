@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from collapse_lab.config import (ConfigError, EXPERIMENTS, load_config,
-                                 resolved_dict, validate_config)
+from collapse_lab.config import (ConfigError, EXPERIMENTS, SCHEMAS,
+                                 load_config, resolved_dict, validate_config)
 
 
 def test_minimal_product_config_fills_defaults():
@@ -15,7 +15,6 @@ def test_minimal_product_config_fills_defaults():
     assert cfg.model["a0"] == 1.0
     assert cfg.model["fiber_resolution"] == 16
     assert cfg.solver["horizon"] == 10.0
-    assert cfg.solver["dt_policy"] == "adaptive"
     assert cfg.acceptance["closed_form_tol"] == 1e-8
     assert cfg.seed == 0
     assert cfg.out is None
@@ -74,9 +73,37 @@ def test_tau_coeffs_must_be_pairs():
 
 
 def test_dt_policy_choices():
-    with pytest.raises(ConfigError, match=r"solver\.dt_policy: must be one of"):
+    # the step-size policy had one legal value and is no longer a key
+    with pytest.raises(ConfigError, match=r"solver\.dt_policy: unknown key"):
         validate_config({"experiment": "fiber-flow",
-                         "solver": {"dt_policy": "fixed"}})
+                         "solver": {"dt_policy": "adaptive"}})
+
+
+def _leaves(schema):
+    for spec in schema.values():
+        if isinstance(spec, dict):
+            yield from _leaves(spec)
+        else:
+            yield spec
+
+
+def test_no_schema_leaf_has_a_single_choice():
+    for name, schema in SCHEMAS.items():
+        for leaf in _leaves(schema):
+            assert leaf.choices is None or len(leaf.choices) >= 2, name
+
+
+@pytest.mark.parametrize("amplitude", [0.21, -0.21])
+def test_manufactured_amplitude_outside_the_cone_is_rejected(amplitude):
+    with pytest.raises(ConfigError, match=r"model\.amplitude: leaves the"):
+        validate_config({"experiment": "gke-elliptic",
+                         "model": {"amplitude": amplitude, "flat_scale": 4.0}})
+
+
+def test_manufactured_amplitude_inside_the_cone_is_accepted():
+    cfg = validate_config({"experiment": "gke-elliptic",
+                           "model": {"amplitude": 0.1, "flat_scale": 4.0}})
+    assert cfg.model["amplitude"] == 0.1
 
 
 def test_malformed_json_file(tmp_path):

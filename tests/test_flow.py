@@ -22,7 +22,6 @@ from collapse_lab.flow import (
     Diagnostics,
     diagnostics_for,
     evolve,
-    fiber_average,
     map_rhs,
     normalized_potential,
     relaxation_potential,
@@ -174,17 +173,6 @@ def test_horizon_forty_passes_every_check():
 
 
 # -------------------------------------------------------------- diagnostics
-
-def test_fiber_average_against_fsum():
-    rng = np.random.default_rng(5)
-    vals = rng.uniform(-3.0, 7.0, (16, 16))
-    want = math.fsum(vals.ravel()) / vals.size
-    assert abs(fiber_average(vals) - want) < 1e-14
-
-    w = rng.uniform(0.5, 2.0, (16, 16))
-    want_w = math.fsum((vals * w).ravel()) / math.fsum(w.ravel())
-    assert abs(fiber_average(vals, weight=w) - want_w) < 1e-14
-
 
 def test_normalized_potential_inverts_the_scaling():
     spec = sine_spec(a0=2.0, amp=0.0)

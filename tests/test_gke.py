@@ -15,6 +15,7 @@ from collapse_lab.geometry import ddbar, ma_density, ricci_form
 from collapse_lab.models import GkeTestbedSpec
 from collapse_lab.gke import (
     GkeSolution,
+    _envelope,
     gke_residual,
     parabolic_gke,
     parabolic_problem,
@@ -151,6 +152,17 @@ def test_parabolic_transient_settles_onto_limit():
     assert np.max(res.gap_max) > 1e-3
     assert res.gap_max[-1] < 0.05 * np.max(res.gap_max)
     assert 0.0 <= res.empirical_constant < 20.0
+
+
+def test_envelope_constant_and_defect_by_hand():
+    # intervals [0, 1] and [1, 3]; the repeated time 1 is skipped.  The
+    # first midpoint (0.5, gap 1.5, slope -1) binds: C = e^0.5 (-1 + 1.5),
+    # where its defect is 0; the second (2, gap 0.5, slope -0.5) needs no
+    # C and is left a defect of -0.5 e^-1.5 < 0
+    constant, defect = _envelope([0.0, 1.0, 1.0, 3.0], [2.0, 1.0, 1.0, 0.0])
+    assert constant == pytest.approx(0.5 * math.exp(0.5), rel=1e-15)
+    assert abs(defect) < 1e-15
+    assert _envelope([0.0], [1.0]) == (0.0, -math.inf)
 
 
 def test_parabolic_rejects_indefinite_transient():

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from collapse_lab import cli
-from collapse_lab.config import load_config, validate_config
+from collapse_lab.config import (EXPERIMENTS, SCHEMAS, load_config,
+                                 validate_config)
 from collapse_lab.experiments import (CSV_COLUMNS, REGISTRY, _late_growth,
                                       run_experiment, write_report)
 
@@ -178,8 +179,7 @@ def test_error_code_dominates_mixed_runs(tmp_path):
     assert (out / "fast_product" / "acceptance.json").exists()
 
 
-def test_threads_env_runs_configs_in_parallel(tmp_path, monkeypatch):
-    monkeypatch.setenv("COLLAPSE_LAB_THREADS", "2")
+def test_run_writes_each_config_to_its_own_directory(tmp_path):
     a = _fast_product(tmp_path)
     b = _write(tmp_path, "other.json",
                {"experiment": "product-ode", "model": {"a0": 0.5, "b0": 2.0},
@@ -191,11 +191,9 @@ def test_threads_env_runs_configs_in_parallel(tmp_path, monkeypatch):
     assert (out / "other" / "acceptance.json").exists()
 
 
-def test_threads_env_must_be_positive_integer(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("COLLAPSE_LAB_THREADS", "zero")
-    path = _fast_product(tmp_path)
-    assert cli.main(["run", "--config", str(path)]) == 2
-    assert "COLLAPSE_LAB_THREADS" in capsys.readouterr().err
+def test_registry_schemas_and_columns_share_keys():
+    assert list(REGISTRY) == list(SCHEMAS) == list(EXPERIMENTS)
+    assert set(CSV_COLUMNS) == set(SCHEMAS)
 
 
 # ---------------------------------------------------------- report writer

@@ -19,29 +19,15 @@ from collapse_lab.models import (
     density_F,
     fiber_constancy,
     fiberwise_cy_potential,
-    hyperbolic_base_component,
-    reference_metric,
     rescaling_check,
     semiflat_form,
     semiflat_potential,
     weil_petersson,
 )
-from collapse_lab.models import _semiflat_components, _quartic_control_components
+from collapse_lab.models import _semiflat_components
 
 
 # ------------------------------------------------------------ product model
-
-def test_reference_metric_endpoints_and_midpoint():
-    model = ProductModelSpec(a0=3.0, b0=0.5)
-    r0 = reference_metric(model, 0.0)
-    assert r0.base == pytest.approx(3.0, abs=1e-15)
-    assert r0.fiber == pytest.approx(0.5, abs=1e-15)
-    rinf = reference_metric(model, 40.0)
-    assert rinf.base == pytest.approx(1.0, abs=1e-15)
-    assert rinf.fiber == pytest.approx(0.0, abs=1e-15)
-    rmid = reference_metric(model, np.log(2.0))
-    assert rmid.base == pytest.approx(2.0, abs=1e-14)
-
 
 def test_product_closed_form_satisfies_flow_ode():
     # substitute a(t), b(t) into a' = 1 - a, b' = -b using hand derivatives
@@ -77,26 +63,6 @@ def test_product_spec_rejects_nonpositive_scales():
         ProductModelSpec(a0=1.0, b0=0.0)
 
 
-def test_hyperbolic_base_is_einstein_by_fd():
-    # ddbar log g = g for g = 1/(2 Im z^2), checked with 4th-order stencils
-    z0 = 0.4 + 1.3j
-    h = 1e-3
-
-    def logg(z):
-        return np.log(hyperbolic_base_component(z))
-
-    def d2(fn, z, dx, dy):
-        pts = [fn(z + 2*s) for s in (dx, -dx, dy, -dy)] \
-            + [fn(z + s) for s in (dx, -dx, dy, -dy)] + [fn(z)]
-        fxx = (-pts[0] + 16*pts[4] - 30*pts[8] + 16*pts[5] - pts[1]) / (12*abs(dx)**2)
-        fyy = (-pts[2] + 16*pts[6] - 30*pts[8] + 16*pts[7] - pts[3]) / (12*abs(dy)**2)
-        return (fxx + fyy) / 4.0
-
-    got = d2(logg, z0, h, 1j*h)
-    want = hyperbolic_base_component(z0)
-    assert abs(got - want) < 1e-8
-
-
 # -------------------------------------------------------------- fiber model
 
 def fib_grid(n=16):
@@ -107,21 +73,11 @@ def test_fiber_flow_spec_requires_mean_free_and_kaehler():
     g = fib_grid()
     x = g.axis_coordinates(0) * np.ones(g.shape)
     ok = FiberFlowSpec(grid=g, b0=1.0, initial_potential=ScalarField(g, 0.05 * np.sin(2*np.pi*x)))
-    assert ok.initial_margin() > 0.0
+    assert ok.initial_form().is_positive()
     with pytest.raises(ValueError, match="mean"):
         FiberFlowSpec(grid=g, b0=1.0, initial_potential=ScalarField.constant(g, 0.2))
     with pytest.raises(ValueError, match="positiv"):
         FiberFlowSpec(grid=g, b0=0.5, initial_potential=ScalarField(g, 0.2 * np.sin(2*np.pi*x)))
-
-
-def test_fiber_flow_reference_metric_scales():
-    g = fib_grid()
-    x = g.axis_coordinates(0) * np.ones(g.shape)
-    spec = FiberFlowSpec(grid=g, b0=0.7, a0=2.0,
-                         initial_potential=ScalarField(g, 0.01 * np.sin(2*np.pi*x)))
-    r = reference_metric(spec, np.log(2.0))
-    assert r.base == pytest.approx(1.5, abs=1e-14)
-    assert r.fiber == pytest.approx(0.35, abs=1e-14)
 
 
 # ---------------------------------------------------------------- semi-flat
@@ -199,6 +155,18 @@ def test_semiflat_form_closedness_by_fd():
         lhs = wirtinger(lambda xi: comp(z0, xi, 0, 0), xi0)   # d_xi g_zz
         rhs = wirtinger(lambda z: comp(z, xi0, 1, 0), z0)     # d_z g_xiz
         assert abs(lhs - rhs) < 1e-10
+
+
+def _quartic_control_components(spec, z, xi):
+    # same construction for the quartic potential (Im xi)^4 / Im(modulus);
+    # kaehler, but deliberately without the rescaling symmetry
+    T = np.imag(spec.modulus(z))
+    tp = spec.modulus_derivative(z)
+    y = np.imag(xi)
+    h00 = (y ** 4 * np.abs(tp) ** 2 / (2.0 * T ** 3)).astype(complex)
+    h01 = -(y ** 3) * tp / (T * T)
+    h11 = (3.0 * y * y / T).astype(complex)
+    return ((h00, h01), (np.conj(h01), h11))
 
 
 def test_rescaling_identity_holds_and_control_fails():

@@ -57,8 +57,7 @@ def test_rejects_nonpositive_values():
 
 def test_rejects_short_windows():
     with pytest.raises(ValueError, match="samples"):
-        rate_fit(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25]),
-                 min_samples=4)
+        rate_fit(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25]))
 
 
 def test_rejects_unknown_abscissa():
