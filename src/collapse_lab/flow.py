@@ -22,7 +22,8 @@ import numpy as np
 
 from .grids import HermitianField, ScalarField
 from .geometry import (MongeAmpereFlow, ddbar, fiber_diameter,
-                       log_volume_ratio, ma_density, riemann_norm, trace_wrt)
+                       log_volume_ratio, ma_density, real_samples,
+                       riemann_norm, trace_wrt)
 from .timestep import integrate_lawson
 
 
@@ -129,15 +130,14 @@ def diagnostics_for(spec, t, potential, with_diameter=True):
     vt = normalized_potential(spec, t, potential).values
 
     # trace of the initial metric in the evolving one, rescaled to its limit
-    start = spec.initial_form()
     qfield = np.log(math.exp(-t) * p * spec.a0 / a_hat
-                    + trace_wrt(twisted, start).values) - vt
+                    + trace_wrt(twisted, spec.initial_form()).values) - vt
 
     fiber_curv = et * float(np.max(riemann_norm(twisted).values))
     curvature = math.hypot(math.sqrt(p) / a_hat, fiber_curv)
 
     low_index = (1,) + (0,) * (2 * m - 1)
-    mode_low = abs(np.fft.fftn(vt)[low_index]) / vt.size
+    mode_low = abs(np.fft.rfftn(vt)[low_index]) / vt.size
 
     diam = math.nan
     if with_diameter:
@@ -162,12 +162,12 @@ def diagnostics_for(spec, t, potential, with_diameter=True):
 
 def evolve(spec, t_end, sample_times, controls=None, with_diameter=True):
     """March the flow to t_end and collect states plus monitors at samples."""
-    u0 = np.fft.fftn(spec.initial_potential.values)
+    u0 = np.fft.rfftn(spec.initial_potential.values)
     res = integrate_lawson(spectral_problem(spec), u0, 0.0, float(t_end),
                            sample_times=sample_times, controls=controls)
     states, diags = [], []
     for s, modes in zip(res.sample_times, res.sample_modes):
-        pot = ScalarField(spec.grid, np.fft.ifftn(modes).real)
+        pot = ScalarField(spec.grid, real_samples(spec.grid, modes))
         states.append(FlowState(t=s, potential=pot))
         diags.append(diagnostics_for(spec, s, pot, with_diameter=with_diameter))
     return FlowHistory(states=states, diagnostics=diags,

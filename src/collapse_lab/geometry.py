@@ -15,7 +15,8 @@ import numpy as np
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .grids import GridSpec, HermitianField, PositivityError, ScalarField
+from .grids import (GridSpec, HermitianField, PositivityError, ScalarField,
+                    extreme_eigenvalue)
 
 # graphs up to this many nodes get the exhaustive all-sources diameter
 _ALL_SOURCES_LIMIT = 4096
@@ -26,14 +27,31 @@ def _grid_axes(grid):
     return tuple(range(2 * grid.complex_dim))
 
 
+def _nyquist_zeroed(k):
+    """An odd wavenumber factor with its Nyquist entry set to zero.
+
+    The Nyquist mode of an even grid is its own mirror image, so an odd
+    derivative there has no real-valued meaning; zeroing it keeps a product
+    of two such factors even, as the symbol of a real operator must be.
+    """
+    k = k.copy()
+    k.flat[k.size // 2] = 0.0
+    return k
+
+
 @functools.lru_cache(maxsize=None)
 def _wirtinger(grid):
     """Fourier multipliers of the Wirtinger derivatives on one grid, cached.
 
-    Returns ``(dz, mixed, trace)``: ``dz[j]`` is the symbol of d/dz_j,
-    ``mixed[j][k]`` that of d/dz_j d/dzbar_k, and ``trace`` the real symbol
-    -|k|^2/4 of their trace, the quarter-Laplacian.  The arrays are shared
-    by every caller, so they are frozen read-only.
+    Returns ``(dz, mixed, half, trace)``.  On the full spectrum of
+    ``fftn``, for complex fields: ``dz[j]`` is the symbol of d/dz_j and
+    ``mixed[j][k]`` that of d/dz_j d/dzbar_k.  On the half spectrum of
+    ``rfftn``, for real potentials: ``half[j][k]`` (j <= k) lists the real
+    symbols whose inverse transforms make up component [j, k] of ddbar, the
+    diagonal one with its Nyquist value (so ``trace``, their sum, is the
+    true quarter-Laplacian -|k|^2/4) and, off the diagonal, the real and
+    imaginary parts built from Nyquist-zeroed odd factors.  The arrays are
+    shared by every caller, so they are frozen read-only.
     """
     if not grid.periodic:
         raise ValueError("spectral operator called on a non-periodic patch grid")
@@ -43,35 +61,55 @@ def _wirtinger(grid):
     dz = [(1j * kx[j] + ky[j]) / 2.0 for j in range(m)]
     dzbar = [(1j * kx[j] - ky[j]) / 2.0 for j in range(m)]
     mixed = [[dz[j] * dzbar[k] for k in range(m)] for j in range(m)]
-    trace = -sum(grid.wavenumbers(ax) ** 2 for ax in range(2 * m)) / 4.0
-    for sym in dz + [s for row in mixed for s in row] + [trace]:
+
+    cut = grid.shape[-1] // 2 + 1
+
+    def halved(sym):
+        return np.ascontiguousarray(sym[..., :cut])
+
+    ox = [_nyquist_zeroed(k) for k in kx]
+    oy = [_nyquist_zeroed(k) for k in ky]
+    half = [[None] * m for _ in range(m)]
+    for j in range(m):
+        half[j][j] = [halved(mixed[j][j].real)]
+        for k in range(j + 1, m):
+            odd = (1j * ox[j] + oy[j]) * (1j * ox[k] - oy[k]) / 4.0
+            half[j][k] = [halved(odd.real), halved(odd.imag)]
+    trace = sum(half[j][j][0] for j in range(m))
+    syms = dz + [s for row in mixed for s in row] + [trace]
+    syms += [s for j in range(m) for k in range(j, m) for s in half[j][k]]
+    for sym in syms:
         sym.setflags(write=False)
-    return dz, mixed, trace
+    return dz, mixed, half, trace
+
+
+def real_samples(grid, modes):
+    """Samples of a real field from its half-spectrum modes, inverse of rfftn."""
+    return np.fft.irfftn(modes, s=grid.shape, axes=_grid_axes(grid))
 
 
 def ddbar_modes(grid, modes):
-    """Coefficient array of i*ddbar(f) from the Fourier modes of f.
+    """Coefficient array of i*ddbar(f) from the half-spectrum modes of f.
 
-    One inverse transform per Hermitian component (one when m = 1); the
-    diagonal is real and the array is Hermitian by construction, so it is
-    returned bare, without the validation of a HermitianField.
+    One inverse real transform per diagonal entry and two per off-diagonal
+    pair (one in all when m = 1).  The array is Hermitian by construction,
+    so it is returned bare, without the validation of a HermitianField.
     """
-    _, mixed, _ = _wirtinger(grid)
+    half = _wirtinger(grid)[2]
     m = grid.complex_dim
-    axes = _grid_axes(grid)
     out = np.empty(grid.shape + (m, m), dtype=np.complex128)
     for j in range(m):
-        out[..., j, j] = np.fft.ifftn(mixed[j][j] * modes, axes=axes).real
+        out[..., j, j] = real_samples(grid, half[j][j][0] * modes)
         for k in range(j + 1, m):
-            comp = np.fft.ifftn(mixed[j][k] * modes, axes=axes)
-            out[..., j, k] = comp
-            out[..., k, j] = np.conj(comp)
+            re, im = (real_samples(grid, sym * modes) for sym in half[j][k])
+            out[..., j, k] = re + 1j * im
+            out[..., k, j] = re - 1j * im
     return out
 
 
 def ddbar_trace_symbol(grid):
-    """Fourier multiplier of the trace of ddbar, the quarter-Laplacian."""
-    return _wirtinger(grid)[2]
+    """Half-spectrum multiplier of the trace of ddbar, the quarter-Laplacian."""
+    return _wirtinger(grid)[3]
 
 
 def ddbar(f: ScalarField) -> HermitianField:
@@ -80,8 +118,7 @@ def ddbar(f: ScalarField) -> HermitianField:
     Returns the Hermitian coefficient field of i*ddbar(f).  Every component
     is grid-mean-free because the zero mode carries no derivative.
     """
-    spec = np.fft.fftn(f.values, axes=_grid_axes(f.grid))
-    return HermitianField(f.grid, ddbar_modes(f.grid, spec))
+    return HermitianField(f.grid, ddbar_modes(f.grid, np.fft.rfftn(f.values)))
 
 
 def _det(values):
@@ -116,7 +153,13 @@ class MongeAmpereFlow:
     stiffness grows like exp(t)) and 1 otherwise, and ``velocity(t, omega)``
     the pointwise log-volume velocity.  The stiff part handed to the
     exponential frame is (s(t)/scale) times the quarter-Laplacian, minus the
-    identity; ``scale`` is the flat part of B.
+    identity; ``scale`` is the flat part of B.  Modes are the half spectrum
+    of ``rfftn``.
+
+    The last form built is kept with the (t, u) it was built for, so the
+    margin of an accepted step and the next step's first stage share one
+    ddbar.  The state is matched by identity: the stepper never mutates a
+    state after handing it to the problem.
     """
 
     def __init__(self, grid, scale, background, velocity, stiffening):
@@ -126,6 +169,7 @@ class MongeAmpereFlow:
         self.velocity = velocity
         self.stiffening = stiffening
         self._trace_symbol = ddbar_trace_symbol(grid)
+        self._last = (None, None, None)
 
     def symbol_integral(self, t0, t1):
         sweep = math.exp(t1) - math.exp(t0) if self.stiffening else t1 - t0
@@ -133,21 +177,26 @@ class MongeAmpereFlow:
 
     def _form(self, t, u):
         """s(t), ddbar(phi) and omega for the modes u of phi."""
+        last_t, last_u, form = self._last
+        if last_u is u and last_t == t:
+            return form
         s = math.exp(t) if self.stiffening else 1.0
         hess = ddbar_modes(self.grid, u)
-        return s, hess, self.background(t) + s * hess
+        form = s, hess, self.background(t) + s * hess
+        self._last = (t, u, form)
+        return form
 
     def nonlinear_modes(self, t, u):
         # the potential itself cancels against the identity in the stiff part;
         # the quarter-Laplacian is the trace of the same ddbar array
         s, hess, omega = self._form(t, u)
         lap = np.einsum("...kk->...", hess).real
-        return np.fft.fftn(self.velocity(t, omega) - (s / self.scale) * lap)
+        return np.fft.rfftn(self.velocity(t, omega) - (s / self.scale) * lap)
 
     def kaehler_margin(self, t, u):
         """Smallest eigenvalue of omega relative to the flat scale."""
-        omega = HermitianField(self.grid, self._form(t, u)[2])
-        return float(np.min(omega.min_eigenvalue())) / self.scale
+        eig = extreme_eigenvalue(self._form(t, u)[2], largest=False)
+        return float(np.min(eig)) / self.scale
 
 
 def trace_wrt(omega: HermitianField, eta: HermitianField) -> ScalarField:
@@ -178,7 +227,7 @@ def riemann_norm(omega: HermitianField) -> ScalarField:
     scaling the metric by c scales the result by 1/c.
     """
     grid = omega.grid
-    dz, mixed, _ = _wirtinger(grid)
+    dz, mixed, _, _ = _wirtinger(grid)
     omega.require_positive("riemann_norm")
     m = grid.complex_dim
     axes = _grid_axes(grid)

@@ -24,7 +24,8 @@ from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .grids import HermitianField, ScalarField
 from .geometry import (MongeAmpereFlow, ddbar, ddbar_trace_symbol,
-                       log_volume_ratio, ma_density, ricci_form, trace_wrt)
+                       log_volume_ratio, ma_density, real_samples, ricci_form,
+                       trace_wrt)
 from .timestep import integrate_lawson
 
 NEWTON_FORCING_CAP = 1e-3
@@ -67,8 +68,8 @@ def _linear_step(grid, omega, rhs_field, forcing, flat_scale=1.0):
         return (trace_wrt(omega, ddbar(f)).values - f.values).ravel()
 
     def precond(v):
-        spec = np.fft.fftn(v.reshape(grid.shape))
-        return np.fft.ifftn(spec / (symbol - 1.0)).real.ravel()
+        spec = np.fft.rfftn(v.reshape(grid.shape))
+        return real_samples(grid, spec / (symbol - 1.0)).ravel()
 
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
     pre = LinearOperator((size, size), matvec=precond, dtype=float)
@@ -204,14 +205,14 @@ def parabolic_gke(testbed, rho=None, t_end=4.0, start=None, controls=None,
     gap_min = [float(np.min(u0.values - u_limit.values))]
 
     def record(t, modes):
-        phi = np.fft.ifftn(modes).real
+        phi = real_samples(grid, modes)
         times.append(t)
         gap_max.append(float(np.max(phi - u_limit.values)))
         gap_min.append(float(np.min(phi - u_limit.values)))
 
-    res = integrate_lawson(problem, np.fft.fftn(u0.values), 0.0,
+    res = integrate_lawson(problem, np.fft.rfftn(u0.values), 0.0,
                            float(t_end), controls=controls, on_accept=record)
-    final = ScalarField(grid, np.fft.ifftn(res.final_modes).real)
+    final = ScalarField(grid, real_samples(grid, res.final_modes))
     t_arr = np.asarray(times)
     gmax = np.asarray(gap_max)
     constant, defect = _envelope(t_arr, gmax)

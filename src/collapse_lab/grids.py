@@ -37,6 +37,8 @@ class GridSpec:
     resolutions: tuple
     periods: tuple = ()
     periodic: bool = True
+    # samples per real axis, derived once from the resolutions
+    shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.complex_dim < 1:
@@ -56,10 +58,8 @@ class GridSpec:
             raise ValueError("periods must be positive")
         object.__setattr__(self, "resolutions", res)
         object.__setattr__(self, "periods", per)
-
-    @property
-    def shape(self):
-        return tuple(self.resolutions[a // 2] for a in range(2 * self.complex_dim))
+        object.__setattr__(self, "shape", tuple(
+            res[a // 2] for a in range(2 * self.complex_dim)))
 
     @property
     def spacings(self):
@@ -110,6 +110,24 @@ class ScalarField:
         return cls(grid, np.full(grid.shape, float(value)))
 
 
+def extreme_eigenvalue(values, largest):
+    """Smallest or largest eigenvalue of Hermitian matrices, pointwise.
+
+    ``values`` is a bare coefficient array of shape (..., m, m) that the
+    caller knows to be Hermitian; closed form for m <= 2.
+    """
+    m = values.shape[-1]
+    if m == 1:
+        return values[..., 0, 0].real.copy()
+    if m == 2:
+        tr = (values[..., 0, 0] + values[..., 1, 1]).real
+        det = (values[..., 0, 0] * values[..., 1, 1]
+               - values[..., 0, 1] * values[..., 1, 0]).real
+        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
+        return 0.5 * (tr + disc) if largest else 0.5 * (tr - disc)
+    return np.linalg.eigvalsh(values)[..., -1 if largest else 0]
+
+
 @dataclass
 class HermitianField:
     """Pointwise Hermitian m x m coefficient matrices of a real (1,1)-form.
@@ -143,29 +161,11 @@ class HermitianField:
 
     def min_eigenvalue(self):
         """Smallest eigenvalue at every grid point (closed form for m <= 2)."""
-        m = self.complex_dim
-        if m == 1:
-            return self.values[..., 0, 0].real.copy()
-        if m == 2:
-            tr = (self.values[..., 0, 0] + self.values[..., 1, 1]).real
-            det = (self.values[..., 0, 0] * self.values[..., 1, 1]
-                   - self.values[..., 0, 1] * self.values[..., 1, 0]).real
-            disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-            return 0.5 * (tr - disc)
-        return np.linalg.eigvalsh(self.values)[..., 0]
+        return extreme_eigenvalue(self.values, largest=False)
 
     def max_eigenvalue(self):
         """Largest eigenvalue at every grid point (closed form for m <= 2)."""
-        m = self.complex_dim
-        if m == 1:
-            return self.values[..., 0, 0].real.copy()
-        if m == 2:
-            tr = (self.values[..., 0, 0] + self.values[..., 1, 1]).real
-            det = (self.values[..., 0, 0] * self.values[..., 1, 1]
-                   - self.values[..., 0, 1] * self.values[..., 1, 0]).real
-            disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-            return 0.5 * (tr + disc)
-        return np.linalg.eigvalsh(self.values)[..., -1]
+        return extreme_eigenvalue(self.values, largest=True)
 
     def is_positive(self):
         return bool(np.min(self.min_eigenvalue()) > 0.0)

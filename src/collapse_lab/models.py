@@ -90,11 +90,12 @@ class FiberFlowSpec:
             raise ValueError(
                 f"initial potential must be mean-free, got mean "
                 f"{self.initial_potential.mean():.3e}")
-        self.initial_form().require_positive("initial fiber metric")
+        self._initial_form = (HermitianField.scaled_identity(self.grid, self.b0)
+                              + ddbar(self.initial_potential))
+        self._initial_form.require_positive("initial fiber metric")
 
     def initial_form(self):
-        return (HermitianField.scaled_identity(self.grid, self.b0)
-                + ddbar(self.initial_potential))
+        return self._initial_form
 
 
 # ------------------------------------------------------------- gke testbed
@@ -271,27 +272,29 @@ def weil_petersson(spec):
     return HermitianField(spec.base_grid(), vals)
 
 
-def density_F(spec, omega, base_component=1.0):
+def density_F(spec, omega):
     """Fiberwise density of a volume form against the split reference.
 
     ``omega`` holds positive volume samples over the product patch. The
-    reference is the wedge of the flat base form (coefficient
-    ``base_component``) with the semi-flat form; with one base and one fiber
-    direction its density is twice the product of the base coefficient and
-    the fiber component.
+    reference is the wedge of the flat unit base form with the semi-flat
+    form; with one base and one fiber direction its density is twice the
+    fiber component.
     """
     omega = np.asarray(omega, dtype=float)
     if np.min(omega) <= 0.0:
         raise ValueError("volume density must be positive")
     z, xi = _patch_samples(spec)
     h11 = _semiflat_components(spec, z, xi)[1][1].real
-    return omega / (2.0 * base_component * h11)
+    return omega / (2.0 * h11)
 
 
-def fiber_constancy(values, fiber_axes=(-2, -1)):
-    """Largest relative spread of a patch quantity along the fibers."""
-    mean = np.mean(values, axis=fiber_axes)
-    std = np.std(values, axis=fiber_axes)
+def fiber_constancy(values):
+    """Largest relative spread of a patch quantity along the fibers.
+
+    The fibers are the last two axes of a patch array.
+    """
+    mean = np.mean(values, axis=(-2, -1))
+    std = np.std(values, axis=(-2, -1))
     return float(np.max(std / np.abs(mean)))
 
 

@@ -15,12 +15,18 @@ margin is exposed, steps that slash it by more than a factor of ten are
 rejected so the state cannot jump out of the positive cone between
 samples.
 
-Cost: each attempted step takes 11 remainder evaluations (4 for the full
+Cost: an accepted step takes 11 remainder evaluations (4 for the full
 step and 4 for each half step, less the first stage the full step and the
-first half step share). For the potential flows of
-:class:`collapse_lab.geometry.MongeAmpereFlow` one evaluation is two n-d
-FFTs at complex dimension 1: an inverse one for ddbar of the potential and
-a forward one back to mode space.
+first half step share) and a rejected one 10, since the first stage at the
+unchanged (t, u) is kept for the retry. Each attempt takes 4 propagators,
+one per quarter interval; the full step's are their products. For the
+potential flows of :class:`collapse_lab.geometry.MongeAmpereFlow` one
+evaluation is one real-to-complex FFT pair at complex dimension 1: an
+inverse one for ddbar of the potential and a forward one back to mode
+space.
+
+The stepper never mutates a state after handing it to the problem, so a
+problem may recognise a state it has seen by identity.
 """
 
 from dataclasses import dataclass
@@ -65,21 +71,28 @@ def _nonlinear(problem, t, u):
     return 0.0 if n is None else n
 
 
-def lawson_step(problem, t, u, h, n1=None):
+def _propagators(problem, t, h):
+    """Linear propagators over the two halves of the interval [t, t + h]."""
+    return (np.exp(problem.symbol_integral(t, t + 0.5 * h)),
+            np.exp(problem.symbol_integral(t + 0.5 * h, t + h)))
+
+
+def lawson_step(problem, t, u, h, n1=None, props=None):
     """One fourth-order step of size h in the exponential frame.
 
     ``n1`` is the first stage, the remainder at (t, u); pass it when it is
-    already known, since it does not depend on h.
+    already known, since it does not depend on h.  ``props`` are the
+    propagators of ``_propagators(problem, t, h)``, when already known.
     """
-    e1 = np.exp(problem.symbol_integral(t, t + 0.5 * h))
-    e3 = np.exp(problem.symbol_integral(t + 0.5 * h, t + h))
+    e1, e3 = _propagators(problem, t, h) if props is None else props
     e2 = e1 * e3
     if n1 is None:
         n1 = _nonlinear(problem, t, u)
     n2 = _nonlinear(problem, t + 0.5 * h, e1 * (u + 0.5 * h * n1))
     n3 = _nonlinear(problem, t + 0.5 * h, e1 * u + 0.5 * h * n2)
-    n4 = _nonlinear(problem, t + h, e2 * u + h * e3 * n3)
-    return e2 * u + (h / 6.0) * (e2 * n1 + 2.0 * e3 * (n2 + n3) + n4)
+    e2u = e2 * u
+    n4 = _nonlinear(problem, t + h, e2u + h * e3 * n3)
+    return e2u + (h / 6.0) * (e2 * n1 + 2.0 * e3 * (n2 + n3) + n4)
 
 
 def integrate_lawson(problem, u0, t0, t1, sample_times=(), controls=None,
@@ -88,7 +101,8 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), controls=None,
 
     The error estimate compares one full step against two half steps; the
     half-step result is the one kept; the full step and the first half step
-    share their first stage. Requested sample times are landed on exactly.
+    share their first stage, which a rejected attempt also keeps for the
+    retry. Requested sample times are landed on exactly.
     ``on_accept(t, modes)`` fires after every accepted step.
     """
     c = controls or StepControls()
@@ -112,23 +126,31 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), controls=None,
     prev_margin = margin_fn(t, u) if margin_fn else None
     dt = c.dt_init
     accepted = rejected = 0
+    n1 = None
 
     while t < t1:
         target = req[idx] if idx < len(req) else t1
         remaining = target - t
         lands = dt >= remaining
         h = remaining if lands else dt
+        end = target if lands else t + h
 
-        n1 = _nonlinear(problem, t, u)
-        full = lawson_step(problem, t, u, h, n1)
-        mid = lawson_step(problem, t, u, 0.5 * h, n1)
-        fine = lawson_step(problem, t + 0.5 * h, mid, 0.5 * h)
+        if n1 is None:
+            n1 = _nonlinear(problem, t, u)
+        mid_props = _propagators(problem, t, 0.5 * h)
+        fine_props = _propagators(problem, t + 0.5 * h, 0.5 * h)
+        full_props = (mid_props[0] * mid_props[1],
+                      fine_props[0] * fine_props[1])
+        full = lawson_step(problem, t, u, h, n1, full_props)
+        mid = lawson_step(problem, t, u, 0.5 * h, n1, mid_props)
+        fine = lawson_step(problem, t + 0.5 * h, mid, 0.5 * h,
+                           props=fine_props)
         err = float(np.max(np.abs(full - fine))) / 15.0
 
         ok = err <= c.tol
         new_margin = None
         if ok and margin_fn is not None:
-            new_margin = margin_fn(t + h, fine)
+            new_margin = margin_fn(end, fine)
             ok = new_margin > 0.1 * prev_margin
         if not ok:
             rejected += 1
@@ -139,8 +161,9 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), controls=None,
                     f"{c.dt_min:.3e} at t={t:.6f}")
             continue
 
-        t = target if lands else t + h
+        t = end
         u = fine
+        n1 = None
         accepted += 1
         if margin_fn is not None:
             prev_margin = new_margin

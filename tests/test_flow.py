@@ -15,9 +15,10 @@ from scipy.integrate import quad, solve_ivp
 from collapse_lab.config import validate_config
 from collapse_lab.experiments import run_experiment
 from collapse_lab.grids import GridSpec, HermitianField, ScalarField
+from collapse_lab import geometry
 from collapse_lab.geometry import ddbar, riemann_norm
 from collapse_lab.models import FiberFlowSpec
-from collapse_lab.timestep import StepControls
+from collapse_lab.timestep import StepControls, integrate_lawson
 from collapse_lab.flow import (
     Diagnostics,
     diagnostics_for,
@@ -88,8 +89,8 @@ def test_mode_space_rhs_is_map_rhs_less_its_linear_part(spec):
     t = 0.9
     phi = spec.initial_potential
     linear = (math.exp(t) / spec.b0) * quarter_laplacian(spec.grid, phi.values)
-    want = np.fft.fftn(map_rhs(spec, t, phi).values - (linear - phi.values))
-    got = spectral_problem(spec).nonlinear_modes(t, np.fft.fftn(phi.values))
+    want = np.fft.rfftn(map_rhs(spec, t, phi).values - (linear - phi.values))
+    got = spectral_problem(spec).nonlinear_modes(t, np.fft.rfftn(phi.values))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -99,9 +100,34 @@ def test_mode_space_rhs_is_nan_outside_the_cone(spec):
     # exp(2.5) * amp * pi^2 exceeds b0 somewhere: the twisted metric is
     # indefinite there, and NaN is what makes the stepper reject the step
     t = 2.5
-    modes = np.fft.fftn(spec.initial_potential.values)
+    modes = np.fft.rfftn(spec.initial_potential.values)
     assert np.isnan(map_rhs(spec, t, spec.initial_potential).values).any()
     assert np.isnan(spectral_problem(spec).nonlinear_modes(t, modes)).all()
+
+
+def test_march_builds_one_ddbar_per_rhs_evaluation(monkeypatch):
+    # the margin of an accepted step and the next step's first stage share
+    # one ddbar; only the initial margin has no stage to share it with
+    spec = sine_spec(n=16, b0=1.0, a0=1.3, amp=0.02)
+    problem = spectral_problem(spec)
+    calls = {"ddbar": 0, "rhs": 0}
+    ddbar_modes, rhs = geometry.ddbar_modes, problem.nonlinear_modes
+
+    def counted_ddbar(*args):
+        calls["ddbar"] += 1
+        return ddbar_modes(*args)
+
+    def counted_rhs(t, u):
+        calls["rhs"] += 1
+        return rhs(t, u)
+
+    monkeypatch.setattr(geometry, "ddbar_modes", counted_ddbar)
+    problem.nonlinear_modes = counted_rhs
+    res = integrate_lawson(problem, np.fft.rfftn(spec.initial_potential.values),
+                           0.0, 2.0)
+    assert res.accepted > 1
+    assert calls["rhs"] == 11 * res.accepted + 10 * res.rejected
+    assert calls["ddbar"] == calls["rhs"] + 1
 
 
 # --------------------------------------------------- mean-mode closed form

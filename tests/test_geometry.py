@@ -114,6 +114,45 @@ def test_ddbar_two_dim_cross_component_vs_fd():
     assert np.max(np.abs(got - fd)) < 2e-3  # 32 samples per axis, fd4 floor
 
 
+def full_spectrum_ddbar(grid, vals):
+    """Independent ddbar through fftn and fftfreq wavenumbers.
+
+    Off the diagonal the odd first-derivative factors are zeroed at their
+    Nyquist entry, the mode that is its own mirror image.
+    """
+    m = grid.complex_dim
+    spec = np.fft.fftn(vals)
+
+    def k(ax, odd):
+        n = grid.shape[ax]
+        kk = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.periods[ax] / n)
+        if odd:
+            kk[n // 2] = 0.0
+        shape = [1] * (2 * m)
+        shape[ax] = n
+        return kk.reshape(shape)
+
+    out = np.empty(grid.shape + (m, m), dtype=complex)
+    for j in range(m):
+        for l in range(m):
+            odd = j != l
+            d = (1j * k(2 * j, odd) + k(2 * j + 1, odd)) / 2.0
+            dbar = (1j * k(2 * l, odd) - k(2 * l + 1, odd)) / 2.0
+            out[..., j, l] = np.fft.ifftn(d * dbar * spec)
+    return out
+
+
+@pytest.mark.parametrize("grid", [GridSpec(1, (16,), (1.0, 0.5)),
+                                  GridSpec(2, (8,), (1.0, 2.0, 0.5, 1.0))],
+                         ids=["m1", "m2"])
+def test_ddbar_half_spectrum_matches_full_spectrum_with_nyquist(grid):
+    # white noise carries Nyquist content on every axis
+    vals = np.random.default_rng(11).standard_normal(grid.shape)
+    want = full_spectrum_ddbar(grid, vals)
+    got = ddbar(ScalarField(grid, vals)).values
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 # --------------------------------------------------------------- ma_density
 
 def test_ma_density_identity_and_diagonal():

@@ -67,12 +67,14 @@ class GrowthWithMargin:
 
 
 class CountingProblem:
-    """Bernoulli equation per mode, counting remainder evaluations."""
+    """Bernoulli equation per mode, counting remainder and symbol evaluations."""
 
     def __init__(self):
         self.calls = 0
+        self.symbol_calls = 0
 
     def symbol_integral(self, t0, t1):
+        self.symbol_calls += 1
         return np.array([-1.0, -3.0]) * (t1 - t0)
 
     def nonlinear_modes(self, t, u):
@@ -129,12 +131,15 @@ def test_single_step_has_classical_order():
     assert 24.0 < ratio < 40.0
 
 
-def test_step_doubling_costs_eleven_evaluations_per_attempt():
+def test_step_doubling_costs_eleven_evaluations_per_accepted_ten_per_rejected():
+    # a rejected attempt keeps its first stage for the retry, and every
+    # attempt takes one propagator per quarter interval
     prob = CountingProblem()
     res = integrate_lawson(prob, np.array([0.5 + 0j, 0.3 + 0j]), 0.0, 2.0,
                            controls=StepControls(tol=1e-12, dt_init=0.25))
     assert res.rejected > 0
-    assert prob.calls == 11 * (res.accepted + res.rejected)
+    assert prob.calls == 11 * res.accepted + 10 * res.rejected
+    assert prob.symbol_calls == 4 * (res.accepted + res.rejected)
 
 
 def test_shared_first_stage_is_bit_identical_to_independent_steps():
