@@ -25,7 +25,7 @@ from .models import (FiberFlowSpec, GkeTestbedSpec, ProductModelSpec,
                      SemiFlatSpec, density_F, fiber_constancy,
                      rescaling_check, semiflat_form, semiflat_potential,
                      weil_petersson)
-from .rates import rate_fit
+from .rates import RateFit, UnfittableSeries, rate_fit
 from .timestep import StepControls, integrate_lawson
 
 
@@ -46,6 +46,17 @@ def _le(name, measured, bound):
 def _ge(name, measured, bound):
     measured, bound = float(measured), float(bound)
     return Check(name, measured, bound, ">=", bool(measured >= bound))
+
+
+def _fit(times, values, abscissa="t", window=None):
+    """rate_fit, or a fit of NaNs over no samples when the window holds a
+    value that is zero, negative or not finite.  The solver has run, so the
+    report is still written, and a check built on the fit reads NaN and
+    fails as not evaluable."""
+    try:
+        return rate_fit(times, values, abscissa=abscissa, window=window)
+    except UnfittableSeries:
+        return RateFit(math.nan, math.nan, math.nan, 0, abscissa)
 
 
 @dataclass
@@ -135,8 +146,8 @@ def _run_product_ode(cfg, rng):
                           abs(curv / model.base_curvature_norm(t) - 1.0))
 
     times = np.array([r["t"] for r in rows])
-    diam_fit = rate_fit(times, np.array([r["diameter"] for r in rows]))
-    fiber_fit = rate_fit(times, np.array([r["fiber_numeric"] for r in rows]))
+    diam_fit = _fit(times, np.array([r["diameter"] for r in rows]))
+    fiber_fit = _fit(times, np.array([r["fiber_numeric"] for r in rows]))
 
     checks = [
         _le("closed_form_defect", closed_defect, acc["closed_form_tol"]),
@@ -205,8 +216,8 @@ def _run_fiber_flow(cfg, rng):
     times = _series(rows, "t")
 
     target = math.pi ** 2 / m["b0"]
-    mode_fit = rate_fit(times, _series(rows, "mode_low"),
-                        abscissa="exp_t", window=(lo, hi))
+    mode_fit = _fit(times, _series(rows, "mode_low"),
+                    abscissa="exp_t", window=(lo, hi))
     spread = _series(rows, "volume_ratio_max") - _series(rows,
                                                          "volume_ratio_min")
     growth_rows = [dict(r, volume_spread=sp) for r, sp in zip(rows, spread)]
@@ -234,7 +245,7 @@ def _run_fiber_flow(cfg, rng):
     plots = {"mode_low": np.column_stack(
         [np.exp(times), _series(rows, "mode_low")])}
     if s["with_diameter"]:
-        diam_fit = rate_fit(times, _series(rows, "diameter"))
+        diam_fit = _fit(times, _series(rows, "diameter"))
         checks.append(_le("diameter_slope_defect",
                           abs(diam_fit.slope - acc["diameter_slope"]),
                           acc["diameter_slope_tol"]))
@@ -269,7 +280,7 @@ def _run_curvature_bound(cfg, rng):
         _le("late_base_match", late_defect, acc["late_match_rel"]),
     ]
     times = _series(rows, "t")
-    rates = {"curvature": asdict(rate_fit(times, curv))}
+    rates = {"curvature": asdict(_fit(times, curv))}
     plots = {"curvature": np.column_stack([times, curv])}
     return ExperimentReport(name=cfg.experiment, config=resolved_dict(cfg),
                             columns=CSV_COLUMNS["curvature-bound"],
@@ -347,8 +358,8 @@ def _run_gke_parabolic(cfg, rng):
                            controls=StepControls(tol=s["tol"]), limit=limit)
 
     frac = acc["fit_window_fraction"]
-    fit = rate_fit(result.times, result.gap_max,
-                   window=(frac * s["t_end"], s["t_end"]))
+    fit = _fit(result.times, result.gap_max,
+               window=(frac * s["t_end"], s["t_end"]))
 
     checks = [
         _le("envelope_defect", result.envelope_defect,

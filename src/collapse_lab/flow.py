@@ -52,18 +52,6 @@ def _velocity(spec, t, twisted):
             + log_volume_ratio(twisted, spec.b0 ** spec.grid.complex_dim))
 
 
-def map_rhs(spec, t, potential):
-    """Velocity of the potential at time t.
-
-    Entries are NaN wherever the twisted fiber metric has left the positive
-    cone, which the adaptive stepper treats as a rejected step.
-    """
-    twisted = (spec.b0 * np.eye(spec.grid.complex_dim)
-               + math.exp(t) * ddbar(potential).values)
-    return ScalarField(spec.grid,
-                       _velocity(spec, t, twisted) - potential.values)
-
-
 def spectral_problem(spec):
     """The flow in mode space: omega = b0 + exp(t) ddbar(phi), scale b0."""
     flat = spec.b0 * np.eye(spec.grid.complex_dim)
@@ -121,7 +109,7 @@ def diagnostics_for(spec, t, potential, with_diameter=True):
     twisted = (HermitianField.scaled_identity(g, spec.b0)
                + et * ddbar(potential))
     twisted.require_positive("evolving fiber metric")
-    # map_rhs, without building the twisted metric a second time
+    # the velocity of the potential, from the twisted metric built above
     dphi = _velocity(spec, t, twisted.values) - potential.values
 
     vol = a_hat ** p * ma_density(twisted).values / spec.b0 ** m

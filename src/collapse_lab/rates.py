@@ -14,6 +14,10 @@ ABSCISSAE = ("t", "exp_t")
 MIN_SAMPLES = 4
 
 
+class UnfittableSeries(ValueError):
+    """A fit window holds a value that is zero, negative or not finite."""
+
+
 @dataclass(frozen=True)
 class RateFit:
     slope: float
@@ -47,8 +51,9 @@ def rate_fit(times, values, abscissa="t", window=None):
         raise ValueError(f"window holds {t.size} samples, need {MIN_SAMPLES}")
     if np.any(~np.isfinite(y)) or np.any(y <= 0.0):
         bad = int(np.argmax(~(np.isfinite(y) & (y > 0.0))))
-        raise ValueError(f"values must be finite and positive to fit a rate; "
-                         f"offender at window index {bad} is {y[bad]!r}")
+        raise UnfittableSeries(f"values must be finite and positive to fit a "
+                               f"rate; offender at window index {bad} is "
+                               f"{y[bad]!r}")
 
     x = np.exp(t) if abscissa == "exp_t" else t
     logy = np.log(y)

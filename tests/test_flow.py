@@ -21,9 +21,9 @@ from collapse_lab.models import FiberFlowSpec
 from collapse_lab.timestep import StepControls, integrate_lawson
 from collapse_lab.flow import (
     Diagnostics,
+    _velocity,
     diagnostics_for,
     evolve,
-    map_rhs,
     normalized_potential,
     relaxation_potential,
     spectral_problem,
@@ -38,6 +38,19 @@ def sine_spec(n=16, b0=1.0, a0=1.0, amp=0.01):
 
 
 # ------------------------------------------------------------- rhs oracles
+
+def map_rhs(spec, t, potential):
+    """Velocity of the potential at time t, composed on the grid from the
+    public ddbar: the reference for the mode-space RHS.
+
+    Entries are NaN wherever the twisted fiber metric has left the positive
+    cone, which the adaptive stepper treats as a rejected step.
+    """
+    twisted = (spec.b0 * np.eye(spec.grid.complex_dim)
+               + math.exp(t) * ddbar(potential).values)
+    return ScalarField(spec.grid,
+                       _velocity(spec, t, twisted) - potential.values)
+
 
 def test_map_rhs_matches_hand_formula_on_sine():
     spec = sine_spec(n=32, b0=2.0, a0=3.0, amp=0.05)

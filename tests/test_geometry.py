@@ -2,13 +2,20 @@
 
 Expected values are frozen from independent routes: trigonometric identities,
 finite-difference stencils on the sampled data, cofactor expansions, explicit
-inverses, and lattice shortest-path reasoning.  The module under test must
-reproduce them, not the other way around.
+inverses, lattice shortest-path reasoning, and an all-sources Dijkstra on a
+graph built edge by edge.  The module under test must reproduce them, not the
+other way around.
 """
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
+
+from collapse_lab import geometry
 
 from collapse_lab.grids import GridSpec, HermitianField, PositivityError, ScalarField
 from collapse_lab.geometry import (
@@ -395,10 +402,114 @@ def test_diameter_anisotropic_periods_lattice_oracle():
     assert abs(d - want) < 0.05 * want
 
 
-def test_diameter_large_grid_uses_subset_of_sources():
+def test_diameter_large_grid_is_exact():
     g = grid1(128)
     d = fiber_diameter(HermitianField.scaled_identity(g, 4.0))
-    assert abs(d - 2.0 * np.sqrt(2.0) / 2.0) < 0.05 * d
+    assert abs(d - np.sqrt(2.0)) < 1e-12
+
+
+def test_diameter_fiber_flow_initial_form_at_n128():
+    # a 16-source farthest-point sample gave 0.7473278517029077 here
+    d = fiber_diameter(sine_metric(grid1(128)))
+    assert abs(d - 0.7474029912114724) < 1e-12 * d
+
+
+def all_sources_diameter(omega):
+    """Exhaustive oracle: the king-move graph built edge by edge, every node
+    a Dijkstra source."""
+    grid = omega.grid
+    shape, h, m = grid.shape, grid.spacings, grid.complex_dim
+    nodes = list(np.ndindex(*shape))
+    index = {p: k for k, p in enumerate(nodes)}
+    rows, cols, data = [], [], []
+    for p in nodes:
+        for off in itertools.product((-1, 0, 1), repeat=len(shape)):
+            if not any(off):
+                continue
+            q = tuple((a + o) % n for a, o, n in zip(p, off, shape))
+            w = np.array([off[2 * j] * h[2 * j] + 1j * off[2 * j + 1] * h[2 * j + 1]
+                          for j in range(m)])
+            form = [(w @ omega.values[x] @ np.conj(w)).real for x in (p, q)]
+            rows.append(index[p])
+            cols.append(index[q])
+            data.append(np.sqrt(0.5 * (form[0] + form[1])))
+    graph = csr_matrix((data, (rows, cols)), shape=(len(nodes),) * 2)
+    return float(np.max(dijkstra(graph, directed=True)))
+
+
+def sine_metric(g, amp=0.05):
+    """The fiber-flow initial form: flat plus ddbar of a sine along x."""
+    x, _ = coords(g)
+    return (HermitianField.scaled_identity(g)
+            + ddbar(ScalarField(g, amp * np.sin(2 * np.pi * x))))
+
+
+def perturbed(omega, delta, seed=0):
+    noise = np.random.default_rng(seed).uniform(-1.0, 1.0, omega.grid.shape)
+    return HermitianField(omega.grid,
+                          omega.values * (1.0 + delta * noise)[..., None, None])
+
+
+@pytest.fixture
+def source_counts(monkeypatch):
+    """Number of Dijkstra sources of each fiber_diameter call."""
+    counts = []
+
+    def counting(graph, **kwargs):
+        counts.append(np.size(kwargs["indices"]))
+        return dijkstra(graph, **kwargs)
+
+    monkeypatch.setattr(geometry, "dijkstra", counting)
+    return counts
+
+
+@pytest.mark.parametrize("periods", [(), (2.0, 1.0)], ids=["unit", "2x1"])
+def test_diameter_invariant_metric_matches_all_sources(periods, source_counts):
+    om = sine_metric(grid1(16, periods))
+    want = all_sources_diameter(om)
+    assert abs(fiber_diameter(om) - want) < 1e-12 * want
+    assert source_counts == [16]
+
+
+def test_diameter_near_invariant_metric_is_bracketed(source_counts):
+    # relative noise 1e-13 keeps y free within _SYMMETRY_TOL: the orbit
+    # sources give D with D <= diameter <= r D, r <= 1 + 1e-12 on one axis
+    om = perturbed(sine_metric(grid1(16)), 1e-13)
+    want = all_sources_diameter(om)
+    d = fiber_diameter(om)
+    assert source_counts == [16]
+    assert d * (1.0 - 1e-14) <= want <= d * (1.0 + 1e-12) * (1.0 + 1e-14)
+
+
+def test_diameter_perturbed_metric_takes_every_source(source_counts):
+    om = perturbed(sine_metric(grid1(16)), 1e-6)
+    want = all_sources_diameter(om)
+    assert abs(fiber_diameter(om) - want) < 1e-12 * want
+    assert source_counts == [16 * 16]
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from((8, 10, 12)), st.integers(0, 2**32 - 1))
+def test_diameter_random_metric_matches_all_sources(n, seed):
+    g = grid1(n)
+    rng = np.random.default_rng(seed)
+    om = HermitianField(g, np.exp(rng.uniform(-1.0, 1.0, g.shape))
+                        [..., None, None].astype(complex))
+    want = all_sources_diameter(om)
+    assert abs(fiber_diameter(om) - want) < 1e-12 * want
+
+
+def test_diameter_flat_torus_takes_one_source(source_counts):
+    fiber_diameter(HermitianField.scaled_identity(grid1(32), 2.0))
+    assert source_counts == [1]
+
+
+@pytest.mark.parametrize("n", [16, 66])
+def test_diameter_fiber_flow_metric_takes_one_source_per_row(n, source_counts):
+    # at n=66 the y-invariance of the sine metric holds only to about 1e-13
+    # relative, so this also pins the tolerance of the symmetry test
+    fiber_diameter(sine_metric(grid1(n)))
+    assert source_counts == [n]
 
 
 def test_diameter_rejects_nonpositive_metric():

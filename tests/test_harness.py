@@ -167,6 +167,28 @@ def test_solver_failure_exits_three_with_error_file(tmp_path, capsys):
     assert f"eigenvalue {error['value']:.6e}" in error["message"]
 
 
+@pytest.mark.parametrize("payload, check", [
+    # the lowest fiber mode decays like exp(-(pi^2/b0) e^t) and underflows
+    ({"experiment": "fiber-flow", "model": {"b0": 0.05}},
+     "mode_slope_rel_defect"),
+    # no transient: the gap to the limit is exactly zero throughout
+    ({"experiment": "gke-parabolic",
+      "model": {"transient_cos": 0.0, "transient_scale": 0.0}},
+     "gap_slope"),
+], ids=["fiber-flow-b0", "gke-parabolic-no-transient"])
+def test_rate_fit_on_exact_zeros_fails_its_check_as_nan(tmp_path, capsys,
+                                                       payload, check):
+    path = _write(tmp_path, "zeros.json", payload)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert check in capsys.readouterr().err
+    assert not (out / "zeros" / "error.json").exists()
+    acceptance = json.loads((out / "zeros" / "acceptance.json").read_text())
+    failed = [c for c in acceptance["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == [check]
+    assert np.isnan(failed[0]["measured"])
+
+
 def test_error_code_dominates_mixed_runs(tmp_path):
     good = _fast_product(tmp_path)
     bad = _write(tmp_path, "blowup.json",
