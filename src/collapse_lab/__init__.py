@@ -16,7 +16,7 @@ from .models import (FiberFlowSpec, GkeTestbedSpec, ProductModelSpec,
                      fiberwise_cy_potential, rescaling_check, semiflat_form,
                      semiflat_potential, weil_petersson)
 from .rates import RateFit, rate_fit
-from .timestep import StepControls, StiffnessError, integrate_lawson
+from .timestep import StiffnessError, integrate_lawson
 
 __version__ = "0.1.0"
 
@@ -32,5 +32,5 @@ __all__ = [
     "ProductModelSpec", "SemiFlatSpec", "density_F", "fiber_constancy",
     "fiberwise_cy_potential", "rescaling_check", "semiflat_form",
     "semiflat_potential", "weil_petersson", "RateFit", "rate_fit",
-    "StepControls", "StiffnessError", "integrate_lawson",
+    "StiffnessError", "integrate_lawson",
 ]

@@ -9,6 +9,7 @@ suite for its experiment.
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 _REQUIRED = object()
@@ -44,6 +45,15 @@ def _type_ok(kind, value):
     return False
 
 
+def _finite(path, value):
+    """A number as a finite float; JSON admits NaN, Infinity and 10**400."""
+    if not _type_ok("float", value):
+        raise ConfigError(f"{path}: expected float, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ConfigError(f"{path}: must be finite, got {value!r}")
+    return float(value)
+
+
 def _coerce(path, field, value):
     if value is None:
         if field.allow_none:
@@ -55,21 +65,15 @@ def _coerce(path, field, value):
         if field.length is not None and len(value) != field.length:
             raise ConfigError(f"{path}: expected {field.length} entries, "
                               f"got {len(value)}")
-        if field.kind == "floats":
-            if not all(_type_ok("float", v) for v in value):
-                raise ConfigError(f"{path}: entries must be numbers")
-            return tuple(float(v) for v in value)
-        out = []
-        for i, pair in enumerate(value):
-            if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                    or not all(_type_ok("float", v) for v in pair)):
-                raise ConfigError(f"{path}[{i}]: expected a [real, imag] pair")
-            out.append((float(pair[0]), float(pair[1])))
-        return tuple(out)
-    if not _type_ok(field.kind, value):
-        raise ConfigError(f"{path}: expected {field.kind}, got {value!r}")
+        if field.kind == "pairs":  # [real, imag] pairs
+            pair = Field(kind="floats", length=2)
+            return tuple(_coerce(f"{path}[{i}]", pair, v)
+                         for i, v in enumerate(value))
+        return tuple(_finite(f"{path}[{i}]", v) for i, v in enumerate(value))
     if field.kind == "float":
-        value = float(value)
+        value = _finite(path, value)
+    elif not _type_ok(field.kind, value):
+        raise ConfigError(f"{path}: expected {field.kind}, got {value!r}")
     if field.choices is not None and value not in field.choices:
         raise ConfigError(f"{path}: must be one of {field.choices}, got {value!r}")
     if field.positive and not value > 0:
@@ -246,6 +250,12 @@ SCHEMAS = {
 
 EXPERIMENTS = tuple(SCHEMAS)
 
+# the most samples the base grid can hold: horizon 40 at 50 per unit
+_MAX_SAMPLES = int(_FLOW_SOLVER["horizon"].hi
+                   * _FLOW_SOLVER["samples_per_unit"].hi) + 1
+# the most nodes of a diameter lattice: 16^4 at fiber_dim 2 peaks at 300 MB
+_MAX_NODES = 65536
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -290,6 +300,16 @@ def _cross_checks(name, out):
             raise ConfigError("solver.mode_fit_window: need 0 <= lo < hi")
         if hi > solver["horizon"]:
             raise ConfigError("solver.mode_fit_window: exceeds the horizon")
+        # the window takes ceil((hi - lo) / step + 1/2) samples
+        if (hi - lo) / solver["mode_fit_step"] + 0.5 > _MAX_SAMPLES:
+            raise ConfigError(f"solver.mode_fit_step: the window takes more "
+                              f"than {_MAX_SAMPLES} samples")
+    if name == "product-ode":
+        # a lattice of n^(2 fiber_dim) nodes, 3^(2 fiber_dim) - 1 edges each
+        res, dim = out["model"]["fiber_resolution"], out["model"]["fiber_dim"]
+        if res ** (2 * dim) > _MAX_NODES:
+            raise ConfigError(f"model.fiber_resolution: the fiber lattice "
+                              f"exceeds {_MAX_NODES} nodes, got {res}")
     if name == "gke-elliptic" and out["model"]["mode"] == "manufactured":
         # a sin(2 pi x) cos(2 pi y) has ddbar -2 pi^2 times itself; the
         # bound on its smallest eigenvalue is exact when 4 divides n
@@ -315,15 +335,3 @@ def load_config(path):
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return validate_config(data)
-
-
-def resolved_dict(cfg):
-    """Dict form of a validated config, for echoing into reports."""
-    return {
-        "experiment": cfg.experiment,
-        "seed": cfg.seed,
-        "out": cfg.out,
-        "model": dict(cfg.model),
-        "solver": dict(cfg.solver),
-        "acceptance": dict(cfg.acceptance),
-    }

@@ -1,11 +1,13 @@
 """Experiment registry, acceptance checks, and report writing.
 
-Each experiment consumes a validated config, runs its solver, and returns a
-report holding a diagnostics table, fitted rates, and a list of acceptance
-checks (measured value, bound, comparator, verdict).  Reports serialize to a
-fixed on-disk layout: diagnostics.csv, rates.json, acceptance.json,
-resolved_config.json, and two-column plot files under plots/.  All output is
-byte-deterministic for a fixed config and seed.
+Each experiment consumes a validated config, runs its solver, and returns
+a diagnostics table, a list of acceptance checks (measured value, bound,
+comparator, verdict), fitted rates and plots, which ``run_experiment``
+makes a report.  Reports serialize to a fixed on-disk layout:
+diagnostics.csv (columns as data/csv_schema.json declares them), rates.json,
+acceptance.json, resolved_config.json (strict JSON, non-finite as null),
+and two-column plot files under plots/.  All output is byte-deterministic
+for a fixed config and seed.
 """
 
 import csv
@@ -16,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import resolved_dict
 from .flow import evolve
 from .geometry import ddbar, fiber_diameter
 from .gke import parabolic_gke, solve_gke, twisted_einstein_residual
@@ -26,7 +27,11 @@ from .models import (FiberFlowSpec, GkeTestbedSpec, ProductModelSpec,
                      rescaling_check, semiflat_form, semiflat_potential,
                      weil_petersson)
 from .rates import RateFit, UnfittableSeries, rate_fit
-from .timestep import StepControls, integrate_lawson
+from .timestep import integrate_lawson
+
+CSV_COLUMNS = {name: tuple(cols) for name, cols in json.loads(
+    (Path(__file__).parent / "data" / "csv_schema.json").read_text(
+        encoding="utf-8"))["columns"].items()}
 
 
 @dataclass(frozen=True)
@@ -63,32 +68,18 @@ def _fit(times, values, abscissa="t", window=None):
 class ExperimentReport:
     name: str
     config: dict
-    columns: tuple
     table: list
     checks: list
     rates: dict
     plots: dict
 
     @property
+    def columns(self):
+        return CSV_COLUMNS[self.name]
+
+    @property
     def passed(self):
         return all(c.passed for c in self.checks)
-
-
-_FLOW_COLUMNS = ("t", "phi_sup", "dphi_sup", "volume_ratio_min",
-                 "volume_ratio_max", "base_trace", "eig_ratio_min",
-                 "eig_ratio_max", "vtilde_sup", "q_sup", "curvature_sup",
-                 "mode_low", "diameter")
-
-CSV_COLUMNS = {
-    "product-ode": ("t", "base_numeric", "base_closed", "fiber_numeric",
-                    "fiber_closed", "base_ratio_defect", "fiber_ratio_defect",
-                    "curvature_sup", "diameter"),
-    "fiber-flow": _FLOW_COLUMNS,
-    "gke-elliptic": ("iteration", "residual"),
-    "gke-parabolic": ("t", "gap_max", "gap_min"),
-    "semiflat-identities": ("check", "parameter", "value"),
-    "curvature-bound": _FLOW_COLUMNS,
-}
 
 
 # ------------------------------------------------------------- product ODE
@@ -110,11 +101,10 @@ def _run_product_ode(cfg, rng):
     horizon = s["horizon"]
     samples = np.linspace(0.0, horizon,
                           int(round(horizon * s["samples_per_unit"])) + 1)
-    controls = StepControls(tol=s["ode_tol"])
     res = integrate_lawson(_ScaleOde(), np.array([model.a0, model.b0],
                                                  dtype=complex),
                            0.0, horizon, sample_times=samples,
-                           controls=controls)
+                           tol=s["ode_tol"])
 
     fiber_grid = GridSpec(m["fiber_dim"], (m["fiber_resolution"],))
     unit_diam = fiber_diameter(HermitianField.scaled_identity(fiber_grid, 1.0))
@@ -162,9 +152,7 @@ def _run_product_ode(cfg, rng):
         "scales": np.column_stack([times, [r["fiber_numeric"] for r in rows]]),
         "diameter": np.column_stack([times, [r["diameter"] for r in rows]]),
     }
-    return ExperimentReport(name=cfg.experiment, config=resolved_dict(cfg),
-                            columns=CSV_COLUMNS["product-ode"], table=rows,
-                            checks=checks, rates=rates, plots=plots)
+    return rows, checks, rates, plots
 
 
 # -------------------------------------------------------------- fiber flow
@@ -179,9 +167,18 @@ def _flow_spec(model):
                          base_dim=model["base_dim"])
 
 
-def _flow_rows(history):
-    return [{c: getattr(d, c) for c in _FLOW_COLUMNS}
-            for d in history.diagnostics]
+def _flow_rows(cfg, extra_times=(), with_diameter=True):
+    """Diagnostics rows of the flow of cfg, sampled on the base grid and at
+    extra_times; times closer than 1e-9 are sampled once."""
+    s = cfg.solver
+    horizon = s["horizon"]
+    base = np.linspace(0.0, horizon,
+                       int(round(horizon * s["samples_per_unit"])) + 1)
+    ts = np.unique(np.concatenate([base, extra_times]))
+    ts = ts[np.concatenate(([True], np.diff(ts) > 1e-9))]
+    history = evolve(_flow_spec(cfg.model), horizon, sample_times=ts,
+                     tol=s["tol"], with_diameter=with_diameter)
+    return [asdict(d) for d in history.diagnostics]
 
 
 def _series(rows, column):
@@ -200,19 +197,9 @@ def _late_growth(rows, columns):
 
 def _run_fiber_flow(cfg, rng):
     m, s, acc = cfg.model, cfg.solver, cfg.acceptance
-    spec = _flow_spec(m)
-    horizon = s["horizon"]
     lo, hi = s["mode_fit_window"]
-    base = np.linspace(0.0, horizon,
-                       int(round(horizon * s["samples_per_unit"])) + 1)
     window = np.arange(lo, hi + 0.5 * s["mode_fit_step"], s["mode_fit_step"])
-    ts = np.unique(np.concatenate([base, window]))
-    ts = ts[np.concatenate(([True], np.diff(ts) > 1e-9))]
-
-    history = evolve(spec, horizon, sample_times=ts,
-                     controls=StepControls(tol=s["tol"]),
-                     with_diameter=s["with_diameter"])
-    rows = _flow_rows(history)
+    rows = _flow_rows(cfg, window, with_diameter=s["with_diameter"])
     times = _series(rows, "t")
 
     target = math.pi ** 2 / m["b0"]
@@ -252,26 +239,18 @@ def _run_fiber_flow(cfg, rng):
         rates["diameter"] = asdict(diam_fit)
         plots["diameter"] = np.column_stack([times,
                                              _series(rows, "diameter")])
-    return ExperimentReport(name=cfg.experiment, config=resolved_dict(cfg),
-                            columns=CSV_COLUMNS["fiber-flow"], table=rows,
-                            checks=checks, rates=rates, plots=plots)
+    return rows, checks, rates, plots
 
 
 # ---------------------------------------------------------- curvature bound
 
 def _run_curvature_bound(cfg, rng):
     m, s, acc = cfg.model, cfg.solver, cfg.acceptance
-    spec = _flow_spec(m)
-    horizon = s["horizon"]
-    ts = np.linspace(0.0, horizon,
-                     int(round(horizon * s["samples_per_unit"])) + 1)
-    history = evolve(spec, horizon, sample_times=ts,
-                     controls=StepControls(tol=s["tol"]))
-    rows = _flow_rows(history)
+    rows = _flow_rows(cfg)
     curv = _series(rows, "curvature_sup")
     worst = float(np.max(curv)) if np.all(np.isfinite(curv)) else math.inf
 
-    a_end = 1.0 + (m["a0"] - 1.0) * math.exp(-horizon)
+    a_end = 1.0 + (m["a0"] - 1.0) * math.exp(-s["horizon"])
     base_norm = math.sqrt(m["base_dim"]) / a_end
     late_defect = abs(curv[-1] / base_norm - 1.0)
 
@@ -282,10 +261,7 @@ def _run_curvature_bound(cfg, rng):
     times = _series(rows, "t")
     rates = {"curvature": asdict(_fit(times, curv))}
     plots = {"curvature": np.column_stack([times, curv])}
-    return ExperimentReport(name=cfg.experiment, config=resolved_dict(cfg),
-                            columns=CSV_COLUMNS["curvature-bound"],
-                            table=rows, checks=checks, rates=rates,
-                            plots=plots)
+    return rows, checks, rates, plots
 
 
 # ------------------------------------------------------------ gke elliptic
@@ -334,9 +310,7 @@ def _run_gke_elliptic(cfg, rng):
             for k, r in enumerate(sol.residuals)]
     plots = {"residual": np.column_stack(
         [np.arange(len(sol.residuals), dtype=float), sol.residuals])}
-    return ExperimentReport(name=cfg.experiment, config=resolved_dict(cfg),
-                            columns=CSV_COLUMNS["gke-elliptic"], table=rows,
-                            checks=checks, rates={}, plots=plots)
+    return rows, checks, {}, plots
 
 
 # ----------------------------------------------------------- gke parabolic
@@ -355,7 +329,7 @@ def _run_gke_parabolic(cfg, rng):
 
     limit = solve_gke(testbed, tol=s["limit_tol"]).potential
     result = parabolic_gke(testbed, rho=rho, t_end=s["t_end"],
-                           controls=StepControls(tol=s["tol"]), limit=limit)
+                           tol=s["tol"], limit=limit)
 
     frac = acc["fit_window_fraction"]
     fit = _fit(result.times, result.gap_max,
@@ -373,9 +347,7 @@ def _run_gke_parabolic(cfg, rng):
                                  result.gap_min)]
     rates = {"gap_max": asdict(fit)}
     plots = {"gap": np.column_stack([result.times, result.gap_max])}
-    return ExperimentReport(name=cfg.experiment, config=resolved_dict(cfg),
-                            columns=CSV_COLUMNS["gke-parabolic"], table=rows,
-                            checks=checks, rates=rates, plots=plots)
+    return rows, checks, rates, plots
 
 
 # ----------------------------------------------------- semi-flat identities
@@ -395,13 +367,9 @@ def _run_semiflat(cfg, rng):
     spec = SemiFlatSpec(fiber_grid=GridSpec(1, (m["fiber_n"],)),
                         tau_coeffs=coeffs, base_n=m["base_n"],
                         base_extent=m["base_extent"])
-    rows = []
-
-    rescale_worst = 0.0
-    for t in s["times"]:
-        d = rescaling_check(spec, t)
-        rows.append({"check": "rescale_defect", "parameter": t, "value": d})
-        rescale_worst = max(rescale_worst, d)
+    rescale = [rescaling_check(spec, t) for t in s["times"]]
+    rows = [{"check": "rescale_defect", "parameter": t, "value": d}
+            for t, d in zip(s["times"], rescale)]
 
     # potential scaling at random probes, keeping fiber points off the slice
     # where the potential vanishes
@@ -463,19 +431,14 @@ def _run_semiflat(cfg, rng):
                  "value": twisted})
 
     checks = [
-        _le("rescale_defect", rescale_worst, acc["rescale_tol"]),
+        _le("rescale_defect", max([0.0] + rescale), acc["rescale_tol"]),
         _le("potential_scaling", scaling_worst, acc["scaling_tol"]),
         _le("density_constancy", constancy, acc["constancy_tol"]),
         _le("variation_form_defect", wp_worst, acc["wp_tol"]),
         _le("twisted_identity", twisted, acc["twisted_tol"]),
     ]
-    plots = {"rescale": np.column_stack(
-        [np.array(s["times"]),
-         np.array([r["value"] for r in rows
-                   if r["check"] == "rescale_defect"])])}
-    return ExperimentReport(name=cfg.experiment, config=resolved_dict(cfg),
-                            columns=CSV_COLUMNS["semiflat-identities"],
-                            table=rows, checks=checks, rates={}, plots=plots)
+    plots = {"rescale": np.column_stack([s["times"], rescale])}
+    return rows, checks, {}, plots
 
 
 # ----------------------------------------------------------------- registry
@@ -511,7 +474,9 @@ REGISTRY = {
 def run_experiment(cfg):
     """Execute one validated config and return its report."""
     rng = np.random.default_rng(cfg.seed)
-    return REGISTRY[cfg.experiment].runner(cfg, rng)
+    rows, checks, rates, plots = REGISTRY[cfg.experiment].runner(cfg, rng)
+    return ExperimentReport(cfg.experiment, asdict(cfg), rows, checks, rates,
+                            plots)
 
 
 # ------------------------------------------------------------------ output
@@ -525,8 +490,10 @@ def _fmt(value):
 
 
 def _dump_json(path, payload):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    # strict JSON: a NaN or infinity goes through the round trip as null
+    payload = json.loads(json.dumps(payload), parse_constant=lambda c: None)
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True,
+                               allow_nan=False) + "\n", encoding="utf-8")
 
 
 def write_report(report, out_dir):

@@ -148,11 +148,11 @@ def diagnostics_for(spec, t, potential, with_diameter=True):
     )
 
 
-def evolve(spec, t_end, sample_times, controls=None, with_diameter=True):
+def evolve(spec, t_end, sample_times, tol=1e-8, with_diameter=True):
     """March the flow to t_end and collect states plus monitors at samples."""
     u0 = np.fft.rfftn(spec.initial_potential.values)
     res = integrate_lawson(spectral_problem(spec), u0, 0.0, float(t_end),
-                           sample_times=sample_times, controls=controls)
+                           sample_times=sample_times, tol=tol)
     states, diags = [], []
     for s, modes in zip(res.sample_times, res.sample_modes):
         pot = ScalarField(spec.grid, real_samples(spec.grid, modes))

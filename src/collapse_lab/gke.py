@@ -179,7 +179,7 @@ def _envelope(times, gaps):
     return constant, defect
 
 
-def parabolic_gke(testbed, rho=None, t_end=4.0, start=None, controls=None,
+def parabolic_gke(testbed, rho=None, t_end=4.0, start=None, tol=1e-8,
                   limit=None):
     """Run the transient relaxation and track the gap to the elliptic limit.
 
@@ -211,7 +211,7 @@ def parabolic_gke(testbed, rho=None, t_end=4.0, start=None, controls=None,
         gap_min.append(float(np.min(phi - u_limit.values)))
 
     res = integrate_lawson(problem, np.fft.rfftn(u0.values), 0.0,
-                           float(t_end), controls=controls, on_accept=record)
+                           float(t_end), tol=tol, on_accept=record)
     final = ScalarField(grid, real_samples(grid, res.final_modes))
     t_arr = np.asarray(times)
     gmax = np.asarray(gap_max)

@@ -241,18 +241,17 @@ def semiflat_form(spec):
     return HermitianField(grid, _assemble(grid, _semiflat_components(spec, z, xi)))
 
 
-def rescaling_check(spec, t, _components=None):
+def rescaling_check(spec, t):
     """Sup-relative defect of the fiber-rescaling identity at time t.
 
     Pulls the form back under the fiber dilation by exp(t/2), multiplies by
     exp(-t) and compares with the original; for the genuine semi-flat form
     this is an algebraic identity.
     """
-    comps = _components or _semiflat_components
     z, xi = _patch_samples(spec)
     lam = math.exp(0.5 * t)
-    h = comps(spec, z, xi)
-    hl = comps(spec, z, lam * xi)
+    h = _semiflat_components(spec, z, xi)
+    hl = _semiflat_components(spec, z, lam * xi)
     scale = (1.0, lam)
     defect = 0.0
     ref = max(np.max(np.abs(h[j][k])) for j in range(2) for k in range(2))

@@ -10,10 +10,10 @@ instead of oscillating.
 
 Problems supply ``symbol_integral(t0, t1)`` (the integral of the linear
 symbol per mode), ``nonlinear_modes(t, u)`` (the remainder in mode space,
-or None when absent), and optionally ``kaehler_margin(t, u)``; when a
-margin is exposed, steps that slash it by more than a factor of ten are
-rejected so the state cannot jump out of the positive cone between
-samples.
+always an array, or 0.0 where there is none), and optionally
+``kaehler_margin(t, u)``; when a margin is exposed, steps that slash it by
+more than a factor of ten are rejected so the state cannot jump out of the
+positive cone between samples.
 
 Cost: an accepted step takes 11 remainder evaluations (4 for the full
 step and 4 for each half step, less the first stage the full step and the
@@ -35,26 +35,14 @@ import numpy as np
 
 # a step whose error estimate is this many times below tol doubles dt
 GROW_MARGIN = 50.0
+# first step size, stiffness-breakdown floor and ceiling of the step size
+DT_INIT = 1e-2
+DT_MIN = 1e-12
+DT_MAX = 0.25
 
 
 class StiffnessError(RuntimeError):
     """Step size collapsed below the floor without an acceptable step."""
-
-
-@dataclass(frozen=True)
-class StepControls:
-    """Error tolerance and step-size policy for the adaptive loop."""
-
-    tol: float = 1e-8
-    dt_init: float = 1e-2
-    dt_min: float = 1e-12
-    dt_max: float = 0.25
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if not (0 < self.dt_min <= self.dt_init <= self.dt_max):
-            raise ValueError("need 0 < dt_min <= dt_init <= dt_max")
 
 
 @dataclass
@@ -64,11 +52,6 @@ class IntegrationResult:
     sample_modes: list
     accepted: int
     rejected: int
-
-
-def _nonlinear(problem, t, u):
-    n = problem.nonlinear_modes(t, u)
-    return 0.0 if n is None else n
 
 
 def _propagators(problem, t, h):
@@ -87,15 +70,15 @@ def lawson_step(problem, t, u, h, n1=None, props=None):
     e1, e3 = _propagators(problem, t, h) if props is None else props
     e2 = e1 * e3
     if n1 is None:
-        n1 = _nonlinear(problem, t, u)
-    n2 = _nonlinear(problem, t + 0.5 * h, e1 * (u + 0.5 * h * n1))
-    n3 = _nonlinear(problem, t + 0.5 * h, e1 * u + 0.5 * h * n2)
+        n1 = problem.nonlinear_modes(t, u)
+    n2 = problem.nonlinear_modes(t + 0.5 * h, e1 * (u + 0.5 * h * n1))
+    n3 = problem.nonlinear_modes(t + 0.5 * h, e1 * u + 0.5 * h * n2)
     e2u = e2 * u
-    n4 = _nonlinear(problem, t + h, e2u + h * e3 * n3)
+    n4 = problem.nonlinear_modes(t + h, e2u + h * e3 * n3)
     return e2u + (h / 6.0) * (e2 * n1 + 2.0 * e3 * (n2 + n3) + n4)
 
 
-def integrate_lawson(problem, u0, t0, t1, sample_times=(), controls=None,
+def integrate_lawson(problem, u0, t0, t1, sample_times=(), tol=1e-8,
                      on_accept=None):
     """March modes from t0 to t1 with step doubling and margin guarding.
 
@@ -105,7 +88,8 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), controls=None,
     retry. Requested sample times are landed on exactly.
     ``on_accept(t, modes)`` fires after every accepted step.
     """
-    c = controls or StepControls()
+    if tol <= 0:
+        raise ValueError("tol must be positive")
     u = np.array(u0, dtype=complex)
     t = float(t0)
     if t1 <= t:
@@ -124,7 +108,7 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), controls=None,
 
     margin_fn = getattr(problem, "kaehler_margin", None)
     prev_margin = margin_fn(t, u) if margin_fn else None
-    dt = c.dt_init
+    dt = DT_INIT
     accepted = rejected = 0
     n1 = None
 
@@ -136,7 +120,7 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), controls=None,
         end = target if lands else t + h
 
         if n1 is None:
-            n1 = _nonlinear(problem, t, u)
+            n1 = problem.nonlinear_modes(t, u)
         mid_props = _propagators(problem, t, 0.5 * h)
         fine_props = _propagators(problem, t + 0.5 * h, 0.5 * h)
         full_props = (mid_props[0] * mid_props[1],
@@ -147,7 +131,7 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), controls=None,
                            props=fine_props)
         err = float(np.max(np.abs(full - fine))) / 15.0
 
-        ok = err <= c.tol
+        ok = err <= tol
         new_margin = None
         if ok and margin_fn is not None:
             new_margin = margin_fn(end, fine)
@@ -155,25 +139,24 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), controls=None,
         if not ok:
             rejected += 1
             dt *= 0.5
-            if dt < c.dt_min:
+            if dt < DT_MIN:
                 raise StiffnessError(
                     f"stiffness breakdown: step size {dt:.3e} fell below "
-                    f"{c.dt_min:.3e} at t={t:.6f}")
+                    f"{DT_MIN:.3e} at t={t:.6f}")
             continue
 
         t = end
         u = fine
         n1 = None
         accepted += 1
-        if margin_fn is not None:
-            prev_margin = new_margin
+        prev_margin = new_margin
         if on_accept is not None:
             on_accept(t, u)
         while idx < len(req) and req[idx] <= t:
             out.append(u.copy())
             idx += 1
-        if err < c.tol / GROW_MARGIN:
-            dt = min(2.0 * dt, c.dt_max)
+        if err < tol / GROW_MARGIN:
+            dt = min(2.0 * dt, DT_MAX)
 
     return IntegrationResult(final_modes=u, sample_times=req,
                              sample_modes=out, accepted=accepted,

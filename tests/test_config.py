@@ -1,11 +1,14 @@
 """Schema validation for experiment configs."""
 
 import json
+import math
+from dataclasses import asdict
 
 import pytest
 
+from collapse_lab import cli
 from collapse_lab.config import (ConfigError, EXPERIMENTS, SCHEMAS,
-                                 load_config, resolved_dict, validate_config)
+                                 load_config, validate_config)
 
 
 def test_minimal_product_config_fills_defaults():
@@ -120,7 +123,7 @@ def test_load_roundtrip(tmp_path):
     cfg = load_config(path)
     assert cfg.seed == 7
     assert cfg.model["transient_scale"] == 0.25
-    echo = resolved_dict(cfg)
+    echo = asdict(cfg)
     assert echo["experiment"] == "gke-parabolic"
     assert echo["solver"]["t_end"] == 6.0
 
@@ -129,3 +132,64 @@ def test_every_experiment_validates_bare():
     for name in EXPERIMENTS:
         cfg = validate_config({"experiment": name})
         assert cfg.experiment == name
+
+
+@pytest.mark.parametrize("payload, path", [
+    ({"experiment": "fiber-flow", "acceptance": {"phi_sup_bound": math.inf}},
+     r"acceptance\.phi_sup_bound"),
+    ({"experiment": "fiber-flow", "acceptance": {"diameter_slope": math.nan}},
+     r"acceptance\.diameter_slope"),
+    ({"experiment": "fiber-flow", "solver": {"mode_fit_step": math.inf}},
+     r"solver\.mode_fit_step"),
+    ({"experiment": "fiber-flow", "model": {"b0": 10 ** 400}},
+     r"model\.b0"),
+    ({"experiment": "fiber-flow",
+      "solver": {"mode_fit_window": [0.2, math.inf]}},
+     r"solver\.mode_fit_window\[1\]"),
+    ({"experiment": "semiflat-identities",
+      "model": {"tau_coeffs": [[0.0, 1.0], [math.nan, 0.0]]}},
+     r"model\.tau_coeffs\[1\]\[0\]"),
+    ({"experiment": "semiflat-identities",
+      "solver": {"times": [0.0, -math.inf]}},
+     r"solver\.times\[1\]"),
+], ids=["inf", "nan", "inf-step", "huge-int", "floats", "pairs", "times"])
+def test_non_finite_numbers_are_rejected_with_their_path(tmp_path, payload,
+                                                         path):
+    # Python's json reads NaN, Infinity and -Infinity, and writes them back
+    text = json.dumps(payload)
+    with pytest.raises(ConfigError, match=path + ": must be finite"):
+        validate_config(json.loads(text))
+    config = tmp_path / "c.json"
+    config.write_text(text, encoding="utf-8")
+    assert cli.main(["validate", "--config", str(config)]) == 2
+
+
+def test_mode_fit_window_samples_are_capped():
+    # 1e-9 would ask np.arange for 8e8 samples; the cap is the most samples
+    # the base grid holds, horizon 40 at 50 per unit
+    with pytest.raises(ConfigError, match=r"solver\.mode_fit_step: the "
+                                          r"window takes more than 2001"):
+        validate_config({"experiment": "fiber-flow",
+                         "solver": {"mode_fit_step": 1e-9}})
+    with pytest.raises(ConfigError, match=r"solver\.mode_fit_step"):
+        validate_config({"experiment": "fiber-flow",
+                         "solver": {"horizon": 40.0,
+                                    "mode_fit_window": [0.0, 40.0],
+                                    "mode_fit_step": 0.0199}})
+    cfg = validate_config({"experiment": "fiber-flow",
+                           "solver": {"horizon": 40.0,
+                                      "mode_fit_window": [0.0, 40.0],
+                                      "mode_fit_step": 0.02}})
+    assert cfg.solver["mode_fit_step"] == 0.02
+
+
+@pytest.mark.parametrize("dim, n, ok", [(2, 32, False), (2, 18, False),
+                                        (2, 16, True), (1, 128, True)])
+def test_product_fiber_lattice_is_capped(dim, n, ok):
+    payload = {"experiment": "product-ode",
+               "model": {"fiber_dim": dim, "fiber_resolution": n}}
+    if ok:
+        assert validate_config(payload).model["fiber_resolution"] == n
+    else:
+        with pytest.raises(ConfigError, match=r"model\.fiber_resolution"):
+            validate_config(payload)

@@ -18,7 +18,7 @@ from collapse_lab.grids import GridSpec, HermitianField, ScalarField
 from collapse_lab import geometry
 from collapse_lab.geometry import ddbar, riemann_norm
 from collapse_lab.models import FiberFlowSpec
-from collapse_lab.timestep import StepControls, integrate_lawson
+from collapse_lab.timestep import integrate_lawson
 from collapse_lab.flow import (
     Diagnostics,
     _velocity,
@@ -185,7 +185,7 @@ def test_evolve_mean_mode_tracks_relaxation_potential():
 def test_evolve_matches_independent_rk45():
     spec = sine_spec(n=16, b0=1.0, a0=1.3, amp=0.02)
     hist = evolve(spec, 2.0, sample_times=(2.0,),
-                  controls=StepControls(tol=1e-10), with_diameter=False)
+                  tol=1e-10, with_diameter=False)
 
     shape = spec.grid.shape
 

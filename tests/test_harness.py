@@ -1,6 +1,8 @@
 """CLI and report-writing behavior: exit codes, layout, determinism."""
 
 import json
+import math
+from dataclasses import asdict, fields
 from importlib import resources
 from pathlib import Path
 
@@ -10,8 +12,10 @@ import pytest
 from collapse_lab import cli
 from collapse_lab.config import (EXPERIMENTS, SCHEMAS, load_config,
                                  validate_config)
-from collapse_lab.experiments import (CSV_COLUMNS, REGISTRY, _late_growth,
-                                      run_experiment, write_report)
+from collapse_lab.experiments import (CSV_COLUMNS, REGISTRY, Check,
+                                      _late_growth, run_experiment,
+                                      write_report)
+from collapse_lab.flow import Diagnostics
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -20,6 +24,13 @@ def _write(tmp_path, name, payload):
     path = tmp_path / name
     path.write_text(json.dumps(payload), encoding="utf-8")
     return path
+
+
+def _strict_json(path):
+    def reject(token):
+        raise ValueError(f"{path.name}: {token} is not JSON")
+    return json.loads(path.read_text(encoding="utf-8"),
+                      parse_constant=reject)
 
 
 def _fast_product(tmp_path, **overrides):
@@ -38,11 +49,16 @@ def test_registry_lists_six_experiments():
 
 
 def test_schema_file_matches_runtime_columns():
+    # the writer reads its column sets from the packaged schema, and a flow
+    # row is a Diagnostics record, so its fields are the flow columns
     raw = (resources.files("collapse_lab") / "data" / "csv_schema.json")
     schema = json.loads(raw.read_text(encoding="utf-8"))
     assert set(schema["columns"]) == set(CSV_COLUMNS)
     for name, cols in CSV_COLUMNS.items():
         assert tuple(schema["columns"][name]) == cols
+    flow_fields = tuple(f.name for f in fields(Diagnostics))
+    assert CSV_COLUMNS["fiber-flow"] == flow_fields
+    assert CSV_COLUMNS["curvature-bound"] == flow_fields
 
 
 def test_shipped_configs_validate():
@@ -183,10 +199,13 @@ def test_rate_fit_on_exact_zeros_fails_its_check_as_nan(tmp_path, capsys,
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
     assert check in capsys.readouterr().err
     assert not (out / "zeros" / "error.json").exists()
-    acceptance = json.loads((out / "zeros" / "acceptance.json").read_text())
+    # strict JSON: the NaN measured value and fit are written as null
+    acceptance, rates = (_strict_json(out / "zeros" / name)
+                         for name in ("acceptance.json", "rates.json"))
     failed = [c for c in acceptance["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == [check]
-    assert np.isnan(failed[0]["measured"])
+    assert failed[0]["measured"] is None
+    assert None in [fit["slope"] for fit in rates["fits"].values()]
 
 
 def test_error_code_dominates_mixed_runs(tmp_path):
@@ -231,3 +250,23 @@ def test_write_report_returns_written_files(tmp_path):
             "resolved_config.json"} <= names
     table = np.loadtxt(tmp_path / "r" / "plots" / "diameter.dat")
     assert table.shape[1] == 2
+
+
+def test_report_echoes_config_and_writes_non_finite_values_as_null(tmp_path):
+    cfg = validate_config({"experiment": "product-ode",
+                           "solver": {"horizon": 1.0,
+                                      "samples_per_unit": 8}})
+    report = run_experiment(cfg)
+    assert report.config == asdict(cfg)
+    assert report.columns == CSV_COLUMNS["product-ode"]
+    report.checks[0] = Check("unbounded", math.inf, 1.0, "<=", False)
+    report.rates["diameter"]["slope"] = -math.inf
+    report.rates["fiber_scale"]["intercept"] = math.nan
+    write_report(report, tmp_path)
+    acceptance = _strict_json(tmp_path / "acceptance.json")
+    assert acceptance["checks"][0]["measured"] is None
+    assert isinstance(acceptance["checks"][1]["measured"], float)
+    fits = _strict_json(tmp_path / "rates.json")["fits"]
+    assert fits["diameter"]["slope"] is None
+    assert fits["fiber_scale"]["intercept"] is None
+    assert fits["fiber_scale"]["slope"] == report.rates["fiber_scale"]["slope"]

@@ -9,6 +9,7 @@ spectrally.
 import numpy as np
 import pytest
 
+from collapse_lab import models
 from collapse_lab.grids import GridSpec, ScalarField
 from collapse_lab.geometry import ddbar, ma_density
 from collapse_lab.models import (
@@ -169,12 +170,14 @@ def _quartic_control_components(spec, z, xi):
     return ((h00, h01), (np.conj(h01), h11))
 
 
-def test_rescaling_identity_holds_and_control_fails():
+def test_rescaling_identity_holds_and_control_fails(monkeypatch):
     spec = sf_spec(eps=0.2)
     assert rescaling_check(spec, 0.0) == 0.0
     for t in (1.0, 5.0):
         assert rescaling_check(spec, t) <= 1e-12
-    assert rescaling_check(spec, 1.0, _components=_quartic_control_components) > 0.1
+    monkeypatch.setattr(models, "_semiflat_components",
+                        _quartic_control_components)
+    assert rescaling_check(spec, 1.0) > 0.1
 
 
 def test_weil_petersson_frozen_and_fd_oracle():

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collapse_lab import timestep
 from collapse_lab.timestep import (
     IntegrationResult,
-    StepControls,
     StiffnessError,
     integrate_lawson,
     lawson_step,
@@ -30,7 +30,7 @@ class LinearProblem:
         return self.rate * (t1 - t0)
 
     def nonlinear_modes(self, t, u):
-        return None
+        return 0.0
 
 
 class SweepProblem:
@@ -40,7 +40,7 @@ class SweepProblem:
         return np.array([-(np.exp(t1) - np.exp(t0))], dtype=complex)
 
     def nonlinear_modes(self, t, u):
-        return None
+        return 0.0
 
 
 class BernoulliProblem:
@@ -60,7 +60,7 @@ class GrowthWithMargin:
         return np.array([t1 - t0], dtype=complex)
 
     def nonlinear_modes(self, t, u):
-        return None
+        return 0.0
 
     def kaehler_margin(self, t, u):
         return 1.0 - float(np.max(np.abs(u)))
@@ -115,7 +115,7 @@ def test_per_mode_rates_integrate_elementwise():
 
 def test_nonlinear_path_matches_closed_form():
     res = integrate_lawson(BernoulliProblem(), np.array([0.5 + 0j]), 0.0, 2.0,
-                           controls=StepControls(tol=1e-10))
+                           tol=1e-10)
     assert abs(res.final_modes[0] - bernoulli_exact(0.5, 2.0)) < 1e-9
 
 
@@ -131,23 +131,27 @@ def test_single_step_has_classical_order():
     assert 24.0 < ratio < 40.0
 
 
-def test_step_doubling_costs_eleven_evaluations_per_accepted_ten_per_rejected():
+def test_step_doubling_costs_eleven_evaluations_per_accepted_ten_per_rejected(
+        monkeypatch):
     # a rejected attempt keeps its first stage for the retry, and every
     # attempt takes one propagator per quarter interval
+    monkeypatch.setattr(timestep, "DT_INIT", 0.25)
     prob = CountingProblem()
     res = integrate_lawson(prob, np.array([0.5 + 0j, 0.3 + 0j]), 0.0, 2.0,
-                           controls=StepControls(tol=1e-12, dt_init=0.25))
+                           tol=1e-12)
     assert res.rejected > 0
     assert prob.calls == 11 * res.accepted + 10 * res.rejected
     assert prob.symbol_calls == 4 * (res.accepted + res.rejected)
 
 
-def test_shared_first_stage_is_bit_identical_to_independent_steps():
+def test_shared_first_stage_is_bit_identical_to_independent_steps(
+        monkeypatch):
     prob = CountingProblem()
     u0 = np.array([0.5 + 0j, 0.3 + 0j])
     h = 0.2
-    res = integrate_lawson(prob, u0, 0.0, h,
-                           controls=StepControls(tol=1.0, dt_init=h, dt_max=h))
+    monkeypatch.setattr(timestep, "DT_INIT", h)
+    monkeypatch.setattr(timestep, "DT_MAX", h)
+    res = integrate_lawson(prob, u0, 0.0, h, tol=1.0)
     assert (res.accepted, res.rejected) == (1, 0)
     mid = lawson_step(prob, 0.0, u0, 0.5 * h)
     fine = lawson_step(prob, 0.5 * h, mid, 0.5 * h)
@@ -157,12 +161,11 @@ def test_shared_first_stage_is_bit_identical_to_independent_steps():
                           lawson_step(prob, 0.0, u0, h))
 
 
-def test_tolerance_trades_steps_for_error():
+def test_tolerance_trades_steps_for_error(monkeypatch):
+    monkeypatch.setattr(timestep, "DT_INIT", 1e-3)
     u0 = np.array([0.5 + 0j])
-    loose = integrate_lawson(BernoulliProblem(), u0, 0.0, 2.0,
-                             controls=StepControls(tol=1e-6, dt_init=1e-3))
-    tight = integrate_lawson(BernoulliProblem(), u0, 0.0, 2.0,
-                             controls=StepControls(tol=1e-12, dt_init=1e-3))
+    loose = integrate_lawson(BernoulliProblem(), u0, 0.0, 2.0, tol=1e-6)
+    tight = integrate_lawson(BernoulliProblem(), u0, 0.0, 2.0, tol=1e-12)
     exact = bernoulli_exact(0.5, 2.0)
     assert abs(loose.final_modes[0] - exact) < 1e-4
     assert abs(tight.final_modes[0] - exact) < 1e-10
@@ -199,11 +202,11 @@ def test_margin_exhaustion_raises_stiffness_error():
         integrate_lawson(GrowthWithMargin(), np.array([0.95 + 0j]), 0.0, 2.0)
 
 
-def test_controls_reject_bad_values():
-    with pytest.raises(ValueError):
-        StepControls(tol=0.0)
-    with pytest.raises(ValueError):
-        StepControls(dt_init=1e-15, dt_min=1e-12)
+def test_zero_tolerance_is_rejected_and_step_limits_are_ordered():
+    with pytest.raises(ValueError, match="tol must be positive"):
+        integrate_lawson(BernoulliProblem(), np.array([0.5 + 0j]), 0.0, 1.0,
+                         tol=0.0)
+    assert 0 < timestep.DT_MIN <= timestep.DT_INIT <= timestep.DT_MAX
 
 
 @settings(max_examples=25, deadline=None)
