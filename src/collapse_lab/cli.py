@@ -12,15 +12,12 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, load_config
 from .experiments import REGISTRY, run_experiment, write_error, write_report
-from .grids import PositivityError
-from .timestep import StiffnessError
 
-_SOLVER_ERRORS = (StiffnessError, PositivityError, RuntimeError, ValueError,
-                  ArithmeticError, np.linalg.LinAlgError)
+# StiffnessError is a RuntimeError; PositivityError and LinAlgError are
+# ValueErrors
+_SOLVER_ERRORS = (RuntimeError, ValueError, ArithmeticError)
 
 
 def _build_parser():

@@ -294,7 +294,7 @@ def validate_config(data):
 
 def _cross_checks(name, out):
     solver = out["solver"]
-    if name in ("fiber-flow",):
+    if name == "fiber-flow":
         lo, hi = solver["mode_fit_window"]
         if not 0.0 <= lo < hi:
             raise ConfigError("solver.mode_fit_window: need 0 <= lo < hi")
@@ -317,6 +317,16 @@ def _cross_checks(name, out):
         if not 2.0 * math.pi ** 2 * abs(amp) < scale:
             raise ConfigError(f"model.amplitude: leaves the positive cone, "
                               f"need 2 pi^2 |amplitude| < flat_scale = "
+                              f"{scale!r}, got {amp!r}")
+    if name == "gke-parabolic":
+        # the excess scale + ddbar(c cos 2 pi x) has ddbar -pi^2 c cos 2 pi x,
+        # so its smallest eigenvalue scale - pi^2 c is taken at x = 0
+        amp, scale = (out["model"]["transient_cos"],
+                      out["model"]["transient_scale"])
+        if not math.pi ** 2 * amp <= scale:
+            raise ConfigError(f"model.transient_cos: the transient excess "
+                              f"is not semidefinite, need pi^2 "
+                              f"transient_cos <= transient_scale = "
                               f"{scale!r}, got {amp!r}")
     if name == "semiflat-identities":
         if any(t < 0 for t in solver["times"]):

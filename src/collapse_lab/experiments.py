@@ -328,8 +328,7 @@ def _run_gke_parabolic(cfg, rng):
            + ddbar(bump)).values
 
     limit = solve_gke(testbed, tol=s["limit_tol"]).potential
-    result = parabolic_gke(testbed, rho=rho, t_end=s["t_end"],
-                           tol=s["tol"], limit=limit)
+    result = parabolic_gke(testbed, rho, limit, s["t_end"], tol=s["tol"])
 
     frac = acc["fit_window_fraction"]
     fit = _fit(result.times, result.gap_max,
@@ -352,8 +351,9 @@ def _run_gke_parabolic(cfg, rng):
 
 # ----------------------------------------------------- semi-flat identities
 
-def _fd_ddbar_scalar(fn, z, step=1e-2):
+def _fd_ddbar_scalar(fn, z):
     """Fourth-order d d-bar of a scalar function of one complex variable."""
+    step = 1e-2
     acc = 0.0
     for h in (step, 1j * step):
         acc += (-fn(z + 2 * h) + 16 * fn(z + h) - 30 * fn(z)

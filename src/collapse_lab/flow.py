@@ -84,15 +84,8 @@ class Diagnostics:
     diameter: float
 
 
-@dataclass(frozen=True)
-class FlowState:
-    t: float
-    potential: ScalarField
-
-
 @dataclass
 class FlowHistory:
-    states: list
     diagnostics: list
     accepted: int
     rejected: int
@@ -149,14 +142,14 @@ def diagnostics_for(spec, t, potential, with_diameter=True):
 
 
 def evolve(spec, t_end, sample_times, tol=1e-8, with_diameter=True):
-    """March the flow to t_end and collect states plus monitors at samples."""
+    """March the flow to t_end; return the monitors at each sample time
+    and the integrator's accepted and rejected step counts."""
     u0 = np.fft.rfftn(spec.initial_potential.values)
     res = integrate_lawson(spectral_problem(spec), u0, 0.0, float(t_end),
                            sample_times=sample_times, tol=tol)
-    states, diags = [], []
+    diags = []
     for s, modes in zip(res.sample_times, res.sample_modes):
         pot = ScalarField(spec.grid, real_samples(spec.grid, modes))
-        states.append(FlowState(t=s, potential=pot))
         diags.append(diagnostics_for(spec, s, pot, with_diameter=with_diameter))
-    return FlowHistory(states=states, diagnostics=diags,
-                       accepted=res.accepted, rejected=res.rejected)
+    return FlowHistory(diagnostics=diags, accepted=res.accepted,
+                       rejected=res.rejected)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .grids import (GridSpec, HermitianField, PositivityError, ScalarField,
+from .grids import (HermitianField, PositivityError, ScalarField,
                     extreme_eigenvalue)
 
 # relative spread of edge lengths below which fiber_diameter takes an axis as

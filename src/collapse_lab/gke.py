@@ -55,10 +55,9 @@ class GkeSolution:
     potential: ScalarField
     iterations: int
     residuals: list
-    converged: bool
 
 
-def _linear_step(grid, omega, rhs_field, forcing, flat_scale=1.0):
+def _linear_step(grid, omega, rhs_field, forcing, flat_scale):
     """Solve (laplacian_omega - 1) v = rhs to the requested relative tolerance."""
     size = rhs_field.size
     symbol = ddbar_trace_symbol(grid) / flat_scale
@@ -112,8 +111,7 @@ def solve_gke(testbed, tol=1e-11, max_iter=20, start=None):
         u, res, sup = trial, trial_res, trial_res.sup()
         history.append(sup)
         iterations += 1
-    return GkeSolution(potential=u, iterations=iterations,
-                       residuals=history, converged=sup <= tol)
+    return GkeSolution(potential=u, iterations=iterations, residuals=history)
 
 
 def twisted_einstein_residual(testbed, u):
@@ -140,20 +138,18 @@ class ParabolicResult:
     times: np.ndarray
     gap_max: np.ndarray
     gap_min: np.ndarray
-    potential: ScalarField
     empirical_constant: float
     envelope_defect: float
     accepted: int
     rejected: int
 
 
-def parabolic_problem(testbed, rho=None):
+def parabolic_problem(testbed, rho):
     """The relaxation in mode space: omega = sigma + exp(-t) rho + ddbar(u)."""
     sigma = testbed.sigma_form().values
-    excess = 0.0 if rho is None else rho
     defect = _volume_defect(testbed)
     return MongeAmpereFlow(testbed.grid, testbed.flat_scale,
-                           lambda t: sigma + math.exp(-t) * excess,
+                           lambda t: sigma + math.exp(-t) * rho,
                            lambda t, omega: defect(omega), stiffening=False)
 
 
@@ -179,44 +175,39 @@ def _envelope(times, gaps):
     return constant, defect
 
 
-def parabolic_gke(testbed, rho=None, t_end=4.0, start=None, tol=1e-8,
-                  limit=None):
-    """Run the transient relaxation and track the gap to the elliptic limit.
+def parabolic_gke(testbed, rho, limit, t_end, tol=1e-8):
+    """Run the transient relaxation from zero and track the gap to the limit.
 
     ``rho`` (coefficient array of the decaying background excess) must be
     positive semidefinite so the background only ever shrinks toward its
-    limit.  Returns the gap record at every accepted step.
+    limit; ``limit`` is the solved elliptic potential.  Returns the gap
+    record at every accepted step, its envelope fit and the step counts.
     """
     grid = testbed.grid
-    if rho is not None:
-        rho = np.asarray(rho, dtype=complex)
-        probe = HermitianField(
-            grid, np.broadcast_to(
-                rho, grid.shape + rho.shape[-2:]).copy())
-        if float(np.min(probe.min_eigenvalue())) < -PSD_SLACK:
-            raise ValueError("transient excess must be positive semidefinite")
+    rho = np.asarray(rho, dtype=complex)
+    probe = HermitianField(
+        grid, np.broadcast_to(rho, grid.shape + rho.shape[-2:]).copy())
+    if float(np.min(probe.min_eigenvalue())) < -PSD_SLACK:
+        raise ValueError("transient excess must be positive semidefinite")
 
-    u_limit = limit if limit is not None else solve_gke(testbed).potential
-    problem = parabolic_problem(testbed, rho)
-    u0 = ScalarField.constant(grid, 0.0) if start is None else start
-
+    u0 = np.zeros(grid.shape)
     times = [0.0]
-    gap_max = [float(np.max(u0.values - u_limit.values))]
-    gap_min = [float(np.min(u0.values - u_limit.values))]
+    gap_max = [float(np.max(u0 - limit.values))]
+    gap_min = [float(np.min(u0 - limit.values))]
 
     def record(t, modes):
         phi = real_samples(grid, modes)
         times.append(t)
-        gap_max.append(float(np.max(phi - u_limit.values)))
-        gap_min.append(float(np.min(phi - u_limit.values)))
+        gap_max.append(float(np.max(phi - limit.values)))
+        gap_min.append(float(np.min(phi - limit.values)))
 
-    res = integrate_lawson(problem, np.fft.rfftn(u0.values), 0.0,
-                           float(t_end), tol=tol, on_accept=record)
-    final = ScalarField(grid, real_samples(grid, res.final_modes))
+    res = integrate_lawson(parabolic_problem(testbed, rho),
+                           np.fft.rfftn(u0), 0.0, float(t_end), tol=tol,
+                           on_accept=record)
     t_arr = np.asarray(times)
     gmax = np.asarray(gap_max)
     constant, defect = _envelope(t_arr, gmax)
     return ParabolicResult(times=t_arr, gap_max=gmax,
-                           gap_min=np.asarray(gap_min), potential=final,
+                           gap_min=np.asarray(gap_min),
                            empirical_constant=constant, envelope_defect=defect,
                            accepted=res.accepted, rejected=res.rejected)

@@ -152,10 +152,6 @@ class HermitianField:
             raise ValueError(f"components not Hermitian: deviation {dev:.3e}")
         self.values = vals
 
-    @property
-    def complex_dim(self):
-        return self.grid.complex_dim
-
     def component(self, j, k):
         return self.values[..., j, k]
 
@@ -200,6 +196,5 @@ class HermitianField:
         m = grid.complex_dim
         vals = np.zeros(grid.shape + (m, m), dtype=np.complex128)
         idx = np.arange(m)
-        vals[..., idx, idx] = np.asarray(scale, dtype=np.complex128)[..., None] \
-            if np.ndim(scale) else complex(scale)
+        vals[..., idx, idx] = complex(scale)
         return cls(grid, vals)

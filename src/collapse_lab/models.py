@@ -75,8 +75,8 @@ class FiberFlowSpec:
 
     grid: GridSpec
     b0: float
+    initial_potential: ScalarField
     a0: float = 1.0
-    initial_potential: ScalarField = None
     base_dim: int = 1
 
     def __post_init__(self):
@@ -84,8 +84,6 @@ class FiberFlowSpec:
             raise ValueError("scale coefficients a0, b0 must be positive")
         if self.base_dim < 1:
             raise ValueError("base_dim must be >= 1")
-        if self.initial_potential is None:
-            self.initial_potential = ScalarField.constant(self.grid, 0.0)
         if abs(self.initial_potential.mean()) > MEAN_FREE_TOL:
             raise ValueError(
                 f"initial potential must be mean-free, got mean "
@@ -104,9 +102,10 @@ class FiberFlowSpec:
 class GkeTestbedSpec:
     """Fiberwise volume-equation data on a flat torus background.
 
-    Exactly one of ``density`` (the positive right-hand density) or
+    Takes exactly one of ``density`` (the positive right-hand density) or
     ``manufactured`` (a potential whose induced density makes it the exact
-    solution) should be supplied; with neither, the density defaults to 1.
+    solution), and raises ``ValueError`` otherwise.  ``eta`` (default 0)
+    bends the background ``flat_scale * id + ddbar(eta)``.
     """
 
     grid: GridSpec
@@ -116,9 +115,9 @@ class GkeTestbedSpec:
     flat_scale: float = 1.0
 
     def __post_init__(self):
-        if self.density is not None and self.manufactured is not None:
-            raise ValueError("supply either a density or a manufactured "
-                             "solution, not both")
+        if (self.density is None) == (self.manufactured is None):
+            raise ValueError("supply exactly one of a density or a "
+                             "manufactured solution")
         if self.flat_scale <= 0:
             raise ValueError("flat_scale must be positive")
         if self.eta is None:
@@ -126,26 +125,25 @@ class GkeTestbedSpec:
         self._sigma = (HermitianField.scaled_identity(self.grid, self.flat_scale)
                        + ddbar(self.eta))
         self._sigma.require_positive("background metric")
-        if self.density is None and self.manufactured is None:
-            self.density = ScalarField.constant(self.grid, 1.0)
-        if self.density is not None and np.min(self.density.values) <= 0.0:
-            raise ValueError(
-                f"density must be positive, min {np.min(self.density.values):.3e}")
-        if self.manufactured is not None:
-            (self._sigma + ddbar(self.manufactured)).require_positive(
-                "manufactured metric")
+        if self.density is not None:
+            if np.min(self.density.values) <= 0.0:
+                raise ValueError(f"density must be positive, "
+                                 f"min {np.min(self.density.values):.3e}")
+            self._density = self.density
+        else:
+            solved = self._sigma + ddbar(self.manufactured)
+            solved.require_positive("manufactured metric")
+            ratio = (ma_density(solved).values
+                     / ma_density(self._sigma).values)
+            self._density = ScalarField(
+                self.grid, ratio * np.exp(-self.manufactured.values))
 
     def sigma_form(self):
         return self._sigma
 
     def density_field(self):
         """The density the solver sees; induced from u* in manufactured mode."""
-        if self.manufactured is not None:
-            ratio = (ma_density(self._sigma + ddbar(self.manufactured)).values
-                     / ma_density(self._sigma).values)
-            return ScalarField(self.grid,
-                               ratio * np.exp(-self.manufactured.values))
-        return self.density
+        return self._density
 
 
 # ---------------------------------------------------------------- semi-flat
@@ -295,16 +293,3 @@ def fiber_constancy(values):
     mean = np.mean(values, axis=(-2, -1))
     std = np.std(values, axis=(-2, -1))
     return float(np.max(std / np.abs(mean)))
-
-
-def fiberwise_cy_potential(eta, b0):
-    """Potential moving the start fiber metric to the flat one.
-
-    Returns -eta plus the constant that makes the result mean-free against
-    the start metric's volume density.
-    """
-    start = HermitianField.scaled_identity(eta.grid, b0) + ddbar(eta)
-    start.require_positive("start fiber metric")
-    weight = ma_density(start).values
-    shift = float(np.sum(eta.values * weight) / np.sum(weight))
-    return ScalarField(eta.grid, -eta.values + shift)

@@ -109,6 +109,27 @@ def test_manufactured_amplitude_inside_the_cone_is_accepted():
     assert cfg.model["amplitude"] == 0.1
 
 
+def test_transient_outside_the_semidefinite_cone_is_rejected(tmp_path,
+                                                              capsys):
+    # 0.25 - pi^2 0.03 < 0: the excess is indefinite at x = 0
+    path = tmp_path / "transient.json"
+    path.write_text(json.dumps({"experiment": "gke-parabolic",
+                                "model": {"transient_cos": 0.03}}),
+                    encoding="utf-8")
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert "model.transient_cos: the transient excess" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model", [
+    {}, {"transient_cos": 0.0, "transient_scale": 0.0}],
+    ids=["default", "no-transient"])
+def test_transient_inside_the_semidefinite_cone_is_accepted(model):
+    cfg = validate_config({"experiment": "gke-parabolic", "model": model})
+    m = cfg.model
+    assert math.pi ** 2 * m["transient_cos"] <= m["transient_scale"]
+
+
 def test_malformed_json_file(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json", encoding="utf-8")

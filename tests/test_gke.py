@@ -54,7 +54,7 @@ def test_constant_density_solved_in_one_step():
     g = GridSpec(1, (16,))
     tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 2.0))
     sol = solve_gke(tb, tol=1e-11)
-    assert sol.converged
+    assert sol.residuals[-1] <= 1e-11
     assert sol.iterations <= 2
     assert np.max(np.abs(sol.potential.values + math.log(2.0))) < 1e-11
 
@@ -65,7 +65,7 @@ def test_manufactured_solution_recovered_quadratically():
     ustar = ScalarField(g, 0.04 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
     tb = GkeTestbedSpec(grid=g, manufactured=ustar)
     sol = solve_gke(tb, tol=1e-11)
-    assert sol.converged
+    assert sol.residuals[-1] <= 1e-11
     assert sol.iterations <= 10
     assert np.max(np.abs(sol.potential.values - ustar.values)) <= 1e-7
     # once inside the basin the residual contracts at second order
@@ -85,7 +85,7 @@ def test_manufactured_at_reference_scale_four():
         GkeTestbedSpec(grid=g, manufactured=ustar)
     tb = GkeTestbedSpec(grid=g, manufactured=ustar, flat_scale=4.0)
     sol = solve_gke(tb, tol=1e-11)
-    assert sol.converged
+    assert sol.residuals[-1] <= 1e-11
     assert sol.iterations <= 10
     assert np.max(np.abs(sol.potential.values - ustar.values)) <= 1e-7
 
@@ -98,7 +98,7 @@ def test_solution_independent_of_start():
     a = solve_gke(tb, tol=1e-12)
     start = ScalarField(g, ustar.values + 0.03 * np.cos(2 * np.pi * x))
     b = solve_gke(tb, tol=1e-12, start=start)
-    assert a.converged and b.converged
+    assert a.residuals[-1] <= 1e-12 and b.residuals[-1] <= 1e-12
     assert np.max(np.abs(a.potential.values - b.potential.values)) < 1e-9
 
 
@@ -111,7 +111,7 @@ def test_twisted_identity_after_solving():
     dens = ScalarField(g, 1.0 + 0.3 * np.cos(2 * np.pi * y))
     tb = GkeTestbedSpec(grid=g, eta=eta, density=dens)
     sol = solve_gke(tb, tol=1e-11)
-    assert sol.converged
+    assert sol.residuals[-1] <= 1e-11
     gap = twisted_einstein_residual(tb, sol.potential)
     assert gap <= 1e-6
 
@@ -130,13 +130,15 @@ def test_twisted_identity_after_solving():
 # --------------------------------------------------------------- parabolic
 
 def test_parabolic_static_gap_decays_exactly():
+    # from zero the constant mode relaxes onto -log 2 along
+    # u' = -log 2 - u, so the gap is log 2 exp(-t)
     g = GridSpec(1, (16,))
     tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 2.0))
-    start = ScalarField.constant(g, -math.log(2.0) + 0.1)
-    res = parabolic_gke(tb, t_end=3.0, start=start)
+    limit = ScalarField.constant(g, -math.log(2.0))
+    res = parabolic_gke(tb, np.zeros((1, 1)), limit, 3.0)
     assert res.times[0] == 0.0
     assert res.times[-1] == 3.0
-    want = 0.1 * np.exp(-res.times)
+    want = math.log(2.0) * np.exp(-res.times)
     assert np.max(np.abs(res.gap_max - want)) < 1e-7
     slope = np.polyfit(res.times, np.log(res.gap_max), 1)[0]
     assert abs(slope + 1.0) < 1e-4
@@ -148,7 +150,7 @@ def test_parabolic_transient_settles_onto_limit():
     tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 1.0))
     rho = (0.25 * np.eye(1, dtype=complex)
            + ddbar(ScalarField(g, 0.02 * np.cos(2 * np.pi * x))).values)
-    res = parabolic_gke(tb, rho=rho, t_end=6.0)
+    res = parabolic_gke(tb, rho, solve_gke(tb).potential, 6.0)
     assert np.max(res.gap_max) > 1e-3
     assert res.gap_max[-1] < 0.05 * np.max(res.gap_max)
     assert 0.0 <= res.empirical_constant < 20.0
@@ -171,7 +173,7 @@ def test_parabolic_rejects_indefinite_transient():
     tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 1.0))
     rho = ddbar(ScalarField(g, 0.2 * np.cos(2 * np.pi * x))).values
     with pytest.raises(ValueError, match="semidefinite"):
-        parabolic_gke(tb, rho=rho, t_end=1.0)
+        parabolic_gke(tb, rho, ScalarField.constant(g, 0.0), 1.0)
 
 
 def _parabolic_case(m):
@@ -202,7 +204,8 @@ def test_parabolic_mode_space_rhs_is_velocity_less_linear_part(m):
 
     # without the transient the velocity is the static residual
     want = np.fft.rfftn(gke_residual(tb, phi).values - linear)
-    got = parabolic_problem(tb).nonlinear_modes(t, np.fft.rfftn(phi.values))
+    got = parabolic_problem(tb, np.zeros_like(rho)).nonlinear_modes(
+        t, np.fft.rfftn(phi.values))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

