@@ -304,6 +304,14 @@ def _cross_checks(name, out):
         if (hi - lo) / solver["mode_fit_step"] + 0.5 > _MAX_SAMPLES:
             raise ConfigError(f"solver.mode_fit_step: the window takes more "
                               f"than {_MAX_SAMPLES} samples")
+    if name in ("fiber-flow", "curvature-bound"):
+        # the start metric is b0 (1 - pi^2 amplitude_rel sin 2 pi x); the
+        # bound on its smallest eigenvalue is exact when 4 divides n
+        amp = out["model"]["amplitude_rel"]
+        if not math.pi ** 2 * amp < 1.0:
+            raise ConfigError(f"model.amplitude_rel: leaves the positive "
+                              f"cone, need pi^2 amplitude_rel < 1, got "
+                              f"{amp!r}")
     if name == "product-ode":
         # a lattice of n^(2 fiber_dim) nodes, 3^(2 fiber_dim) - 1 edges each
         res, dim = out["model"]["fiber_resolution"], out["model"]["fiber_dim"]

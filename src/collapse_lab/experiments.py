@@ -337,6 +337,8 @@ def _run_gke_parabolic(cfg, rng):
     checks = [
         _le("envelope_defect", result.envelope_defect,
             acc["envelope_slack"]),
+        _le("envelope_holdout_defect", result.holdout_defect,
+            acc["envelope_slack"]),
         _le("envelope_constant", result.empirical_constant,
             acc["constant_max"]),
         _le("gap_slope", fit.slope, acc["slope_max"]),
@@ -394,15 +396,15 @@ def _run_semiflat(cfg, rng):
     zb = spec.base_points()[..., None, None]
     base_factor = 1.0 + m["density_cos"] * np.cos(
         2.0 * np.pi * zb.real / m["base_extent"])
-    det = ((base_factor + form.component(0, 0).real)
-           * form.component(1, 1).real - np.abs(form.component(0, 1)) ** 2)
+    det = ((base_factor + form[..., 0, 0].real)
+           * form[..., 1, 1].real - np.abs(form[..., 0, 1]) ** 2)
     dens = density_F(spec, 2.0 * det)
     constancy = fiber_constancy(dens)
     rows.append({"check": "density_constancy", "parameter": 0.0,
                  "value": constancy})
 
     # variation form against a divided-difference oracle
-    wp = weil_petersson(spec).component(0, 0).real
+    wp = weil_petersson(spec)
 
     def neglog(zz):
         return -math.log(spec.modulus(zz).imag)

@@ -1,4 +1,4 @@
-"""Spectral differential geometry on periodic grids.
+"""Spectral differential geometry on sampled tori.
 
 All derivatives are exact on the resolved Fourier modes.  The mixed Wirtinger
 second derivative acting on a single complex coordinate z = x + iy is one
@@ -54,8 +54,6 @@ def _wirtinger(grid):
     imaginary parts built from Nyquist-zeroed odd factors.  The arrays are
     shared by every caller, so they are frozen read-only.
     """
-    if not grid.periodic:
-        raise ValueError("spectral operator called on a non-periodic patch grid")
     m = grid.complex_dim
     kx = [grid.wavenumbers(2 * j) for j in range(m)]
     ky = [grid.wavenumbers(2 * j + 1) for j in range(m)]

@@ -3,8 +3,7 @@
 A grid covers an m-complex-dimensional torus with an even number of uniform
 samples per real direction.  Coordinate j occupies real axes 2j (its real
 part) and 2j+1 (its imaginary part), so field arrays have one axis per real
-direction, interleaved.  Patch grids (``periodic=False``) reuse the same
-containers for analytically evaluated data; spectral operators refuse them.
+direction, interleaved.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ class GridSpec:
     complex_dim: int
     resolutions: tuple
     periods: tuple = ()
-    periodic: bool = True
     # samples per real axis, derived once from the resolutions
     shape: tuple = field(init=False, repr=False, compare=False)
 
@@ -151,9 +149,6 @@ class HermitianField:
         if dev > HERMITIAN_RTOL * scale:
             raise ValueError(f"components not Hermitian: deviation {dev:.3e}")
         self.values = vals
-
-    def component(self, j, k):
-        return self.values[..., j, k]
 
     def min_eigenvalue(self):
         """Smallest eigenvalue at every grid point (closed form for m <= 2)."""

@@ -12,8 +12,9 @@ Four families, in increasing order of structure:
   patch, carrying the degenerate form whose rescaling identity is exact.
 
 Patch quantities (semi-flat form, modulus variation) are evaluated from
-analytic formulas at sample points, never spectrally, so the periodic FFT
-machinery in :mod:`collapse_lab.geometry` stays out of their error budget.
+analytic formulas at sample points and returned as plain arrays, base axes
+first; the base patch is not a torus, so the FFT machinery in
+:mod:`collapse_lab.geometry` never touches them.
 """
 
 import math
@@ -189,17 +190,7 @@ class SemiFlatSpec:
         return x[:, None] + 1j * x[None, :]
 
     def fiber_points(self):
-        g = self.fiber_grid
-        return np.broadcast_to(g.complex_coordinates(0), g.shape).copy()
-
-    def base_grid(self):
-        ext = (self.base_extent, self.base_extent)
-        return GridSpec(1, (self.base_n,), periods=ext, periodic=False)
-
-    def patch_grid(self):
-        ext = (self.base_extent, self.base_extent)
-        return GridSpec(2, (self.base_n, self.fiber_grid.resolutions[0]),
-                        periods=ext + self.fiber_grid.periods, periodic=False)
+        return self.fiber_grid.complex_coordinates(0)
 
 
 def semiflat_potential(spec, z, xi):
@@ -219,24 +210,18 @@ def _semiflat_components(spec, z, xi):
 
 
 def _patch_samples(spec):
-    z = spec.base_points()[..., None, None]
-    xi = spec.fiber_points()[None, None, ...]
-    return z, xi
-
-
-def _assemble(grid, comps):
-    vals = np.zeros(grid.shape + (2, 2), dtype=complex)
-    for j in range(2):
-        for k in range(2):
-            vals[..., j, k] = np.broadcast_to(comps[j][k], grid.shape)
-    return vals
+    return spec.base_points()[..., None, None], spec.fiber_points()[None, None]
 
 
 def semiflat_form(spec):
-    """The degenerate semi-flat form sampled over the product patch."""
+    """The degenerate semi-flat form sampled over the product patch.
+
+    A ``(base_n, base_n, n, n, 2, 2)`` coefficient array, base axes first,
+    then fiber axes; index 0 is the base coordinate, index 1 the fiber one.
+    """
     z, xi = _patch_samples(spec)
-    grid = spec.patch_grid()
-    return HermitianField(grid, _assemble(grid, _semiflat_components(spec, z, xi)))
+    (h00, h01), (h10, h11) = _semiflat_components(spec, z, xi)
+    return np.stack([np.stack([h00, h01], -1), np.stack([h10, h11], -1)], -2)
 
 
 def rescaling_check(spec, t):
@@ -261,12 +246,15 @@ def rescaling_check(spec, t):
 
 
 def weil_petersson(spec):
-    """Variation form of the modulus over the base patch."""
+    """Variation form of the modulus over the base patch.
+
+    The real array |modulus'|^2 / (4 Im(modulus)^2), the single coefficient
+    of ddbar(-log Im modulus), at the base points.
+    """
     z = spec.base_points()
     T = np.imag(spec.modulus(z))
     tp = spec.modulus_derivative(z)
-    vals = (np.abs(tp) ** 2 / (4.0 * T * T)).astype(complex)[..., None, None]
-    return HermitianField(spec.base_grid(), vals)
+    return np.abs(tp) ** 2 / (4.0 * T * T)
 
 
 def density_F(spec, omega):

@@ -120,12 +120,15 @@ def test_criterion_5_manufactured_solution_recovery(reports):
 def test_criterion_6_gap_envelope_and_decay(reports):
     rep = reports["gke_parabolic"]
     env = _check(rep, "envelope_defect")
+    hold = _check(rep, "envelope_holdout_defect")
     slope = _check(rep, "gap_slope")
     const = _check(rep, "envelope_constant")
-    ok = env.passed and slope.measured <= -0.5 and const.passed
+    ok = (env.passed and hold.passed and slope.measured <= -0.5
+          and const.passed)
     _verdict(6, ok,
              f"envelope holds at every accepted step for "
-             f"C={const.measured:.3f} (defect {env.measured:+.1e}), "
+             f"C={const.measured:.3f} (defect {env.measured:+.1e}; "
+             f"first-half C on the second half {hold.measured:+.1e}), "
              f"gap slope {slope.measured:.3f} <= -0.5")
 
 

@@ -109,6 +109,23 @@ def test_manufactured_amplitude_inside_the_cone_is_accepted():
     assert cfg.model["amplitude"] == 0.1
 
 
+@pytest.mark.parametrize("experiment", ["fiber-flow", "curvature-bound"])
+@pytest.mark.parametrize("amplitude, code", [(0.11, 2), (0.10, 0)],
+                         ids=["outside", "inside"])
+def test_flow_amplitude_is_held_inside_the_cone(tmp_path, capsys,
+                                                experiment, amplitude, code):
+    # the start metric's smallest eigenvalue b0 (1 - pi^2 amplitude_rel) is
+    # -0.086 b0 at 0.11 and 0.013 b0 at 0.10
+    path = tmp_path / "flow.json"
+    path.write_text(json.dumps({"experiment": experiment,
+                                "model": {"amplitude_rel": amplitude}}),
+                    encoding="utf-8")
+    assert cli.main(["validate", "--config", str(path)]) == code
+    rejected = "model.amplitude_rel: leaves the positive cone" in \
+        capsys.readouterr().err
+    assert rejected == (code == 2)
+
+
 def test_transient_outside_the_semidefinite_cone_is_rejected(tmp_path,
                                                               capsys):
     # 0.25 - pi^2 0.03 < 0: the excess is indefinite at x = 0

@@ -20,7 +20,6 @@ from collapse_lab.geometry import ddbar, real_samples, riemann_norm
 from collapse_lab.models import FiberFlowSpec
 from collapse_lab.timestep import integrate_lawson
 from collapse_lab.flow import (
-    Diagnostics,
     _velocity,
     diagnostics_for,
     evolve,

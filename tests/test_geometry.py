@@ -71,7 +71,7 @@ def test_ddbar_single_cosine_frozen_value():
     g = grid1(64)
     x, _ = coords(g)
     f = ScalarField(g, np.cos(2 * np.pi * x))
-    out = ddbar(f).component(0, 0).real
+    out = ddbar(f).values[..., 0, 0].real
     expected = -np.pi**2 * np.cos(2 * np.pi * x)  # (1/4)(fxx+fyy) of cos(2 pi x)
     assert np.max(np.abs(out - np.broadcast_to(expected, g.shape))) < 1e-12 * np.pi**2
 
@@ -80,7 +80,7 @@ def test_ddbar_product_mode_frozen_value_and_fd():
     g = grid1(256)
     x, y = coords(g)
     vals = np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-    out = ddbar(ScalarField(g, vals)).component(0, 0).real
+    out = ddbar(ScalarField(g, vals)).values[..., 0, 0].real
     expected = -2.0 * np.pi**2 * vals  # symbolic: (1/4)(-4pi^2 - 4pi^2) f
     assert np.max(np.abs(out - expected)) < 1e-10
     fd = fd_ddbar_component(vals, g, 0, 0).real
@@ -96,14 +96,15 @@ def test_ddbar_constant_is_zero_and_mean_free():
     assert np.max(np.abs(out)) == 0.0
     rng = np.random.default_rng(3)
     f = ScalarField(g, rng.standard_normal(g.shape))
-    comp = ddbar(f).component(0, 0)
+    comp = ddbar(f).values[..., 0, 0]
     assert abs(np.mean(comp)) < 1e-13
 
 
 def test_ddbar_respects_periods():
     g = grid1(64, periods=(2.0, 0.5))
     x, _ = coords(g)
-    out = ddbar(ScalarField(g, np.cos(2 * np.pi * x / 2.0))).component(0, 0).real
+    f = ScalarField(g, np.cos(2 * np.pi * x / 2.0))
+    out = ddbar(f).values[..., 0, 0].real
     expected = -(np.pi / 2.0) ** 2 * np.cos(np.pi * x)
     assert np.max(np.abs(out - np.broadcast_to(expected, g.shape))) < 1e-12 * np.pi**2
 
@@ -114,9 +115,9 @@ def test_ddbar_two_dim_cross_component_vs_fd():
     vals = np.sin(2 * np.pi * x1) * np.sin(2 * np.pi * x2)
     H = ddbar(ScalarField(g, vals))
     expected = np.pi**2 * np.cos(2 * np.pi * x1) * np.cos(2 * np.pi * x2)
-    got = H.component(0, 1)
+    got = H.values[..., 0, 1]
     assert np.max(np.abs(got - expected)) < 1e-10
-    assert np.max(np.abs(H.component(1, 0) - np.conj(got))) < 1e-12
+    assert np.max(np.abs(H.values[..., 1, 0] - np.conj(got))) < 1e-12
     fd = fd_ddbar_component(vals, g, 0, 1)
     assert np.max(np.abs(got - fd)) < 2e-3  # 32 samples per axis, fd4 floor
 
@@ -273,8 +274,8 @@ def test_ricci_conformal_oracle():
     x, y = coords(g)
     f = 0.1 * np.cos(2 * np.pi * x) + 0.07 * np.sin(2 * np.pi * y)
     om = HermitianField(g, np.exp(f)[..., None, None].astype(complex))
-    ric = ricci_form(om).component(0, 0).real
-    expected = -ddbar(ScalarField(g, f)).component(0, 0).real
+    ric = ricci_form(om).values[..., 0, 0].real
+    expected = -ddbar(ScalarField(g, f)).values[..., 0, 0].real
     assert np.max(np.abs(ric - expected)) < 1e-8
 
 

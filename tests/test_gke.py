@@ -14,7 +14,6 @@ from collapse_lab.grids import GridSpec, HermitianField, ScalarField
 from collapse_lab.geometry import ddbar, ma_density, ricci_form
 from collapse_lab.models import GkeTestbedSpec
 from collapse_lab.gke import (
-    GkeSolution,
     _envelope,
     gke_residual,
     parabolic_gke,
@@ -161,10 +160,31 @@ def test_envelope_constant_and_defect_by_hand():
     # first midpoint (0.5, gap 1.5, slope -1) binds: C = e^0.5 (-1 + 1.5),
     # where its defect is 0; the second (2, gap 0.5, slope -0.5) needs no
     # C and is left a defect of -0.5 e^-1.5 < 0
-    constant, defect = _envelope([0.0, 1.0, 1.0, 3.0], [2.0, 1.0, 1.0, 0.0])
+    constant, defect, _ = _envelope([0.0, 1.0, 1.0, 3.0],
+                                    [2.0, 1.0, 1.0, 0.0])
     assert constant == pytest.approx(0.5 * math.exp(0.5), rel=1e-15)
     assert abs(defect) < 1e-15
-    assert _envelope([0.0], [1.0]) == (0.0, -math.inf)
+    assert _envelope([0.0], [1.0]) == (0.0, -math.inf, -math.inf)
+
+
+def test_envelope_holdout_sees_a_late_rise():
+    # gap 2 e^-t at t = 0..3: every midpoint gives the same e^(k + 1/2)
+    # (dgap + mid_g) = e^0.5 (3/e - 1), so the C fitted on the first
+    # midpoint leaves the later two a hold-out defect of zero
+    times = [0.0, 1.0, 2.0, 3.0]
+    decay = [2.0 * math.exp(-t) for t in times]
+    c = math.exp(0.5) * (3.0 / math.e - 1.0)
+    constant, defect, holdout = _envelope(times, decay)
+    assert constant == pytest.approx(c, rel=1e-14)
+    assert abs(defect) < 1e-15 and abs(holdout) < 1e-15
+    # a gap held flat over [2, 3] leaves the last midpoint (2.5, slope 0,
+    # gap 2 e^-2) the hold-out defect 2 e^-2 - c e^-2.5 = 3 e^-2 (1 - 1/e);
+    # the C refitted on every midpoint hides the rise in-sample
+    constant, defect, holdout = _envelope(times, decay[:3] + decay[2:3])
+    assert constant == pytest.approx(2.0 * math.exp(0.5), rel=1e-14)
+    assert abs(defect) < 1e-15
+    rise = 3.0 * math.exp(-2.0) * (1.0 - 1.0 / math.e)
+    assert holdout == pytest.approx(rise, rel=1e-13)
 
 
 def test_parabolic_rejects_indefinite_transient():

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -32,6 +32,17 @@ def _strict_json(path):
         raise ValueError(f"{path.name}: {token} is not JSON")
     return json.loads(path.read_text(encoding="utf-8"),
                       parse_constant=reject)
+
+
+def _blowup_config():
+    """A fiber-flow config whose start metric leaves the positive cone.
+
+    Validation rejects amplitude_rel 0.15 (pi^2 amplitude_rel >= 1), so the
+    config is built past it, and the run meets the solver's own
+    PositivityError.
+    """
+    cfg = validate_config({"experiment": "fiber-flow"})
+    return replace(cfg, model=dict(cfg.model, amplitude_rel=0.15))
 
 
 def _fast_product(tmp_path, **overrides):
@@ -166,14 +177,12 @@ def test_failed_acceptance_exits_one_and_reports(tmp_path, capsys):
     assert failed and failed[0]["measured"] > failed[0]["bound"]
 
 
-def test_solver_failure_exits_three_with_error_file(tmp_path, capsys):
-    path = _write(tmp_path, "blowup.json",
-                  {"experiment": "fiber-flow",
-                   "model": {"amplitude_rel": 0.15}})
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 3
-    assert "ERROR PositivityError" in capsys.readouterr().err
-    error = json.loads((out / "blowup" / "error.json").read_text())
+def test_solver_failure_exits_three_with_error_file(tmp_path):
+    out = tmp_path / "out" / "blowup"
+    code, line = cli._run_one("blowup", _blowup_config(), out)
+    assert code == 3
+    assert "ERROR PositivityError" in line
+    error = json.loads((out / "error.json").read_text())
     assert error["error"] == "PositivityError"
     assert "positive definite" in error["message"]
     # the location in the file is the one the message names
@@ -229,16 +238,29 @@ def test_rate_fit_on_exact_zeros_fails_its_check_as_nan(tmp_path, capsys,
     assert None in [fit["slope"] for fit in rates["fits"].values()]
 
 
-def test_error_code_dominates_mixed_runs(tmp_path):
+def test_error_code_dominates_mixed_runs(tmp_path, monkeypatch):
     good = _fast_product(tmp_path)
-    bad = _write(tmp_path, "blowup.json",
-                 {"experiment": "fiber-flow",
-                  "model": {"amplitude_rel": 0.15}})
+    bad = _write(tmp_path, "blowup.json", {"experiment": "fiber-flow"})
+    load = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path: (
+        _blowup_config() if Path(path) == bad else load(path)))
     out = tmp_path / "out"
     code = cli.main(["run", "--config", str(good), "--config", str(bad),
                      "--out", str(out)])
     assert code == 3
     assert (out / "fast_product" / "acceptance.json").exists()
+
+
+@pytest.mark.parametrize("base_n", [9, 63])
+def test_semiflat_runs_at_odd_base_resolution(tmp_path, capsys, base_n):
+    # the base patch holds analytic samples, not FFT data, so every base_n
+    # the schema admits runs, odd ones included
+    path = _write(tmp_path, "semiflat.json",
+                  {"experiment": "semiflat-identities",
+                   "model": {"base_n": base_n}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert "semiflat: PASS (5 checks)" in capsys.readouterr().out
 
 
 def test_run_writes_each_config_to_its_own_directory(tmp_path):

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from collapse_lab import models
-from collapse_lab.grids import GridSpec, HermitianField, ScalarField
+from collapse_lab.grids import (GridSpec, HermitianField, ScalarField,
+                                extreme_eigenvalue)
 from collapse_lab.geometry import ddbar, ma_density
 from collapse_lab.models import (
     FiberFlowSpec,
@@ -86,6 +87,11 @@ def sf_spec(eps=0.2, nf=16):
     return SemiFlatSpec(fiber_grid=GridSpec(1, (nf,)), tau_coeffs=(1j, eps))
 
 
+def patch_shape(spec):
+    # base axes first, then fiber axes, as every patch array is laid out
+    return (spec.base_n, spec.base_n) + spec.fiber_grid.shape
+
+
 def test_semiflat_potential_frozen_values():
     spec = sf_spec(eps=0.0)
     assert semiflat_potential(spec, 0.0 + 0.0j, 0.5j) == pytest.approx(0.25, abs=1e-15)
@@ -106,15 +112,15 @@ def test_semiflat_potential_quadratic_scaling():
 def test_semiflat_form_constant_modulus_block():
     spec = sf_spec(eps=0.0)
     h = semiflat_form(spec)
-    assert np.max(np.abs(h.values[..., 0, 0])) < 1e-15
-    assert np.max(np.abs(h.values[..., 0, 1])) < 1e-15
-    assert np.max(np.abs(h.values[..., 1, 1] - 0.5)) < 1e-15
+    assert np.max(np.abs(h[..., 0, 0])) < 1e-15
+    assert np.max(np.abs(h[..., 0, 1])) < 1e-15
+    assert np.max(np.abs(h[..., 1, 1] - 0.5)) < 1e-15
 
 
 def test_semiflat_form_fiber_component_is_fiber_independent():
     spec = sf_spec(eps=0.2)
     h = semiflat_form(spec)
-    ff = h.values[..., 1, 1].real
+    ff = h[..., 1, 1].real
     spread = np.max(ff, axis=(-2, -1)) - np.min(ff, axis=(-2, -1))
     assert np.max(spread) <= 1e-12
     tau = spec.modulus(spec.base_points())
@@ -125,10 +131,9 @@ def test_semiflat_form_fiber_component_is_fiber_independent():
 def test_semiflat_form_is_degenerate_but_nonnegative():
     spec = sf_spec(eps=0.3)
     h = semiflat_form(spec)
-    det = (h.values[..., 0, 0] * h.values[..., 1, 1]
-           - h.values[..., 0, 1] * h.values[..., 1, 0]).real
+    det = (h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]).real
     assert np.max(np.abs(det)) < 1e-15
-    assert np.min(h.min_eigenvalue()) > -1e-13
+    assert np.min(extreme_eigenvalue(h, largest=False)) > -1e-13
 
 
 def test_semiflat_form_closedness_by_fd():
@@ -181,7 +186,7 @@ def test_rescaling_identity_holds_and_control_fails(monkeypatch):
 
 def test_weil_petersson_frozen_and_fd_oracle():
     spec = sf_spec(eps=0.2)
-    wp = weil_petersson(spec).values[..., 0, 0].real
+    wp = weil_petersson(spec)
     z = spec.base_points()
     tau = spec.modulus(z)
     want = 0.2**2 / (4.0 * tau.imag**2)
@@ -207,13 +212,13 @@ def test_weil_petersson_frozen_and_fd_oracle():
 
 def test_weil_petersson_vanishes_for_constant_modulus():
     spec = sf_spec(eps=0.0)
-    assert np.max(np.abs(weil_petersson(spec).values)) == 0.0
+    assert np.max(np.abs(weil_petersson(spec))) == 0.0
 
 
 def test_density_F_fiberwise_constant_and_frozen_form():
     spec = sf_spec(eps=0.2)
     z = spec.base_points()[..., None, None]
-    omega = np.exp(np.abs(z) ** 2) * np.ones(spec.patch_grid().shape)
+    omega = np.exp(np.abs(z) ** 2) * np.ones(patch_shape(spec))
     F = density_F(spec, omega)
     assert fiber_constancy(F) <= 1e-10
     tau = spec.modulus(spec.base_points())[..., None, None]
@@ -226,7 +231,7 @@ def test_density_F_negative_control_sees_fiber_dependence():
     z = spec.base_points()[..., None, None]
     xi = spec.fiber_points()[None, None, ...]
     omega = np.exp(np.abs(z) ** 2) * (1.0 + 0.3 * np.sin(2*np.pi*xi.real)) \
-        * np.ones(spec.patch_grid().shape)
+        * np.ones(patch_shape(spec))
     assert fiber_constancy(density_F(spec, omega)) > 0.01
 
 

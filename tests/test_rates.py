@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapse_lab.rates import RateFit, rate_fit
+from collapse_lab.rates import rate_fit
 
 
 def test_plain_exponential_recovered_exactly():

@@ -1,7 +1,7 @@
 """Static checks of the package source, made with the standard library.
 
 No linter ships with the lab's toolchain, so the one lint rule the package
-keeps, no unused imports, is checked here on the syntax tree.
+and its tests keep, no unused imports, is checked here on the syntax tree.
 """
 
 import ast
@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "collapse_lab"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "collapse_lab"
 
 
 def unused_imports(tree):
@@ -42,8 +43,8 @@ def test_checker_sees_an_unused_import():
     assert unused_imports(tree) == [(3, "math"), (4, "GridSpec")]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
-                         ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py"))
+                         + sorted(TESTS.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []

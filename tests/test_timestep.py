@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from collapse_lab import timestep
 from collapse_lab.timestep import (
-    IntegrationResult,
     StiffnessError,
     integrate_lawson,
     lawson_step,
