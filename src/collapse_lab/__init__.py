@@ -4,8 +4,7 @@ from .config import ConfigError, EXPERIMENTS, ExperimentConfig, load_config, \
     validate_config
 from .experiments import REGISTRY, ExperimentReport, run_experiment, \
     write_report
-from .flow import Diagnostics, FlowHistory, diagnostics_for, evolve, \
-    relaxation_potential
+from .flow import Diagnostics, diagnostics_for, evolve, relaxation_potential
 from .geometry import ddbar, fiber_diameter, ma_density, ricci_form, \
     riemann_norm, trace_wrt
 from .gke import GkeSolution, ParabolicResult, gke_residual, parabolic_gke, \
@@ -23,7 +22,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "EXPERIMENTS", "ExperimentConfig", "load_config",
     "validate_config", "REGISTRY", "ExperimentReport", "run_experiment",
-    "write_report", "Diagnostics", "FlowHistory", "diagnostics_for",
+    "write_report", "Diagnostics", "diagnostics_for",
     "evolve", "relaxation_potential", "ddbar", "fiber_diameter",
     "ma_density", "ricci_form", "riemann_norm", "trace_wrt", "GkeSolution",
     "ParabolicResult", "gke_residual", "parabolic_gke", "solve_gke",

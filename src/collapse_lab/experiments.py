@@ -96,8 +96,7 @@ class _ScaleOde:
 
 def _run_product_ode(cfg, rng):
     m, s, acc = cfg.model, cfg.solver, cfg.acceptance
-    model = ProductModelSpec(a0=m["a0"], b0=m["b0"], base_dim=m["base_dim"],
-                             fiber_dim=m["fiber_dim"])
+    model = ProductModelSpec(a0=m["a0"], b0=m["b0"], base_dim=m["base_dim"])
     horizon = s["horizon"]
     samples = np.linspace(0.0, horizon,
                           int(round(horizon * s["samples_per_unit"])) + 1)
@@ -176,9 +175,9 @@ def _flow_rows(cfg, extra_times=(), with_diameter=True):
                        int(round(horizon * s["samples_per_unit"])) + 1)
     ts = np.unique(np.concatenate([base, extra_times]))
     ts = ts[np.concatenate(([True], np.diff(ts) > 1e-9))]
-    history = evolve(_flow_spec(cfg.model), horizon, sample_times=ts,
-                     tol=s["tol"], with_diameter=with_diameter)
-    return [asdict(d) for d in history.diagnostics]
+    return [asdict(d) for d in evolve(_flow_spec(cfg.model), horizon,
+                                      sample_times=ts, tol=s["tol"],
+                                      with_diameter=with_diameter)]
 
 
 def _series(rows, column):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import HermitianField, ScalarField
-from .geometry import (MongeAmpereFlow, ddbar, fiber_diameter,
+from .geometry import (MongeAmpereFlow, ddbar_modes, fiber_diameter,
                        log_volume_ratio, ma_density, real_samples,
                        riemann_norm, trace_wrt)
 from .timestep import integrate_lawson
@@ -84,23 +84,18 @@ class Diagnostics:
     diameter: float
 
 
-@dataclass
-class FlowHistory:
-    diagnostics: list
-    accepted: int
-    rejected: int
-
-
-def diagnostics_for(spec, t, potential, with_diameter=True):
-    """Evaluate the full monitor suite for one state of the flow."""
+def diagnostics_for(spec, t, modes, with_diameter=True):
+    """Evaluate the full monitor suite for one state of the flow, given the
+    half-spectrum modes of its potential, as the march holds them."""
     g = spec.grid
     m = g.complex_dim
     p = spec.base_dim
     et = math.exp(t)
     a_hat = 1.0 + (spec.a0 - 1.0) * math.exp(-t)
+    potential = ScalarField(g, real_samples(g, modes))
 
-    twisted = (HermitianField.scaled_identity(g, spec.b0)
-               + et * ddbar(potential))
+    twisted = HermitianField(g, spec.b0 * np.eye(m)
+                             + et * ddbar_modes(g, modes))
     twisted.require_positive("evolving fiber metric")
     # the velocity of the potential, from the twisted metric built above
     dphi = _velocity(spec, t, twisted.values) - potential.values
@@ -117,8 +112,9 @@ def diagnostics_for(spec, t, potential, with_diameter=True):
     fiber_curv = et * float(np.max(riemann_norm(twisted).values))
     curvature = math.hypot(math.sqrt(p) / a_hat, fiber_curv)
 
+    # the relaxation shift of vt moves only the zero mode
     low_index = (1,) + (0,) * (2 * m - 1)
-    mode_low = abs(np.fft.rfftn(vt)[low_index]) / vt.size
+    mode_low = et * abs(modes[low_index]) / vt.size
 
     diam = math.nan
     if with_diameter:
@@ -142,14 +138,9 @@ def diagnostics_for(spec, t, potential, with_diameter=True):
 
 
 def evolve(spec, t_end, sample_times, tol=1e-8, with_diameter=True):
-    """March the flow to t_end; return the monitors at each sample time
-    and the integrator's accepted and rejected step counts."""
+    """March the flow to t_end; return the monitors at each sample time."""
     u0 = np.fft.rfftn(spec.initial_potential.values)
     res = integrate_lawson(spectral_problem(spec), u0, 0.0, float(t_end),
                            sample_times=sample_times, tol=tol)
-    diags = []
-    for s, modes in zip(res.sample_times, res.sample_modes):
-        pot = ScalarField(spec.grid, real_samples(spec.grid, modes))
-        diags.append(diagnostics_for(spec, s, pot, with_diameter=with_diameter))
-    return FlowHistory(diagnostics=diags, accepted=res.accepted,
-                       rejected=res.rejected)
+    return [diagnostics_for(spec, s, modes, with_diameter=with_diameter)
+            for s, modes in zip(res.sample_times, res.sample_modes)]

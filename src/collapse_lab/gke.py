@@ -142,8 +142,6 @@ class ParabolicResult:
     empirical_constant: float
     envelope_defect: float
     holdout_defect: float
-    accepted: int
-    rejected: int
 
 
 def parabolic_problem(testbed, rho):
@@ -186,7 +184,7 @@ def parabolic_gke(testbed, rho, limit, t_end, tol=1e-8):
     ``rho`` (coefficient array of the decaying background excess) must be
     positive semidefinite so the background only ever shrinks toward its
     limit; ``limit`` is the solved elliptic potential.  Returns the gap
-    record at every accepted step, its envelope fit and the step counts.
+    record at every accepted step and its envelope fit.
     """
     grid = testbed.grid
     rho = np.asarray(rho, dtype=complex)
@@ -206,14 +204,12 @@ def parabolic_gke(testbed, rho, limit, t_end, tol=1e-8):
         gap_max.append(float(np.max(phi - limit.values)))
         gap_min.append(float(np.min(phi - limit.values)))
 
-    res = integrate_lawson(parabolic_problem(testbed, rho),
-                           np.fft.rfftn(u0), 0.0, float(t_end), tol=tol,
-                           on_accept=record)
+    integrate_lawson(parabolic_problem(testbed, rho), np.fft.rfftn(u0), 0.0,
+                     float(t_end), tol=tol, on_accept=record)
     t_arr = np.asarray(times)
     gmax = np.asarray(gap_max)
     constant, defect, holdout = _envelope(t_arr, gmax)
     return ParabolicResult(times=t_arr, gap_max=gmax,
                            gap_min=np.asarray(gap_min),
                            empirical_constant=constant, envelope_defect=defect,
-                           holdout_defect=holdout, accepted=res.accepted,
-                           rejected=res.rejected)
+                           holdout_defect=holdout)

@@ -1,9 +1,9 @@
 """Periodic sample grids and the field containers every other module shares.
 
-A grid covers an m-complex-dimensional torus with an even number of uniform
-samples per real direction.  Coordinate j occupies real axes 2j (its real
-part) and 2j+1 (its imaginary part), so field arrays have one axis per real
-direction, interleaved.
+A grid covers the unit m-complex-dimensional torus, period 1 along every
+real direction, with an even number of uniform samples per real direction.
+Coordinate j occupies real axes 2j (its real part) and 2j+1 (its imaginary
+part), so field arrays have one axis per real direction, interleaved.
 """
 
 from __future__ import annotations
@@ -30,11 +30,10 @@ class PositivityError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform torus sampling: resolutions per complex dim, periods per real axis."""
+    """Uniform sampling of the unit torus: resolutions per complex dim."""
 
     complex_dim: int
     resolutions: tuple
-    periods: tuple = ()
     # samples per real axis, derived once from the resolutions
     shape: tuple = field(init=False, repr=False, compare=False)
 
@@ -49,24 +48,18 @@ class GridSpec:
         for n in res:
             if n < 8 or n % 2:
                 raise ValueError(f"resolutions must be even and >= 8, got {n}")
-        per = tuple(float(p) for p in self.periods) or (1.0,) * (2 * self.complex_dim)
-        if len(per) != 2 * self.complex_dim:
-            raise ValueError("need one period per real direction")
-        if any(p <= 0 for p in per):
-            raise ValueError("periods must be positive")
         object.__setattr__(self, "resolutions", res)
-        object.__setattr__(self, "periods", per)
         object.__setattr__(self, "shape", tuple(
             res[a // 2] for a in range(2 * self.complex_dim)))
 
     @property
     def spacings(self):
-        return tuple(self.periods[a] / self.shape[a] for a in range(len(self.shape)))
+        return tuple(1.0 / n for n in self.shape)
 
     def axis_coordinates(self, axis):
         """Sample coordinates along one real axis, broadcastable over the grid."""
         n = self.shape[axis]
-        vals = np.arange(n) * (self.periods[axis] / n)
+        vals = np.arange(n) * (1.0 / n)
         shape = [1] * len(self.shape)
         shape[axis] = n
         return vals.reshape(shape)
@@ -74,7 +67,7 @@ class GridSpec:
     def wavenumbers(self, axis):
         """Angular wavenumbers for one real axis, broadcastable over the grid."""
         n = self.shape[axis]
-        k = 2.0 * np.pi * np.fft.fftfreq(n, d=self.periods[axis] / n)
+        k = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
         shape = [1] * len(self.shape)
         shape[axis] = n
         return k.reshape(shape)

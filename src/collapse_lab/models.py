@@ -44,13 +44,12 @@ class ProductModelSpec:
     a0: float
     b0: float
     base_dim: int = 1
-    fiber_dim: int = 1
 
     def __post_init__(self):
         if self.a0 <= 0 or self.b0 <= 0:
             raise ValueError("scale coefficients a0, b0 must be positive")
-        if self.base_dim < 1 or self.fiber_dim < 1:
-            raise ValueError("dimensions must be >= 1")
+        if self.base_dim < 1:
+            raise ValueError("base_dim must be >= 1")
 
     def base_scale(self, t):
         return 1.0 + (self.a0 - 1.0) * math.exp(-t)

@@ -7,6 +7,7 @@ field, which shares no code with the exponential-frame stepper.
 """
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from collapse_lab.config import validate_config
 from collapse_lab.experiments import run_experiment
 from collapse_lab.grids import GridSpec, HermitianField, ScalarField
 from collapse_lab import geometry
-from collapse_lab.geometry import ddbar, real_samples, riemann_norm
+from collapse_lab.geometry import (ddbar, fiber_diameter, ma_density,
+                                   real_samples, riemann_norm, trace_wrt)
 from collapse_lab.models import FiberFlowSpec
 from collapse_lab.timestep import integrate_lawson
 from collapse_lab.flow import (
@@ -229,7 +231,7 @@ def test_normalized_potential_inverts_the_scaling():
 
 def test_diagnostics_hand_values_at_start():
     spec = sine_spec(n=16, b0=1.0, a0=2.0, amp=0.01)
-    d = diagnostics_for(spec, 0.0, spec.initial_potential)
+    d = diagnostics_for(spec, 0.0, np.fft.rfftn(spec.initial_potential.values))
     bump = 0.01 * np.pi**2
     assert d.phi_sup == pytest.approx(0.01, abs=1e-15)
     # velocity peaks in the trough of the potential, where density is largest
@@ -253,20 +255,69 @@ def test_diagnostics_hand_values_at_start():
     assert 1.0 < d.curvature_sup < 1.4
 
 
+def field_space_diagnostics(spec, t, potential):
+    """The monitor suite composed on the grid from the potential's samples,
+    through the public ddbar and an rfftn of the normalized potential: the
+    reference for diagnostics_for, which reads the march's modes."""
+    g, p = spec.grid, spec.base_dim
+    et = math.exp(t)
+    a_hat = 1.0 + (spec.a0 - 1.0) * math.exp(-t)
+    twisted = (HermitianField.scaled_identity(g, spec.b0)
+               + et * ddbar(potential))
+    dphi = _velocity(spec, t, twisted.values) - potential.values
+    vol = a_hat ** p * ma_density(twisted).values / spec.b0 ** g.complex_dim
+    vt = normalized_potential(spec, t, potential).values
+    qfield = np.log(math.exp(-t) * p * spec.a0 / a_hat
+                    + trace_wrt(twisted, spec.initial_form()).values) - vt
+    fiber = et * float(np.max(riemann_norm(twisted).values))
+    low = (1,) + (0,) * (2 * g.complex_dim - 1)
+    return {
+        "phi_sup": potential.sup(),
+        "dphi_sup": np.max(np.abs(dphi)),
+        "volume_ratio_min": np.min(vol),
+        "volume_ratio_max": np.max(vol),
+        "base_trace": 1.0 / a_hat,
+        "eig_ratio_min": np.min(twisted.min_eigenvalue()) / spec.b0,
+        "eig_ratio_max": np.max(twisted.max_eigenvalue()) / spec.b0,
+        "vtilde_sup": np.max(np.abs(vt)),
+        "q_sup": np.max(np.abs(qfield)),
+        "curvature_sup": math.hypot(math.sqrt(p) / a_hat, fiber),
+        "mode_low": abs(np.fft.rfftn(vt)[low]) / vt.size,
+        "diameter": fiber_diameter(
+            HermitianField(g, math.exp(-t) * twisted.values)),
+    }
+
+
+def test_diagnostics_from_modes_match_the_field_space_reference():
+    spec = sine_spec(n=16, b0=1.0, a0=2.0, amp=0.01)
+    times = (0.5, 1.5, 3.0)
+    res = integrate_lawson(spectral_problem(spec),
+                           np.fft.rfftn(spec.initial_potential.values),
+                           0.0, 3.0, sample_times=times)
+    for t, modes in zip(res.sample_times, res.sample_modes):
+        got = asdict(diagnostics_for(spec, t, modes))
+        want = field_space_diagnostics(
+            spec, t, ScalarField(spec.grid, real_samples(spec.grid, modes)))
+        assert got.pop("t") == t
+        # the reference rounds the lowest mode against the relaxing mean
+        assert abs(got.pop("mode_low") - want.pop("mode_low")) <= 2e-16
+        assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
 def test_evolve_samples_align_and_monitors_settle():
     spec = sine_spec(n=16, b0=1.0, a0=2.0, amp=0.01)
     times = tuple(np.linspace(0.0, 3.0, 7))
-    hist = evolve(spec, 3.0, sample_times=times)
-    assert tuple(d.t for d in hist.diagnostics) == times
+    diags = evolve(spec, 3.0, sample_times=times)
+    assert tuple(d.t for d in diags) == times
 
-    first, last = hist.diagnostics[0], hist.diagnostics[-1]
+    first, last = diags[0], diags[-1]
     assert last.vtilde_sup < first.vtilde_sup
     a3 = 1.0 + math.exp(-3.0)
     assert abs(last.curvature_sup - 1.0 / a3) < 1e-8
     assert abs(last.eig_ratio_max - 1.0) < 1e-8
     assert abs(last.eig_ratio_min - 1.0) < 1e-8
     assert abs(last.volume_ratio_max - a3) < 1e-7
-    assert all(np.isfinite(d.q_sup) for d in hist.diagnostics)
+    assert all(np.isfinite(d.q_sup) for d in diags)
     # trace defect settles onto its hand-computable tail: the decaying base
     # term plus the frozen initial fiber bump
     q_tail = math.log(math.exp(-3.0) * 2.0 / a3 + 1.0 + 0.01 * np.pi**2)

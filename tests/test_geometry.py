@@ -28,8 +28,8 @@ from collapse_lab.geometry import (
 )
 
 
-def grid1(n=64, periods=()):
-    return GridSpec(1, (n,), periods)
+def grid1(n=64):
+    return GridSpec(1, (n,))
 
 
 def grid2(n=16):
@@ -100,15 +100,6 @@ def test_ddbar_constant_is_zero_and_mean_free():
     assert abs(np.mean(comp)) < 1e-13
 
 
-def test_ddbar_respects_periods():
-    g = grid1(64, periods=(2.0, 0.5))
-    x, _ = coords(g)
-    f = ScalarField(g, np.cos(2 * np.pi * x / 2.0))
-    out = ddbar(f).values[..., 0, 0].real
-    expected = -(np.pi / 2.0) ** 2 * np.cos(np.pi * x)
-    assert np.max(np.abs(out - np.broadcast_to(expected, g.shape))) < 1e-12 * np.pi**2
-
-
 def test_ddbar_two_dim_cross_component_vs_fd():
     g = grid2(32)
     x1, _, x2, _ = coords(g)
@@ -133,7 +124,7 @@ def full_spectrum_ddbar(grid, vals):
 
     def k(ax, odd):
         n = grid.shape[ax]
-        kk = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.periods[ax] / n)
+        kk = 2.0 * np.pi * np.fft.fftfreq(n, d=1.0 / n)
         if odd:
             kk[n // 2] = 0.0
         shape = [1] * (2 * m)
@@ -150,8 +141,7 @@ def full_spectrum_ddbar(grid, vals):
     return out
 
 
-@pytest.mark.parametrize("grid", [GridSpec(1, (16,), (1.0, 0.5)),
-                                  GridSpec(2, (8,), (1.0, 2.0, 0.5, 1.0))],
+@pytest.mark.parametrize("grid", [GridSpec(1, (16,)), GridSpec(2, (8,))],
                          ids=["m1", "m2"])
 def test_ddbar_half_spectrum_matches_full_spectrum_with_nyquist(grid):
     # white noise carries Nyquist content on every axis
@@ -395,14 +385,6 @@ def test_diameter_sqrt_scaling(c):
     assert abs(d2 - np.sqrt(c) * d1) < 1e-12 * max(1.0, d2)
 
 
-def test_diameter_anisotropic_periods_lattice_oracle():
-    g = grid1(32, periods=(2.0, 1.0))
-    d = fiber_diameter(HermitianField.scaled_identity(g))
-    want = np.sqrt(1.0**2 + 0.5**2)  # farthest wrap point of the 2x1 torus
-    assert abs(d - want) < 1e-9
-    assert abs(d - want) < 0.05 * want
-
-
 def test_diameter_large_grid_is_exact():
     g = grid1(128)
     d = fiber_diameter(HermitianField.scaled_identity(g, 4.0))
@@ -464,9 +446,8 @@ def source_counts(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("periods", [(), (2.0, 1.0)], ids=["unit", "2x1"])
-def test_diameter_invariant_metric_matches_all_sources(periods, source_counts):
-    om = sine_metric(grid1(16, periods))
+def test_diameter_invariant_metric_matches_all_sources(source_counts):
+    om = sine_metric(grid1(16))
     want = all_sources_diameter(om)
     assert abs(fiber_diameter(om) - want) < 1e-12 * want
     assert source_counts == [16]

@@ -214,8 +214,9 @@ def test_every_solver_error_exits_three_with_error_file(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("payload, check", [
-    # the lowest fiber mode decays like exp(-(pi^2/b0) e^t) and underflows
-    ({"experiment": "fiber-flow", "model": {"b0": 0.05}},
+    # the lowest fiber mode decays like exp(-(pi^2/b0) e^t); at b0 0.02 the
+    # march's own mode underflows to exact zero inside the fit window
+    ({"experiment": "fiber-flow", "model": {"b0": 0.02}},
      "mode_slope_rel_defect"),
     # no transient: the gap to the limit is exactly zero throughout
     ({"experiment": "gke-parabolic",
@@ -236,6 +237,17 @@ def test_rate_fit_on_exact_zeros_fails_its_check_as_nan(tmp_path, capsys,
     assert [c["name"] for c in failed] == [check]
     assert failed[0]["measured"] is None
     assert None in [fit["slope"] for fit in rates["fits"].values()]
+
+
+def test_mode_slope_fits_at_small_b0(tmp_path):
+    # at b0 0.05 the lowest mode falls below 1e-16 of the relaxing mean
+    # inside the fit window; the monitors read it from the march's modes
+    path = _write(tmp_path, "small_b0.json",
+                  {"experiment": "fiber-flow", "model": {"b0": 0.05}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    fit = _strict_json(out / "small_b0" / "rates.json")["fits"]["mode_low"]
+    assert fit["slope"] == pytest.approx(-math.pi ** 2 / 0.05, rel=1e-9)
 
 
 def test_error_code_dominates_mixed_runs(tmp_path, monkeypatch):

@@ -1,7 +1,8 @@
 """Static checks of the package source, made with the standard library.
 
 No linter ships with the lab's toolchain, so the one lint rule the package
-and its tests keep, no unused imports, is checked here on the syntax tree.
+and its tests keep, no unused imports, is checked here on the syntax tree,
+as is the package's export list.
 """
 
 import ast
@@ -48,3 +49,14 @@ def test_checker_sees_an_unused_import():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+def test_package_exports_are_bound_unique_and_complete():
+    import collapse_lab
+    exported = collapse_lab.__all__
+    assert len(exported) == len(set(exported))
+    assert [name for name in exported if not hasattr(collapse_lab, name)] == []
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name for node in tree.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(imported - set(exported)) == []
