@@ -175,10 +175,10 @@ class MongeAmpereFlow:
     identity; ``scale`` is the flat part of B.  Modes are the half spectrum
     of ``rfftn``.
 
-    The last form built is kept with the (t, u) it was built for, so the
-    margin of an accepted step and the next step's first stage share one
-    ddbar.  The state is matched by identity: the stepper never mutates a
-    state after handing it to the problem.
+    The last form built is kept with the (t, u) it was built for, so an
+    attempt's last stage, the margin of its new state and the next step's
+    first stage share one ddbar.  The state is matched by identity: the
+    stepper never mutates a state after handing it to the problem.
     """
 
     def __init__(self, grid, scale, background, velocity, stiffening):

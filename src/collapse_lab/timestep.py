@@ -2,8 +2,8 @@
 
 The flows integrated here have a stiff linear part whose mode-wise
 antiderivative is available in closed form, and a smooth nonlinear
-remainder. Conjugating the classical fourth-order scheme by the exact
-linear propagator removes the stiffness from the stability constraint:
+remainder. Conjugating an explicit Runge-Kutta pair by the exact linear
+propagator removes the stiffness from the stability constraint:
 pure exponential decay is reproduced to rounding at any step size, and
 modes that collapse below the floating-point floor land on exact zeros
 instead of oscillating.
@@ -15,15 +15,24 @@ always an array, or 0.0 where there is none), and optionally
 more than a factor of ten are rejected so the state cannot jump out of the
 positive cone between samples.
 
-Cost: an accepted step takes 11 remainder evaluations (4 for the full
-step and 4 for each half step, less the first stage the full step and the
-first half step share) and a rejected one 10, since the first stage at the
-unchanged (t, u) is kept for the retry. Each attempt takes 4 propagators,
-one per quarter interval; the full step's are their products. For the
-potential flows of :class:`collapse_lab.geometry.MongeAmpereFlow` one
-evaluation is one real-to-complex FFT pair at complex dimension 1: an
-inverse one for ddbar of the potential and a forward one back to mode
-space.
+The scheme is the Lawson transform of the Dormand-Prince 5(4) pair
+(Dormand & Prince, J. Comput. Appl. Math. 6, 1980; Hochbruck & Ostermann,
+Acta Numerica 19, 2010): the fifth-order solution is kept, and the error
+is the max-abs of h * sum_j e_j E(c_j -> 1) N_j, where N_j are the stages,
+E(c_j -> 1) the propagator from stage j's node to the end of the step and
+e = b - b_hat.  So it also sees the quadrature error of the integrating
+factor when the remainder does not depend on the state.  The seventh stage is the
+remainder at the new state, so it is the next step's first (FSAL).
+
+Cost: a march of n attempts makes 1 + 6n remainder evaluations: one at
+its start, then 6 per attempt, accepted or rejected.  Each attempt takes 5
+propagators, one per interval between the consecutive nodes 0, 1/5, 3/10,
+4/5, 8/9 and 1.  The state and the earlier stages are carried from node to
+node by multiplying by each interval's propagator, never by dividing, so
+stiff modes stay exact zeros once they underflow.  For the potential
+flows of :class:`collapse_lab.geometry.MongeAmpereFlow` one evaluation is
+one real-to-complex FFT pair at complex dimension 1: an inverse one for
+ddbar of the potential and a forward one back to mode space.
 
 The stepper never mutates a state after handing it to the problem, so a
 problem may recognise a state it has seen by identity.
@@ -54,38 +63,51 @@ class IntegrationResult:
     rejected: int
 
 
-def _propagators(problem, t, h):
-    """Linear propagators over the two halves of the interval [t, t + h]."""
-    return (np.exp(problem.symbol_integral(t, t + 0.5 * h)),
-            np.exp(problem.symbol_integral(t + 0.5 * h, t + h)))
+# Dormand-Prince 5(4): the nodes of the seven stages, the rows of stages
+# 2..7 (the last row is the fifth-order weights b) and e = b - b_hat
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
+      -1 / 40)
 
 
-def lawson_step(problem, t, u, h, n1=None, props=None):
-    """One fourth-order step of size h in the exponential frame.
+def _attempt(problem, t, end, u, n1):
+    """One step from (t, u) to end; n1 is the remainder at (t, u).
 
-    ``n1`` is the first stage, the remainder at (t, u); pass it when it is
-    already known, since it does not depend on h.  ``props`` are the
-    propagators of ``_propagators(problem, t, h)``, when already known.
+    Returns the fifth-order state, the remainder there and the error
+    estimate.  Both stages at node 1 are taken at ``end`` itself, not at
+    t + h, so the last one sees the new state at the time it is kept for.
     """
-    e1, e3 = _propagators(problem, t, h) if props is None else props
-    e2 = e1 * e3
-    if n1 is None:
-        n1 = problem.nonlinear_modes(t, u)
-    n2 = problem.nonlinear_modes(t + 0.5 * h, e1 * (u + 0.5 * h * n1))
-    n3 = problem.nonlinear_modes(t + 0.5 * h, e1 * u + 0.5 * h * n2)
-    e2u = e2 * u
-    n4 = problem.nonlinear_modes(t + h, e2u + h * e3 * n3)
-    return e2u + (h / 6.0) * (e2 * n1 + 2.0 * e3 * (n2 + n3) + n4)
+    h = end - t
+    here, base, stages = t, u, [n1]
+    for c, c_prev, row in zip(_C[1:], _C, _A):
+        if c != c_prev:
+            there = end if c == 1.0 else t + c * h
+            prop = np.exp(problem.symbol_integral(here, there))
+            base = prop * base
+            stages = [prop * n for n in stages]
+            here = there
+        state = base + h * sum(a * n for a, n in zip(row, stages) if a)
+        stages.append(problem.nonlinear_modes(here, state))
+    err = h * float(np.max(np.abs(sum(e * n for e, n in zip(_E, stages)
+                                      if e))))
+    return state, stages[-1], err
 
 
 def integrate_lawson(problem, u0, t0, t1, sample_times=(), tol=1e-8,
                      on_accept=None):
-    """March modes from t0 to t1 with step doubling and margin guarding.
+    """March modes from t0 to t1 with an embedded pair and margin guarding.
 
-    The error estimate compares one full step against two half steps; the
-    half-step result is the one kept; the full step and the first half step
-    share their first stage, which a rejected attempt also keeps for the
-    retry. Requested sample times are landed on exactly.
+    Each attempt costs 6 remainder evaluations and 5 propagators; the first
+    stage is the last stage of the step before, and a rejected attempt
+    keeps it for the retry. Requested sample times are landed on exactly.
     ``on_accept(t, modes)`` fires after every accepted step.
     """
     if tol <= 0:
@@ -110,31 +132,17 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), tol=1e-8,
     prev_margin = margin_fn(t, u) if margin_fn else None
     dt = DT_INIT
     accepted = rejected = 0
-    n1 = None
+    n1 = problem.nonlinear_modes(t, u)
 
     while t < t1:
         target = req[idx] if idx < len(req) else t1
-        remaining = target - t
-        lands = dt >= remaining
-        h = remaining if lands else dt
-        end = target if lands else t + h
+        end = target if dt >= target - t else t + dt
 
-        if n1 is None:
-            n1 = problem.nonlinear_modes(t, u)
-        mid_props = _propagators(problem, t, 0.5 * h)
-        fine_props = _propagators(problem, t + 0.5 * h, 0.5 * h)
-        full_props = (mid_props[0] * mid_props[1],
-                      fine_props[0] * fine_props[1])
-        full = lawson_step(problem, t, u, h, n1, full_props)
-        mid = lawson_step(problem, t, u, 0.5 * h, n1, mid_props)
-        fine = lawson_step(problem, t + 0.5 * h, mid, 0.5 * h,
-                           props=fine_props)
-        err = float(np.max(np.abs(full - fine))) / 15.0
-
+        new, n_new, err = _attempt(problem, t, end, u, n1)
         ok = err <= tol
         new_margin = None
         if ok and margin_fn is not None:
-            new_margin = margin_fn(end, fine)
+            new_margin = margin_fn(end, new)
             ok = new_margin > 0.1 * prev_margin
         if not ok:
             rejected += 1
@@ -145,9 +153,7 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), tol=1e-8,
                     f"{DT_MIN:.3e} at t={t:.6f}")
             continue
 
-        t = end
-        u = fine
-        n1 = None
+        t, u, n1 = end, new, n_new
         accepted += 1
         prev_margin = new_margin
         if on_accept is not None:

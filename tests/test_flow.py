@@ -120,8 +120,8 @@ def test_mode_space_rhs_is_nan_outside_the_cone(spec):
 
 
 def test_march_builds_one_ddbar_per_rhs_evaluation(monkeypatch):
-    # the margin of an accepted step and the next step's first stage share
-    # one ddbar; only the initial margin has no stage to share it with
+    # an attempt's last stage, the new state's margin and the next step's
+    # first stage share one ddbar, as do the initial margin and first stage
     spec = sine_spec(n=16, b0=1.0, a0=1.3, amp=0.02)
     problem = spectral_problem(spec)
     calls = {"ddbar": 0, "rhs": 0}
@@ -140,8 +140,8 @@ def test_march_builds_one_ddbar_per_rhs_evaluation(monkeypatch):
     res = integrate_lawson(problem, np.fft.rfftn(spec.initial_potential.values),
                            0.0, 2.0)
     assert res.accepted > 1
-    assert calls["rhs"] == 11 * res.accepted + 10 * res.rejected
-    assert calls["ddbar"] == calls["rhs"] + 1
+    assert calls["rhs"] == 1 + 6 * (res.accepted + res.rejected)
+    assert calls["ddbar"] == calls["rhs"]
 
 
 # --------------------------------------------------- mean-mode closed form

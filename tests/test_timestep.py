@@ -2,8 +2,10 @@
 
 All oracles are closed-form solutions: pure exponentials (which the scheme
 must reproduce to rounding, whatever the step size), a Bernoulli equation
-with a known solution for the nonlinear path, and a local-error ratio that
-pins the classical order of the tableau.
+with a known solution for the nonlinear path, a state-independent remainder
+whose only error is the quadrature of the integrating factor, and a
+local-error ratio that pins the order of the tableau, whose order
+conditions are also checked directly.
 """
 
 import numpy as np
@@ -12,11 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collapse_lab import timestep
-from collapse_lab.timestep import (
-    StiffnessError,
-    integrate_lawson,
-    lawson_step,
-)
+from collapse_lab.timestep import StiffnessError, integrate_lawson
 
 
 class LinearProblem:
@@ -40,6 +38,30 @@ class SweepProblem:
 
     def nonlinear_modes(self, t, u):
         return 0.0
+
+
+class SweepWithSource:
+    """u' = -exp(t) * (1, 1e4) * u + (1, 0): a sweep with a constant
+    remainder, beside a mode ten thousand times stiffer."""
+
+    def symbol_integral(self, t0, t1):
+        return -(np.exp(t1) - np.exp(t0)) * np.array([1.0, 1e4], dtype=complex)
+
+    def nonlinear_modes(self, t, u):
+        return np.array([1.0, 0.0], dtype=complex)
+
+
+class RelaxationProblem:
+    """u' = -u + 1, solved by u(t) = 1 + (u0 - 1) exp(-t).
+
+    The remainder does not depend on the state, so the only error is the
+    quadrature of the integrating factor."""
+
+    def symbol_integral(self, t0, t1):
+        return np.array([-(t1 - t0)], dtype=complex)
+
+    def nonlinear_modes(self, t, u):
+        return np.ones_like(u)
 
 
 class BernoulliProblem:
@@ -71,6 +93,7 @@ class CountingProblem:
     def __init__(self):
         self.calls = 0
         self.symbol_calls = 0
+        self.seen = []
 
     def symbol_integral(self, t0, t1):
         self.symbol_calls += 1
@@ -78,6 +101,7 @@ class CountingProblem:
 
     def nonlinear_modes(self, t, u):
         self.calls += 1
+        self.seen.append((t, u))
         return u * u
 
 
@@ -99,6 +123,27 @@ def test_time_dependent_exponential_exact_at_strong_decay():
     assert abs(res.final_modes[0] - want) < 1e-13 * want
 
 
+def test_stiff_sweep_with_source_underflows_cleanly():
+    # by t=8 the stiff mode's propagators over the longer node intervals
+    # underflow to exact zeros; carried stages must stay finite, with no
+    # 0/0 warning
+    prob = SweepWithSource()
+    underflowed = []
+    symbol_integral = prob.symbol_integral
+
+    def recorded(t0, t1):
+        sym = symbol_integral(t0, t1)
+        underflowed.append(np.exp(sym)[1] == 0.0)
+        return sym
+
+    prob.symbol_integral = recorded
+    res = integrate_lawson(prob, np.array([1.0 + 0j, 1.0 + 0j]), 0.0, 8.0,
+                           tol=1e-6)
+    assert np.all(np.isfinite(res.final_modes))
+    assert res.final_modes[1] == 0.0
+    assert any(underflowed)
+
+
 def test_decay_floors_to_exact_zero():
     res = integrate_lawson(LinearProblem(-5000.0), np.array([1.0 + 0j]), 0.0, 1.0)
     assert res.final_modes[0] == 0.0
@@ -118,46 +163,74 @@ def test_nonlinear_path_matches_closed_form():
     assert abs(res.final_modes[0] - bernoulli_exact(0.5, 2.0)) < 1e-9
 
 
-def test_single_step_has_classical_order():
-    # local error ratio under step halving pins the 5th-order truncation
-    prob = BernoulliProblem()
+def test_tableau_meets_the_fifth_order_conditions():
+    c = np.array(timestep._C)
+    b = np.array(timestep._A[-1] + (0.0,))
+    e = np.array(timestep._E)
+    for i, row in enumerate(timestep._A, start=1):
+        assert abs(sum(row) - c[i]) < 1e-14
+    assert abs(b.sum() - 1.0) < 1e-14
+    assert abs(e.sum()) < 1e-15
+    for k in range(1, 5):
+        assert abs(b @ c**k - 1.0 / (k + 1)) < 1e-14
+
+
+def test_single_step_has_classical_order(monkeypatch):
+    # local error ratio under step halving pins the 6th-order local
+    # truncation of the 5th-order solution: 2**6 = 64
     u0 = np.array([0.5 + 0j])
     errs = []
     for h in (0.2, 0.1):
-        got = lawson_step(prob, 0.0, u0, h)[0]
-        errs.append(abs(got - bernoulli_exact(0.5, h)))
+        monkeypatch.setattr(timestep, "DT_INIT", h)
+        monkeypatch.setattr(timestep, "DT_MAX", h)
+        res = integrate_lawson(BernoulliProblem(), u0, 0.0, h, tol=1.0)
+        assert (res.accepted, res.rejected) == (1, 0)
+        errs.append(abs(res.final_modes[0] - bernoulli_exact(0.5, h)))
     ratio = errs[0] / errs[1]
-    assert 24.0 < ratio < 40.0
+    assert 48.0 < ratio < 80.0
 
 
-def test_step_doubling_costs_eleven_evaluations_per_accepted_ten_per_rejected(
+def test_embedded_pair_costs_six_evaluations_and_five_propagators_per_attempt(
         monkeypatch):
-    # a rejected attempt keeps its first stage for the retry, and every
-    # attempt takes one propagator per quarter interval
+    # the first stage of the march is the only one no attempt pays for; a
+    # rejected attempt keeps it for the retry
     monkeypatch.setattr(timestep, "DT_INIT", 0.25)
     prob = CountingProblem()
     res = integrate_lawson(prob, np.array([0.5 + 0j, 0.3 + 0j]), 0.0, 2.0,
                            tol=1e-12)
     assert res.rejected > 0
-    assert prob.calls == 11 * res.accepted + 10 * res.rejected
-    assert prob.symbol_calls == 4 * (res.accepted + res.rejected)
+    attempts = res.accepted + res.rejected
+    assert prob.calls == 1 + 6 * attempts
+    assert prob.symbol_calls == 5 * attempts
 
 
-def test_shared_first_stage_is_bit_identical_to_independent_steps(
-        monkeypatch):
+def test_last_stage_is_the_next_first_stage_bit_for_bit(monkeypatch):
     prob = CountingProblem()
     u0 = np.array([0.5 + 0j, 0.3 + 0j])
     h = 0.2
     monkeypatch.setattr(timestep, "DT_INIT", h)
     monkeypatch.setattr(timestep, "DT_MAX", h)
-    res = integrate_lawson(prob, u0, 0.0, h, tol=1.0)
-    assert (res.accepted, res.rejected) == (1, 0)
-    mid = lawson_step(prob, 0.0, u0, 0.5 * h)
-    fine = lawson_step(prob, 0.5 * h, mid, 0.5 * h)
-    assert np.array_equal(res.final_modes, fine)
-    n1 = prob.nonlinear_modes(0.0, u0)
-    assert np.array_equal(lawson_step(prob, 0.0, u0, h, n1),
-                          lawson_step(prob, 0.0, u0, h))
+    two = integrate_lawson(prob, u0, 0.0, 2 * h, tol=1.0)
+    assert (two.accepted, two.rejected) == (2, 0)
+    assert prob.calls == 13
+    one = integrate_lawson(CountingProblem(), u0, 0.0, h, tol=1.0)
+    t7, u7 = prob.seen[6]
+    assert t7 == h
+    assert np.array_equal(u7, one.final_modes)
+    # a fresh march from the first step's end evaluates its own first stage
+    again = integrate_lawson(CountingProblem(), one.final_modes, h, 2 * h,
+                             tol=1.0)
+    assert np.array_equal(again.final_modes, two.final_modes)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10])
+def test_error_estimate_sees_the_integrating_factor_quadrature(tol):
+    # an estimate blind to the quadrature of exp(-(t1 - s)) would read zero
+    # here and let the first steps grow to DT_MAX unchecked
+    u0 = np.array([3.0 + 0j])
+    res = integrate_lawson(RelaxationProblem(), u0, 0.0, 5.0, tol=tol)
+    want = 1.0 + 2.0 * np.exp(-5.0)
+    assert abs(res.final_modes[0] - want) <= 10.0 * tol
 
 
 def test_tolerance_trades_steps_for_error(monkeypatch):
