@@ -5,8 +5,8 @@ from .config import ConfigError, EXPERIMENTS, ExperimentConfig, load_config, \
 from .experiments import REGISTRY, ExperimentReport, run_experiment, \
     write_report
 from .flow import Diagnostics, diagnostics_for, evolve, relaxation_potential
-from .geometry import ddbar, fiber_diameter, ma_density, ricci_form, \
-    riemann_norm, trace_wrt
+from .geometry import ddbar, fiber_diameter, ricci_form, riemann_norm, \
+    trace_wrt
 from .gke import GkeSolution, ParabolicResult, gke_residual, parabolic_gke, \
     solve_gke, twisted_einstein_residual
 from .grids import GridSpec, HermitianField, PositivityError, ScalarField
@@ -24,7 +24,7 @@ __all__ = [
     "validate_config", "REGISTRY", "ExperimentReport", "run_experiment",
     "write_report", "Diagnostics", "diagnostics_for",
     "evolve", "relaxation_potential", "ddbar", "fiber_diameter",
-    "ma_density", "ricci_form", "riemann_norm", "trace_wrt", "GkeSolution",
+    "ricci_form", "riemann_norm", "trace_wrt", "GkeSolution",
     "ParabolicResult", "gke_residual", "parabolic_gke", "solve_gke",
     "twisted_einstein_residual", "GridSpec", "HermitianField",
     "PositivityError", "ScalarField", "FiberFlowSpec", "GkeTestbedSpec",

@@ -134,7 +134,6 @@ SCHEMAS = {
             "a0": Field(3.0, positive=True),
             "b0": Field(0.5, positive=True),
             "base_dim": Field(1, "int", lo=1, hi=4),
-            "fiber_dim": Field(1, "int", lo=1, hi=2),
             "fiber_resolution": Field(16, "int", even=True, lo=8, hi=128),
         },
         "solver": {
@@ -253,8 +252,6 @@ EXPERIMENTS = tuple(SCHEMAS)
 # the most samples the base grid can hold: horizon 40 at 50 per unit
 _MAX_SAMPLES = int(_FLOW_SOLVER["horizon"].hi
                    * _FLOW_SOLVER["samples_per_unit"].hi) + 1
-# the most nodes of a diameter lattice: 16^4 at fiber_dim 2 peaks at 300 MB
-_MAX_NODES = 65536
 
 
 @dataclass(frozen=True)
@@ -312,12 +309,6 @@ def _cross_checks(name, out):
             raise ConfigError(f"model.amplitude_rel: leaves the positive "
                               f"cone, need pi^2 amplitude_rel < 1, got "
                               f"{amp!r}")
-    if name == "product-ode":
-        # a lattice of n^(2 fiber_dim) nodes, 3^(2 fiber_dim) - 1 edges each
-        res, dim = out["model"]["fiber_resolution"], out["model"]["fiber_dim"]
-        if res ** (2 * dim) > _MAX_NODES:
-            raise ConfigError(f"model.fiber_resolution: the fiber lattice "
-                              f"exceeds {_MAX_NODES} nodes, got {res}")
     if name == "gke-elliptic" and out["model"]["mode"] == "manufactured":
         # a sin(2 pi x) cos(2 pi y) has ddbar -2 pi^2 times itself; the
         # bound on its smallest eigenvalue is exact when 4 divides n

@@ -105,7 +105,7 @@ def _run_product_ode(cfg, rng):
                            0.0, horizon, sample_times=samples,
                            tol=s["ode_tol"])
 
-    fiber_grid = GridSpec(m["fiber_dim"], (m["fiber_resolution"],))
+    fiber_grid = GridSpec(1, (m["fiber_resolution"],))
     unit_diam = fiber_diameter(HermitianField.scaled_identity(fiber_grid, 1.0))
 
     rows = []
@@ -323,8 +323,7 @@ def _run_gke_parabolic(cfg, rng):
     x, _ = _plane_coords(grid)
     bump = ScalarField(grid, m["transient_cos"] * np.cos(2 * np.pi * x)
                        * np.ones(grid.shape))
-    rho = (HermitianField.scaled_identity(grid, m["transient_scale"])
-           + ddbar(bump)).values
+    rho = m["transient_scale"] + ddbar(bump).values
 
     limit = solve_gke(testbed, tol=s["limit_tol"]).potential
     result = parabolic_gke(testbed, rho, limit, s["t_end"], tol=s["tol"])

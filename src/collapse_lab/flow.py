@@ -22,8 +22,8 @@ import numpy as np
 
 from .grids import HermitianField, ScalarField
 from .geometry import (MongeAmpereFlow, ddbar_modes, fiber_diameter,
-                       log_volume_ratio, ma_density, real_samples,
-                       riemann_norm, trace_wrt)
+                       log_volume_ratio, real_samples, riemann_norm,
+                       trace_wrt)
 from .timestep import integrate_lawson
 
 
@@ -49,13 +49,12 @@ def _velocity(spec, t, twisted):
     the floating-point floor.
     """
     return (math.log1p((spec.a0 - 1.0) * math.exp(-t))
-            + log_volume_ratio(twisted, spec.b0 ** spec.grid.complex_dim))
+            + log_volume_ratio(twisted, spec.b0))
 
 
 def spectral_problem(spec):
     """The flow in mode space: omega = b0 + exp(t) ddbar(phi), scale b0."""
-    flat = spec.b0 * np.eye(spec.grid.complex_dim)
-    return MongeAmpereFlow(spec.grid, spec.b0, lambda t: flat,
+    return MongeAmpereFlow(spec.grid, spec.b0, lambda t: spec.b0,
                            functools.partial(_velocity, spec), stiffening=True)
 
 
@@ -88,21 +87,18 @@ def diagnostics_for(spec, t, modes, with_diameter=True):
     """Evaluate the full monitor suite for one state of the flow, given the
     half-spectrum modes of its potential, as the march holds them."""
     g = spec.grid
-    m = g.complex_dim
     p = spec.base_dim
     et = math.exp(t)
     a_hat = 1.0 + (spec.a0 - 1.0) * math.exp(-t)
     potential = ScalarField(g, real_samples(g, modes))
 
-    twisted = HermitianField(g, spec.b0 * np.eye(m)
-                             + et * ddbar_modes(g, modes))
+    twisted = HermitianField(g, spec.b0 + et * ddbar_modes(g, modes))
     twisted.require_positive("evolving fiber metric")
     # the velocity of the potential, from the twisted metric built above
     dphi = _velocity(spec, t, twisted.values) - potential.values
 
-    vol = a_hat ** p * ma_density(twisted).values / spec.b0 ** m
-    emin = twisted.min_eigenvalue() / spec.b0
-    emax = twisted.max_eigenvalue() / spec.b0
+    vol = a_hat ** p * twisted.values / spec.b0
+    eig = twisted.values / spec.b0
     vt = normalized_potential(spec, t, potential).values
 
     # trace of the initial metric in the evolving one, rescaled to its limit
@@ -113,8 +109,7 @@ def diagnostics_for(spec, t, modes, with_diameter=True):
     curvature = math.hypot(math.sqrt(p) / a_hat, fiber_curv)
 
     # the relaxation shift of vt moves only the zero mode
-    low_index = (1,) + (0,) * (2 * m - 1)
-    mode_low = et * abs(modes[low_index]) / vt.size
+    mode_low = et * abs(modes[1, 0]) / vt.size
 
     diam = math.nan
     if with_diameter:
@@ -127,8 +122,8 @@ def diagnostics_for(spec, t, modes, with_diameter=True):
         volume_ratio_min=float(np.min(vol)),
         volume_ratio_max=float(np.max(vol)),
         base_trace=1.0 / a_hat,
-        eig_ratio_min=float(np.min(emin)),
-        eig_ratio_max=float(np.max(emax)),
+        eig_ratio_min=float(np.min(eig)),
+        eig_ratio_max=float(np.max(eig)),
         vtilde_sup=float(np.max(np.abs(vt))),
         q_sup=float(np.max(np.abs(qfield))),
         curvature_sup=curvature,

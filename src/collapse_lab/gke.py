@@ -2,7 +2,7 @@
 
 The elliptic problem asks for a potential u with
 
-    log det(sigma + ddbar u) - log det sigma - log F - u = 0,
+    log(sigma + ddbar u) - log sigma - log F - u = 0,
 
 whose linearization at u is the metric Laplacian of the current form minus
 the identity: strictly negative, hence the unique solvability the Newton
@@ -23,10 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, bicgstab
 
-from .grids import HermitianField, ScalarField
-from .geometry import (MongeAmpereFlow, ddbar, ddbar_trace_symbol,
-                       log_volume_ratio, ma_density, real_samples, ricci_form,
-                       trace_wrt)
+from .grids import ScalarField
+from .geometry import (MongeAmpereFlow, ddbar, ddbar_symbol,
+                       log_volume_ratio, real_samples, ricci_form, trace_wrt)
 from .timestep import integrate_lawson
 
 NEWTON_FORCING_CAP = 1e-3
@@ -35,13 +34,13 @@ PSD_SLACK = 1e-12
 
 
 def _volume_defect(testbed):
-    """The pointwise map omega -> log(det omega / det sigma) - log F.
+    """The pointwise map omega -> log(omega / sigma) - log F.
 
     NaN wherever omega has left the positive cone.
     """
-    det_sigma = ma_density(testbed.sigma_form()).values
+    sigma = testbed.sigma_form().values
     log_f = np.log(testbed.density_field().values)
-    return lambda omega: log_volume_ratio(omega, det_sigma) - log_f
+    return lambda omega: log_volume_ratio(omega, sigma) - log_f
 
 
 def gke_residual(testbed, u):
@@ -61,7 +60,7 @@ class GkeSolution:
 def _linear_step(grid, omega, rhs_field, forcing, flat_scale):
     """Solve (laplacian_omega - 1) v = rhs to the requested relative tolerance."""
     size = rhs_field.size
-    symbol = ddbar_trace_symbol(grid) / flat_scale
+    symbol = ddbar_symbol(grid) / flat_scale
 
     def matvec(v):
         f = ScalarField(grid, v.reshape(grid.shape))
@@ -181,16 +180,13 @@ def _envelope(times, gaps):
 def parabolic_gke(testbed, rho, limit, t_end, tol=1e-8):
     """Run the transient relaxation from zero and track the gap to the limit.
 
-    ``rho`` (coefficient array of the decaying background excess) must be
-    positive semidefinite so the background only ever shrinks toward its
-    limit; ``limit`` is the solved elliptic potential.  Returns the gap
+    ``rho`` (coefficient samples, or a constant, of the decaying background
+    excess) must be nonnegative so the background only ever shrinks toward
+    its limit; ``limit`` is the solved elliptic potential.  Returns the gap
     record at every accepted step and its envelope fit.
     """
     grid = testbed.grid
-    rho = np.asarray(rho, dtype=complex)
-    probe = HermitianField(
-        grid, np.broadcast_to(rho, grid.shape + rho.shape[-2:]).copy())
-    if float(np.min(probe.min_eigenvalue())) < -PSD_SLACK:
+    if float(np.min(rho)) < -PSD_SLACK:
         raise ValueError("transient excess must be positive semidefinite")
 
     u0 = np.zeros(grid.shape)

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from .grids import GridSpec, HermitianField, ScalarField
-from .geometry import ddbar, ma_density
+from .geometry import ddbar
 
 MEAN_FREE_TOL = 1e-12
 
@@ -69,7 +69,7 @@ class FiberFlowSpec:
     """Flat torus fiber with an evolving potential, driven by base scales.
 
     ``initial_potential`` must be mean-free (constants are gauge) and small
-    enough that ``b0 * id + ddbar(potential)`` starts inside the positive
+    enough that ``b0 + ddbar(potential)`` starts inside the positive
     cone.
     """
 
@@ -105,7 +105,7 @@ class GkeTestbedSpec:
     Takes exactly one of ``density`` (the positive right-hand density) or
     ``manufactured`` (a potential whose induced density makes it the exact
     solution), and raises ``ValueError`` otherwise.  ``eta`` (default 0)
-    bends the background ``flat_scale * id + ddbar(eta)``.
+    bends the background ``flat_scale + ddbar(eta)``.
     """
 
     grid: GridSpec
@@ -133,8 +133,7 @@ class GkeTestbedSpec:
         else:
             solved = self._sigma + ddbar(self.manufactured)
             solved.require_positive("manufactured metric")
-            ratio = (ma_density(solved).values
-                     / ma_density(self._sigma).values)
+            ratio = solved.values / self._sigma.values
             self._density = ScalarField(
                 self.grid, ratio * np.exp(-self.manufactured.values))
 
@@ -164,8 +163,6 @@ class SemiFlatSpec:
     base_extent: float = 1.0
 
     def __post_init__(self):
-        if self.fiber_grid.complex_dim != 1:
-            raise ValueError("fiber must have one complex dimension")
         if self.base_n < 4:
             raise ValueError("base_n must be >= 4")
         if self.base_extent <= 0:
@@ -189,7 +186,7 @@ class SemiFlatSpec:
         return x[:, None] + 1j * x[None, :]
 
     def fiber_points(self):
-        return self.fiber_grid.complex_coordinates(0)
+        return self.fiber_grid.complex_coordinates()
 
 
 def semiflat_potential(spec, z, xi):

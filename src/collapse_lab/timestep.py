@@ -30,9 +30,9 @@ propagators, one per interval between the consecutive nodes 0, 1/5, 3/10,
 4/5, 8/9 and 1.  The state and the earlier stages are carried from node to
 node by multiplying by each interval's propagator, never by dividing, so
 stiff modes stay exact zeros once they underflow.  For the potential
-flows of :class:`collapse_lab.geometry.MongeAmpereFlow` one evaluation is
-one real-to-complex FFT pair at complex dimension 1: an inverse one for
-ddbar of the potential and a forward one back to mode space.
+flows of :class:`collapse_lab.geometry.MongeAmpereFlow` on the torus fiber
+one evaluation is one real-to-complex FFT pair: an inverse one for ddbar of
+the potential and a forward one back to mode space.
 
 The stepper never mutates a state after handing it to the problem, so a
 problem may recognise a state it has seen by identity.
@@ -107,7 +107,10 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), tol=1e-8,
 
     Each attempt costs 6 remainder evaluations and 5 propagators; the first
     stage is the last stage of the step before, and a rejected attempt
-    keeps it for the retry. Requested sample times are landed on exactly.
+    keeps it for the retry. Requested sample times are landed on exactly;
+    a step that would stop less than ``DT_MIN`` short of one is stretched
+    onto it, so no accepted step is shorter than ``DT_MIN`` unless t0, the
+    sample times and t1 themselves lie closer together than that.
     ``on_accept(t, modes)`` fires after every accepted step.
     """
     if tol <= 0:
@@ -136,7 +139,7 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), tol=1e-8,
 
     while t < t1:
         target = req[idx] if idx < len(req) else t1
-        end = target if dt >= target - t else t + dt
+        end = target if dt >= target - t - DT_MIN else t + dt
 
         new, n_new, err = _attempt(problem, t, end, u, n1)
         ok = err <= tol

@@ -221,13 +221,28 @@ def test_mode_fit_window_samples_are_capped():
     assert cfg.solver["mode_fit_step"] == 0.02
 
 
+# (fiber_dim, fiber_resolution, whether the lattice cap of the two-dimensional
+# fiber let it through); the fiber now has one complex dimension, so none of
+# these pass a fiber_dim and each resolution validates on its own
 @pytest.mark.parametrize("dim, n, ok", [(2, 32, False), (2, 18, False),
                                         (2, 16, True), (1, 128, True)])
 def test_product_fiber_lattice_is_capped(dim, n, ok):
-    payload = {"experiment": "product-ode",
-               "model": {"fiber_dim": dim, "fiber_resolution": n}}
-    if ok:
-        assert validate_config(payload).model["fiber_resolution"] == n
-    else:
-        with pytest.raises(ConfigError, match=r"model\.fiber_resolution"):
-            validate_config(payload)
+    def product(model):
+        return validate_config({"experiment": "product-ode", "model": model})
+
+    with pytest.raises(ConfigError, match=r"model\.fiber_dim: unknown key"):
+        product({"fiber_dim": dim, "fiber_resolution": n})
+    assert product({"fiber_resolution": n}).model["fiber_resolution"] == n
+
+
+def test_product_fiber_resolution_range():
+    # the resolution cap of 128 caps the diameter lattice at 128^2 nodes
+    def product(model):
+        return validate_config({"experiment": "product-ode", "model": model})
+
+    for n, why in ((130, "must be <= 128"), (6, "must be >= 8"),
+                   (18.0, "expected int"), (17, "must be even")):
+        with pytest.raises(ConfigError,
+                           match=r"model\.fiber_resolution: " + why):
+            product({"fiber_resolution": n})
+    assert product({"fiber_resolution": 128}).model["fiber_resolution"] == 128

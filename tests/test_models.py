@@ -10,9 +10,8 @@ import numpy as np
 import pytest
 
 from collapse_lab import models
-from collapse_lab.grids import (GridSpec, HermitianField, ScalarField,
-                                extreme_eigenvalue)
-from collapse_lab.geometry import ddbar, ma_density
+from collapse_lab.grids import GridSpec, HermitianField, ScalarField
+from collapse_lab.geometry import ddbar
 from collapse_lab.models import (
     FiberFlowSpec,
     GkeTestbedSpec,
@@ -133,7 +132,7 @@ def test_semiflat_form_is_degenerate_but_nonnegative():
     h = semiflat_form(spec)
     det = (h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]).real
     assert np.max(np.abs(det)) < 1e-15
-    assert np.min(extreme_eigenvalue(h, largest=False)) > -1e-13
+    assert np.min(np.linalg.eigvalsh(h)[..., 0]) > -1e-13
 
 
 def test_semiflat_form_closedness_by_fd():
@@ -243,7 +242,7 @@ def fiberwise_cy_potential(eta, b0):
     """
     start = HermitianField.scaled_identity(eta.grid, b0) + ddbar(eta)
     start.require_positive("start fiber metric")
-    weight = ma_density(start).values
+    weight = start.values
     shift = float(np.sum(eta.values * weight) / np.sum(weight))
     return ScalarField(eta.grid, -eta.values + shift)
 
@@ -258,10 +257,10 @@ def test_fiberwise_cy_potential_zero_and_sine():
     eta = ScalarField(g, 0.05 * np.sin(2*np.pi*x))
     psi = fiberwise_cy_potential(eta, b0)
     # settles the fiber to the flat metric of total coefficient b0
-    flat = b0 + ddbar(ScalarField(g, eta.values + psi.values)).values[..., 0, 0].real
+    flat = b0 + ddbar(ScalarField(g, eta.values + psi.values)).values
     assert np.max(np.abs(flat - b0)) < 1e-10
     # weighted normalization against the start metric density
-    dens = b0 + ddbar(eta).values[..., 0, 0].real
+    dens = b0 + ddbar(eta).values
     assert abs(np.mean(psi.values * dens)) <= 1e-12
 
 
@@ -275,7 +274,7 @@ def test_gke_testbed_validation_and_sigma():
     sig = tb.sigma_form()
     assert sig.is_positive()
     want = 1.0 - 0.05 * np.pi**2 * np.cos(2*np.pi*x)
-    assert np.max(np.abs(sig.values[..., 0, 0].real - want)) < 1e-12
+    assert np.max(np.abs(sig.values - want)) < 1e-12
 
     with pytest.raises(ValueError, match="positiv"):
         GkeTestbedSpec(grid=g, density=ScalarField.constant(g, -1.0))
@@ -300,6 +299,6 @@ def test_gke_testbed_manufactured_density_zeroes_residual():
     tb = GkeTestbedSpec(grid=g, manufactured=ustar)
     sig = tb.sigma_form()
     F = tb.density_field()
-    lhs = ma_density(sig + ddbar(ustar)).values
-    rhs = ma_density(sig).values * F.values * np.exp(ustar.values)
+    lhs = (sig + ddbar(ustar)).values
+    rhs = sig.values * F.values * np.exp(ustar.values)
     assert np.max(np.abs(lhs - rhs)) < 1e-13

@@ -2,7 +2,9 @@
 
 No linter ships with the lab's toolchain, so the one lint rule the package
 and its tests keep, no unused imports, is checked here on the syntax tree,
-as is the package's export list.
+as are the package's export list and its statement of complex dimension
+one: fields are scalar, so no module reaches for numpy's per-point linear
+algebra or branches on ``GridSpec.complex_dim``.
 """
 
 import ast
@@ -49,6 +51,52 @@ def test_checker_sees_an_unused_import():
 def test_no_unused_imports(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert unused_imports(tree) == []
+
+
+def dimension_generic_code(tree):
+    """Uses of ``numpy.linalg`` and reads of ``.complex_dim`` outside the
+    GridSpec class, which validates the field, as (line, name) pairs."""
+    hits = []
+
+    def visit(node):
+        if isinstance(node, ast.ClassDef) and node.name == "GridSpec":
+            return
+        dotted = []
+        if isinstance(node, ast.Attribute):
+            if node.attr == "complex_dim":
+                hits.append((node.lineno, "complex_dim"))
+            elif isinstance(node.value, ast.Name):
+                dotted = [f"{node.value.id}.{node.attr}"]
+        elif isinstance(node, ast.Import):
+            dotted = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            dotted = [f"{node.module}.{alias.name}" for alias in node.names]
+        if any(d.split(".")[:2] in (["np", "linalg"], ["numpy", "linalg"])
+               for d in dotted):
+            hits.append((node.lineno, "linalg"))
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(tree)
+    return sorted(hits)
+
+
+def test_checker_sees_dimension_generic_code():
+    tree = ast.parse("import numpy as np\nfrom numpy.linalg import inv\n"
+                     "from scipy.sparse.linalg import bicgstab\n"
+                     "class GridSpec:\n    def ok(self):\n"
+                     "        return self.complex_dim\n"
+                     "def f(g, a):\n    m = g.grid.complex_dim\n"
+                     "    return np.linalg.det(a) + inv(a)\n")
+    assert dimension_generic_code(tree) == [(2, "linalg"), (8, "complex_dim"),
+                                            (9, "linalg")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_dimension_generic_code(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert dimension_generic_code(tree) == []
 
 
 def test_package_exports_are_bound_unique_and_complete():

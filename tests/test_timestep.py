@@ -254,6 +254,19 @@ def test_sample_times_are_hit_exactly():
         assert abs(u[0] - want) < 1e-12 * want
 
 
+def test_no_accepted_step_is_shorter_than_the_step_floor():
+    # at tol 1e-13 the march runs in steps of 0.01, whose rounded sums fall
+    # about 1e-14 short of the sample times; it lands on them instead of
+    # spending an attempt on each gap
+    times = [0.0]
+    res = integrate_lawson(RelaxationProblem(), np.array([2.0 + 0j]), 0.0,
+                           10.0, sample_times=np.linspace(0.0, 10.0, 21),
+                           tol=1e-13, on_accept=lambda t, u: times.append(t))
+    assert min(np.diff(times)) >= timestep.DT_MIN
+    for s, u in zip(res.sample_times, res.sample_modes):
+        assert abs(u[0] - (1.0 + np.exp(-s))) < 1e-12
+
+
 def test_sample_times_outside_span_are_rejected():
     with pytest.raises(ValueError, match="sample"):
         integrate_lawson(SweepProblem(), np.array([1.0 + 0j]), 0.0, 1.0,
