@@ -54,10 +54,10 @@ def _ge(name, measured, bound):
 
 
 def _fit(times, values, abscissa="t", window=None):
-    """rate_fit, or a fit of NaNs over no samples when the window holds a
-    value that is zero, negative or not finite.  The solver has run, so the
-    report is still written, and a check built on the fit reads NaN and
-    fails as not evaluable."""
+    """rate_fit, or a fit of NaNs over no samples when the window holds too
+    few samples, or a value that is zero, negative or not finite.  The
+    solver has run, so the report is still written, and a check built on
+    the fit reads NaN and fails as not evaluable."""
     try:
         return rate_fit(times, values, abscissa=abscissa, window=window)
     except UnfittableSeries:

@@ -15,7 +15,8 @@ MIN_SAMPLES = 4
 
 
 class UnfittableSeries(ValueError):
-    """A fit window holds a value that is zero, negative or not finite."""
+    """A fit window holds fewer than MIN_SAMPLES samples, or a value that is
+    zero, negative or not finite."""
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,8 @@ def rate_fit(times, values, abscissa="t", window=None):
         keep = (t >= lo) & (t <= hi)
     t, y = t[keep], y[keep]
     if t.size < MIN_SAMPLES:
-        raise ValueError(f"window holds {t.size} samples, need {MIN_SAMPLES}")
+        raise UnfittableSeries(f"window holds {t.size} samples, need "
+                               f"{MIN_SAMPLES}")
     if np.any(~np.isfinite(y)) or np.any(y <= 0.0):
         bad = int(np.argmax(~(np.isfinite(y) & (y > 0.0))))
         raise UnfittableSeries(f"values must be finite and positive to fit a "

@@ -222,7 +222,13 @@ def test_every_solver_error_exits_three_with_error_file(tmp_path, capsys,
     ({"experiment": "gke-parabolic",
       "model": {"transient_cos": 0.0, "transient_scale": 0.0}},
      "gap_slope"),
-], ids=["fiber-flow-b0", "gke-parabolic-no-transient"])
+    # a fit window of the last 0.03 time units holds fewer accepted steps
+    # than a fit needs
+    ({"experiment": "gke-parabolic", "solver": {"t_end": 0.3},
+      "acceptance": {"fit_window_fraction": 0.9}},
+     "gap_slope"),
+], ids=["fiber-flow-b0", "gke-parabolic-no-transient",
+        "gke-parabolic-short-window"])
 def test_rate_fit_on_exact_zeros_fails_its_check_as_nan(tmp_path, capsys,
                                                        payload, check):
     path = _write(tmp_path, "zeros.json", payload)
@@ -248,6 +254,17 @@ def test_mode_slope_fits_at_small_b0(tmp_path):
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
     fit = _strict_json(out / "small_b0" / "rates.json")["fits"]["mode_low"]
     assert fit["slope"] == pytest.approx(-math.pi ** 2 / 0.05, rel=1e-9)
+
+
+def test_gke_parabolic_at_the_longest_t_end_passes_every_check(tmp_path):
+    # guards timestep.DT_MAX: the march records a row at every accepted
+    # step, and with no step ceiling (or one of 1.0) the envelope checks fail
+    path = _write(tmp_path, "long.json",
+                  {"experiment": "gke-parabolic", "solver": {"t_end": 40.0}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    checks = _strict_json(out / "long" / "acceptance.json")["checks"]
+    assert checks and all(c["passed"] for c in checks)
 
 
 def test_error_code_dominates_mixed_runs(tmp_path, monkeypatch):

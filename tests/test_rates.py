@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapse_lab.rates import rate_fit
+from collapse_lab.rates import UnfittableSeries, rate_fit
 
 
 def test_plain_exponential_recovered_exactly():
@@ -56,7 +56,8 @@ def test_rejects_nonpositive_values():
 
 
 def test_rejects_short_windows():
-    with pytest.raises(ValueError, match="samples"):
+    # unfittable, not malformed: an experiment reports it as a NaN fit
+    with pytest.raises(UnfittableSeries, match="samples"):
         rate_fit(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25]))
 
 

@@ -113,7 +113,8 @@ def test_pure_exponential_is_exact_in_few_steps():
     res = integrate_lawson(LinearProblem(-1.0), np.array([2.0 + 0j]), 0.0, 3.0)
     assert abs(res.final_modes[0] - 2.0 * np.exp(-3.0)) < 1e-14
     assert res.rejected == 0
-    # zero error estimate doubles the step, so the budget stays small
+    # a zero error estimate grows the step fivefold up to DT_MAX, so the
+    # budget stays small
     assert res.accepted < 60
 
 
@@ -254,17 +255,94 @@ def test_sample_times_are_hit_exactly():
         assert abs(u[0] - want) < 1e-12 * want
 
 
-def test_no_accepted_step_is_shorter_than_the_step_floor():
-    # at tol 1e-13 the march runs in steps of 0.01, whose rounded sums fall
-    # about 1e-14 short of the sample times; it lands on them instead of
-    # spending an attempt on each gap
+def test_no_accepted_step_is_shorter_than_the_step_floor(monkeypatch):
+    # capped at 0.01, the march runs in steps of 0.01 whose rounded sums
+    # fall about 1e-14 short of some sample times; it lands on them instead
+    # of spending an attempt on each gap (16 more without the stretch)
+    monkeypatch.setattr(timestep, "DT_MAX", 0.01)
     times = [0.0]
-    res = integrate_lawson(RelaxationProblem(), np.array([2.0 + 0j]), 0.0,
+    res = integrate_lawson(LinearProblem(-1.0), np.array([2.0 + 0j]), 0.0,
                            10.0, sample_times=np.linspace(0.0, 10.0, 21),
-                           tol=1e-13, on_accept=lambda t, u: times.append(t))
+                           on_accept=lambda t, u: times.append(t))
+    assert (res.accepted, res.rejected) == (1000, 0)
     assert min(np.diff(times)) >= timestep.DT_MIN
     for s, u in zip(res.sample_times, res.sample_modes):
-        assert abs(u[0] - (1.0 + np.exp(-s))) < 1e-12
+        assert abs(u[0] - 2.0 * np.exp(-s)) < 1e-14
+
+
+def _record_attempts(monkeypatch, errors=()):
+    """Record the length of every attempted step; the attempts report the
+    scripted error estimates in turn, then their own."""
+    steps, script = [], list(errors)
+    attempt = timestep._attempt
+
+    def recorded(problem, t, end, u, n1):
+        steps.append(end - t)
+        new, n_new, err = attempt(problem, t, end, u, n1)
+        return new, n_new, script.pop(0) if script else err
+
+    monkeypatch.setattr(timestep, "_attempt", recorded)
+    return steps
+
+
+def test_zero_error_grows_the_step_fivefold_up_to_the_ceiling():
+    times = [0.0]
+    res = integrate_lawson(LinearProblem(-1.0), np.array([1.0 + 0j]), 0.0,
+                           3.0, on_accept=lambda t, u: times.append(t))
+    # 0.01, 0.05, 0.25, then 0.5 five times, then 0.19 to land on t1
+    assert (res.accepted, res.rejected) == (9, 0)
+    want = [0.01, 0.05, 0.25] + [0.5] * 5 + [0.19]
+    assert np.allclose(np.diff(times), want, rtol=0.0, atol=1e-14)
+
+
+def test_a_sample_landing_does_not_shorten_the_next_step():
+    # the landing step on 0.0105 is 0.0005 long; the next is the 0.05 the
+    # step before it earned, not 5 * 0.0005
+    times = [0.0]
+    integrate_lawson(LinearProblem(-1.0), np.array([1.0 + 0j]), 0.0, 1.0,
+                     sample_times=(0.0105,),
+                     on_accept=lambda t, u: times.append(t))
+    want = [0.01, 0.0005, 0.05, 0.25, 0.5, 0.1895]
+    assert np.allclose(np.diff(times), want, rtol=0.0, atol=1e-14)
+
+
+def test_error_rejection_scales_the_step_by_the_controller_factor(
+        monkeypatch):
+    # an estimate 100 times tol shrinks by 0.9 / 100**(1/5); one 1e9 times
+    # tol, and a NaN one, by the floor 0.2
+    tol = 1e-8
+    steps = _record_attempts(monkeypatch,
+                             errors=(100 * tol, 1e9 * tol, float("nan")))
+    res = integrate_lawson(LinearProblem(-1.0), np.array([1.0 + 0j]), 0.0,
+                           1.0, tol=tol)
+    assert res.rejected == 3
+    first = 0.01 * timestep.SAFETY * 100 ** -0.2
+    want = [0.01, first, first * 0.2, first * 0.04]
+    assert np.allclose(steps[:4], want, rtol=1e-12, atol=0.0)
+    # the first accepted step, whose error is zero, grows fivefold
+    assert steps[4] == pytest.approx(5.0 * want[3], rel=1e-12)
+
+
+class ScriptedMargin(LinearProblem):
+    """A constant state whose Kähler margin reads from a script."""
+
+    def __init__(self, margins):
+        super().__init__(0.0)
+        self.margins = iter(margins)
+
+    def kaehler_margin(self, t, u):
+        return next(self.margins)
+
+
+def test_margin_rejection_halves_the_step(monkeypatch):
+    # the error estimate is zero throughout; only the margin rejects
+    steps = _record_attempts(monkeypatch)
+    margins = [1.0, 0.05] + [1.0] * 10
+    res = integrate_lawson(ScriptedMargin(margins), np.array([1.0 + 0j]),
+                           0.0, 0.05)
+    assert (res.accepted, res.rejected) == (3, 1)
+    assert np.allclose(steps, [0.01, 0.005, 0.025, 0.02], rtol=0.0,
+                       atol=1e-15)
 
 
 def test_sample_times_outside_span_are_rejected():
