@@ -12,8 +12,8 @@ from .gke import GkeSolution, ParabolicResult, gke_residual, parabolic_gke, \
 from .grids import GridSpec, HermitianField, PositivityError, ScalarField
 from .models import (FiberFlowSpec, GkeTestbedSpec, ProductModelSpec,
                      SemiFlatSpec, density_F, fiber_constancy,
-                     rescaling_check, semiflat_form, semiflat_potential,
-                     weil_petersson)
+                     rescaling_check, semiflat_components,
+                     semiflat_potential, weil_petersson)
 from .rates import RateFit, rate_fit
 from .timestep import StiffnessError, integrate_lawson
 
@@ -29,7 +29,7 @@ __all__ = [
     "twisted_einstein_residual", "GridSpec", "HermitianField",
     "PositivityError", "ScalarField", "FiberFlowSpec", "GkeTestbedSpec",
     "ProductModelSpec", "SemiFlatSpec", "density_F", "fiber_constancy",
-    "rescaling_check", "semiflat_form", "semiflat_potential",
+    "rescaling_check", "semiflat_components", "semiflat_potential",
     "weil_petersson", "RateFit", "rate_fit", "StiffnessError",
     "integrate_lawson",
 ]

@@ -12,6 +12,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .models import SemiFlatSpec
+
 _REQUIRED = object()
 
 
@@ -211,7 +213,7 @@ SCHEMAS = {
     },
     "semiflat-identities": {
         "model": {
-            "fiber_n": Field(16, "int", even=True, lo=8, hi=64),
+            "fiber_n": Field(16, "int", lo=8, hi=64),
             "base_n": Field(24, "int", lo=8, hi=64),
             "base_extent": Field(1.0, positive=True),
             "tau_coeffs": Field(((0.0, 1.0), (0.2, 0.0)), "pairs"),
@@ -332,6 +334,13 @@ def _cross_checks(name, out):
             raise ConfigError("solver.times: must be nonnegative")
         if not solver["times"]:
             raise ConfigError("solver.times: may not be empty")
+        if not out["model"]["tau_coeffs"]:
+            raise ConfigError("model.tau_coeffs: may not be empty")
+        # the spec holds the modulus in the upper half plane on the patch
+        try:
+            SemiFlatSpec.from_model(out["model"])
+        except ValueError as exc:
+            raise ConfigError(f"model.tau_coeffs: {exc}") from None
 
 
 def load_config(path):

@@ -24,8 +24,8 @@ from .gke import parabolic_gke, solve_gke, twisted_einstein_residual
 from .grids import GridSpec, HermitianField, PositivityError, ScalarField
 from .models import (FiberFlowSpec, GkeTestbedSpec, ProductModelSpec,
                      SemiFlatSpec, density_F, fiber_constancy,
-                     rescaling_check, semiflat_form, semiflat_potential,
-                     weil_petersson)
+                     rescaling_check, semiflat_components,
+                     semiflat_potential, weil_petersson)
 from .rates import RateFit, UnfittableSeries, rate_fit
 from .timestep import integrate_lawson
 
@@ -363,10 +363,7 @@ def _fd_ddbar_scalar(fn, z):
 
 def _run_semiflat(cfg, rng):
     m, s, acc = cfg.model, cfg.solver, cfg.acceptance
-    coeffs = tuple(complex(re, im) for re, im in m["tau_coeffs"])
-    spec = SemiFlatSpec(fiber_grid=GridSpec(1, (m["fiber_n"],)),
-                        tau_coeffs=coeffs, base_n=m["base_n"],
-                        base_extent=m["base_extent"])
+    spec = SemiFlatSpec.from_model(m)
     rescale = [rescaling_check(spec, t) for t in s["times"]]
     rows = [{"check": "rescale_defect", "parameter": t, "value": d}
             for t, d in zip(s["times"], rescale)]
@@ -390,12 +387,11 @@ def _run_semiflat(cfg, rng):
         scaling_worst = max(scaling_worst, probe)
 
     # density splitting: wedge against a fiber-independent base factor
-    form = semiflat_form(spec)
-    zb = spec.base_points()[..., None, None]
+    zb, y = spec.patch()
+    g_zz, g_zxi, g_xixi = semiflat_components(spec, zb, y)
     base_factor = 1.0 + m["density_cos"] * np.cos(
         2.0 * np.pi * zb.real / m["base_extent"])
-    det = ((base_factor + form[..., 0, 0].real)
-           * form[..., 1, 1].real - np.abs(form[..., 0, 1]) ** 2)
+    det = (base_factor + g_zz) * g_xixi - np.abs(g_zxi) ** 2
     dens = density_F(spec, 2.0 * det)
     constancy = fiber_constancy(dens)
     rows.append({"check": "density_constancy", "parameter": 0.0,

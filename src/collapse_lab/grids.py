@@ -69,10 +69,6 @@ class GridSpec:
         shape[axis] = n
         return k.reshape(shape)
 
-    def complex_coordinates(self):
-        """Samples of the complex coordinate z = x + iy over the full grid."""
-        return self.axis_coordinates(0) + 1j * self.axis_coordinates(1)
-
 
 @dataclass
 class ScalarField:

@@ -12,8 +12,10 @@ Four families, in increasing order of structure:
   patch, carrying the degenerate form whose rescaling identity is exact.
 
 Patch quantities (semi-flat form, modulus variation) are evaluated from
-analytic formulas at sample points and returned as plain arrays, base axes
-first; the base patch is not a torus, so the FFT machinery in
+analytic formulas at sample points and returned as plain arrays of shape
+``(base_n, base_n, fiber_n)``, base axes first, then the fiber height
+Im xi; the form does not depend on Re xi, so that axis is never sampled.
+The base patch is not a torus, so the FFT machinery in
 :mod:`collapse_lab.geometry` never touches them.
 """
 
@@ -154,17 +156,18 @@ class SemiFlatSpec:
     ``tau_coeffs`` are ascending coefficients of the modulus map; the default
     ``i + 0.2 z`` varies genuinely but keeps Im(modulus) > 0 on the patch.
     The base patch is the centered square of side ``base_extent`` sampled at
-    ``base_n`` points per real direction.
+    ``base_n`` points per real direction; the fiber is sampled at the
+    ``fiber_n`` heights Im xi = k / fiber_n.
     """
 
-    fiber_grid: GridSpec
+    fiber_n: int
     tau_coeffs: tuple = (1j, 0.2)
     base_n: int = 24
     base_extent: float = 1.0
 
     def __post_init__(self):
-        if self.base_n < 4:
-            raise ValueError("base_n must be >= 4")
+        if self.base_n < 4 or self.fiber_n < 1:
+            raise ValueError("need base_n >= 4 and fiber_n >= 1")
         if self.base_extent <= 0:
             raise ValueError("base_extent must be positive")
         tmin = float(np.min(self.modulus(self.base_points()).imag))
@@ -172,6 +175,14 @@ class SemiFlatSpec:
             raise ValueError(
                 f"modulus must stay in the upper half plane on the patch, "
                 f"min imaginary part {tmin:.3e}")
+
+    @classmethod
+    def from_model(cls, model):
+        """The spec of a ``semiflat-identities`` config's model section,
+        whose ``tau_coeffs`` are (re, im) pairs."""
+        return cls(model["fiber_n"],
+                   tuple(complex(re, im) for re, im in model["tau_coeffs"]),
+                   model["base_n"], model["base_extent"])
 
     def modulus(self, z):
         return P.polyval(z, np.asarray(self.tau_coeffs, dtype=complex))
@@ -185,8 +196,11 @@ class SemiFlatSpec:
         x = (np.arange(n) / n - 0.5) * self.base_extent
         return x[:, None] + 1j * x[None, :]
 
-    def fiber_points(self):
-        return self.fiber_grid.complex_coordinates()
+    def patch(self):
+        """Base points and fiber heights, broadcasting to
+        ``(base_n, base_n, fiber_n)``."""
+        return (self.base_points()[..., None],
+                np.arange(self.fiber_n) * (1.0 / self.fiber_n))
 
 
 def semiflat_potential(spec, z, xi):
@@ -194,30 +208,17 @@ def semiflat_potential(spec, z, xi):
     return np.imag(xi) ** 2 / np.imag(spec.modulus(z))
 
 
-def _semiflat_components(spec, z, xi):
-    # mixed second derivatives of the semi-flat potential, by hand
+def semiflat_components(spec, z, y):
+    """The semi-flat form at base point z and fiber height y = Im xi.
+
+    Returns the mixed second derivatives of the potential, by hand: real
+    g_zz, complex g_zxi and real g_xixi (g_xiz is the conjugate of g_zxi).
+    Each broadcasts z against y; g_xixi depends on z alone.
+    """
     T = np.imag(spec.modulus(z))
     tp = spec.modulus_derivative(z)
-    y = np.imag(xi)
-    h00 = (y * y * np.abs(tp) ** 2 / (2.0 * T ** 3)).astype(complex)
-    h01 = -y * tp / (2.0 * T * T)
-    h11 = (1.0 / (2.0 * T)).astype(complex) * np.ones_like(y)
-    return ((h00, h01), (np.conj(h01), h11))
-
-
-def _patch_samples(spec):
-    return spec.base_points()[..., None, None], spec.fiber_points()[None, None]
-
-
-def semiflat_form(spec):
-    """The degenerate semi-flat form sampled over the product patch.
-
-    A ``(base_n, base_n, n, n, 2, 2)`` coefficient array, base axes first,
-    then fiber axes; index 0 is the base coordinate, index 1 the fiber one.
-    """
-    z, xi = _patch_samples(spec)
-    (h00, h01), (h10, h11) = _semiflat_components(spec, z, xi)
-    return np.stack([np.stack([h00, h01], -1), np.stack([h10, h11], -1)], -2)
+    return (y * y * np.abs(tp) ** 2 / (2.0 * T ** 3), -y * tp / (2.0 * T * T),
+            1.0 / (2.0 * T))
 
 
 def rescaling_check(spec, t):
@@ -227,18 +228,16 @@ def rescaling_check(spec, t):
     exp(-t) and compares with the original; for the genuine semi-flat form
     this is an algebraic identity.
     """
-    z, xi = _patch_samples(spec)
+    z, y = spec.patch()
     lam = math.exp(0.5 * t)
-    h = _semiflat_components(spec, z, xi)
-    hl = _semiflat_components(spec, z, lam * xi)
-    scale = (1.0, lam)
-    defect = 0.0
-    ref = max(np.max(np.abs(h[j][k])) for j in range(2) for k in range(2))
-    for j in range(2):
-        for k in range(2):
-            pulled = math.exp(-t) * scale[j] * scale[k] * hl[j][k]
-            defect = max(defect, float(np.max(np.abs(pulled - h[j][k]))))
-    return defect / ref
+    h = semiflat_components(spec, z, y)
+    hl = semiflat_components(spec, z, lam * y)
+    # pull-back factors exp(-t) s_j s_k with s = (1, lam)
+    e = math.exp(-t)
+    pulled = (e * hl[0], e * lam * hl[1], e * lam * lam * hl[2])
+    ref = max(np.max(np.abs(c)) for c in h)
+    return max(float(np.max(np.abs(p - c)))
+               for p, c in zip(pulled, h)) / ref
 
 
 def weil_petersson(spec):
@@ -256,24 +255,23 @@ def weil_petersson(spec):
 def density_F(spec, omega):
     """Fiberwise density of a volume form against the split reference.
 
-    ``omega`` holds positive volume samples over the product patch. The
-    reference is the wedge of the flat unit base form with the semi-flat
-    form; with one base and one fiber direction its density is twice the
-    fiber component.
+    ``omega`` holds positive volume samples over the patch, shape
+    ``(base_n, base_n, fiber_n)``. The reference is the wedge of the flat
+    unit base form with the semi-flat form; with one base and one fiber
+    direction its density is twice the fiber component.
     """
     omega = np.asarray(omega, dtype=float)
     if np.min(omega) <= 0.0:
         raise ValueError("volume density must be positive")
-    z, xi = _patch_samples(spec)
-    h11 = _semiflat_components(spec, z, xi)[1][1].real
-    return omega / (2.0 * h11)
+    z, y = spec.patch()
+    return omega / (2.0 * semiflat_components(spec, z, y)[2])
 
 
 def fiber_constancy(values):
     """Largest relative spread of a patch quantity along the fibers.
 
-    The fibers are the last two axes of a patch array.
+    The fiber is the last axis of a patch array.
     """
-    mean = np.mean(values, axis=(-2, -1))
-    std = np.std(values, axis=(-2, -1))
+    mean = np.mean(values, axis=-1)
+    std = np.std(values, axis=-1)
     return float(np.max(std / np.abs(mean)))

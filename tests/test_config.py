@@ -75,6 +75,34 @@ def test_tau_coeffs_must_be_pairs():
                          "model": {"tau_coeffs": [[0.0, 1.0], [0.2]]}})
 
 
+# Im tau is -1 for -i; for i + 3z it is 1 + 3 Im z, -0.5 at Im z = -1/2
+@pytest.mark.parametrize("coeffs, why", [
+    ([], "may not be empty"),
+    ([[0.0, -1.0]], "modulus must stay in the upper half plane"),
+    ([[0.0, 1.0], [3.0, 0.0]], "modulus must stay in the upper half plane"),
+], ids=["empty", "-i", "i+3z"])
+def test_modulus_off_the_upper_half_plane_is_rejected(coeffs, why):
+    with pytest.raises(ConfigError, match=r"model\.tau_coeffs: " + why):
+        validate_config({"experiment": "semiflat-identities",
+                         "model": {"tau_coeffs": coeffs}})
+
+
+def test_default_modulus_is_accepted():
+    cfg = validate_config({"experiment": "semiflat-identities"})
+    assert cfg.model["tau_coeffs"] == ((0.0, 1.0), (0.2, 0.0))
+
+
+def test_run_of_a_modulus_below_the_real_axis_exits_two(tmp_path, capsys):
+    path = tmp_path / "semiflat.json"
+    path.write_text(json.dumps({"experiment": "semiflat-identities",
+                                "model": {"tau_coeffs": [[0.0, -1.0]]}}),
+                    encoding="utf-8")
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    assert "model.tau_coeffs:" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_dt_policy_choices():
     # the step-size policy had one legal value and is no longer a key
     with pytest.raises(ConfigError, match=r"solver\.dt_policy: unknown key"):

@@ -280,13 +280,14 @@ def test_error_code_dominates_mixed_runs(tmp_path, monkeypatch):
     assert (out / "fast_product" / "acceptance.json").exists()
 
 
-@pytest.mark.parametrize("base_n", [9, 63])
-def test_semiflat_runs_at_odd_base_resolution(tmp_path, capsys, base_n):
-    # the base patch holds analytic samples, not FFT data, so every base_n
-    # the schema admits runs, odd ones included
+@pytest.mark.parametrize("key, n", [("base_n", 9), ("base_n", 63),
+                                    ("fiber_n", 9), ("fiber_n", 63)],
+                         ids=["9", "63", "fiber_n-9", "fiber_n-63"])
+def test_semiflat_runs_at_odd_base_resolution(tmp_path, capsys, key, n):
+    # the patch holds analytic samples, not FFT data, so every base_n and
+    # fiber_n the schema admits runs, odd ones included
     path = _write(tmp_path, "semiflat.json",
-                  {"experiment": "semiflat-identities",
-                   "model": {"base_n": base_n}})
+                  {"experiment": "semiflat-identities", "model": {key: n}})
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert "semiflat: PASS (5 checks)" in capsys.readouterr().out

@@ -20,11 +20,10 @@ from collapse_lab.models import (
     density_F,
     fiber_constancy,
     rescaling_check,
-    semiflat_form,
+    semiflat_components,
     semiflat_potential,
     weil_petersson,
 )
-from collapse_lab.models import _semiflat_components
 
 
 # ------------------------------------------------------------ product model
@@ -83,12 +82,16 @@ def test_fiber_flow_spec_requires_mean_free_and_kaehler():
 # ---------------------------------------------------------------- semi-flat
 
 def sf_spec(eps=0.2, nf=16):
-    return SemiFlatSpec(fiber_grid=GridSpec(1, (nf,)), tau_coeffs=(1j, eps))
+    return SemiFlatSpec(fiber_n=nf, tau_coeffs=(1j, eps))
 
 
 def patch_shape(spec):
-    # base axes first, then fiber axes, as every patch array is laid out
-    return (spec.base_n, spec.base_n) + spec.fiber_grid.shape
+    # base axes first, then the fiber height, as every patch array is laid out
+    return (spec.base_n, spec.base_n, spec.fiber_n)
+
+
+def patch_components(spec):
+    return semiflat_components(spec, *spec.patch())
 
 
 def test_semiflat_potential_frozen_values():
@@ -110,28 +113,32 @@ def test_semiflat_potential_quadratic_scaling():
 
 def test_semiflat_form_constant_modulus_block():
     spec = sf_spec(eps=0.0)
-    h = semiflat_form(spec)
-    assert np.max(np.abs(h[..., 0, 0])) < 1e-15
-    assert np.max(np.abs(h[..., 0, 1])) < 1e-15
-    assert np.max(np.abs(h[..., 1, 1] - 0.5)) < 1e-15
+    g_zz, g_zxi, g_xixi = patch_components(spec)
+    assert g_zz.shape == g_zxi.shape == patch_shape(spec)
+    assert not np.iscomplexobj(g_zz) and not np.iscomplexobj(g_xixi)
+    assert np.max(np.abs(g_zz)) < 1e-15
+    assert np.max(np.abs(g_zxi)) < 1e-15
+    assert np.max(np.abs(g_xixi - 0.5)) < 1e-15
 
 
 def test_semiflat_form_fiber_component_is_fiber_independent():
     spec = sf_spec(eps=0.2)
-    h = semiflat_form(spec)
-    ff = h[..., 1, 1].real
-    spread = np.max(ff, axis=(-2, -1)) - np.min(ff, axis=(-2, -1))
+    ff = np.broadcast_to(patch_components(spec)[2], patch_shape(spec))
+    spread = np.max(ff, axis=-1) - np.min(ff, axis=-1)
     assert np.max(spread) <= 1e-12
     tau = spec.modulus(spec.base_points())
     want = 1.0 / (2.0 * tau.imag)
-    assert np.max(np.abs(ff[..., 0, 0] - want)) < 1e-14
+    assert np.max(np.abs(ff[..., 0] - want)) < 1e-14
 
 
 def test_semiflat_form_is_degenerate_but_nonnegative():
     spec = sf_spec(eps=0.3)
-    h = semiflat_form(spec)
-    det = (h[..., 0, 0] * h[..., 1, 1] - h[..., 0, 1] * h[..., 1, 0]).real
+    g_zz, g_zxi, g_xixi = np.broadcast_arrays(*patch_components(spec))
+    det = g_zz * g_xixi - np.abs(g_zxi) ** 2
     assert np.max(np.abs(det)) < 1e-15
+    # the 2x2 Hermitian matrix of the form, index 0 base and 1 fiber
+    h = np.stack([np.stack([g_zz, g_zxi], -1),
+                  np.stack([np.conj(g_zxi), g_xixi], -1)], -2)
     assert np.min(np.linalg.eigvalsh(h)[..., 0]) > -1e-13
 
 
@@ -144,8 +151,11 @@ def test_semiflat_form_closedness_by_fd():
     xis = rng.uniform(0.05, 0.45, 5) + 1j * rng.uniform(0.05, 0.45, 5)
     h = 1e-3
 
-    def comp(z, xi, j, k):
-        return _semiflat_components(spec, z, xi)[j][k]
+    def g_zz(z, xi):
+        return semiflat_components(spec, z, np.imag(xi))[0]
+
+    def g_xiz(z, xi):
+        return np.conj(semiflat_components(spec, z, np.imag(xi))[1])
 
     def wirtinger(fn, w0, holo=True):
         # 4th-order stencil for (d/dx -+ i d/dy)/2 of fn at w0
@@ -156,21 +166,18 @@ def test_semiflat_form_closedness_by_fd():
         return (fx - 1j * fy) / 2.0 if holo else (fx + 1j * fy) / 2.0
 
     for z0, xi0 in zip(zs, xis):
-        lhs = wirtinger(lambda xi: comp(z0, xi, 0, 0), xi0)   # d_xi g_zz
-        rhs = wirtinger(lambda z: comp(z, xi0, 1, 0), z0)     # d_z g_xiz
+        lhs = wirtinger(lambda xi: g_zz(z0, xi), xi0)   # d_xi g_zz
+        rhs = wirtinger(lambda z: g_xiz(z, xi0), z0)    # d_z g_xiz
         assert abs(lhs - rhs) < 1e-10
 
 
-def _quartic_control_components(spec, z, xi):
+def _quartic_control_components(spec, z, y):
     # same construction for the quartic potential (Im xi)^4 / Im(modulus);
     # kaehler, but deliberately without the rescaling symmetry
     T = np.imag(spec.modulus(z))
     tp = spec.modulus_derivative(z)
-    y = np.imag(xi)
-    h00 = (y ** 4 * np.abs(tp) ** 2 / (2.0 * T ** 3)).astype(complex)
-    h01 = -(y ** 3) * tp / (T * T)
-    h11 = (3.0 * y * y / T).astype(complex)
-    return ((h00, h01), (np.conj(h01), h11))
+    return (y ** 4 * np.abs(tp) ** 2 / (2.0 * T ** 3), -(y ** 3) * tp / (T * T),
+            3.0 * y * y / T)
 
 
 def test_rescaling_identity_holds_and_control_fails(monkeypatch):
@@ -178,7 +185,7 @@ def test_rescaling_identity_holds_and_control_fails(monkeypatch):
     assert rescaling_check(spec, 0.0) == 0.0
     for t in (1.0, 5.0):
         assert rescaling_check(spec, t) <= 1e-12
-    monkeypatch.setattr(models, "_semiflat_components",
+    monkeypatch.setattr(models, "semiflat_components",
                         _quartic_control_components)
     assert rescaling_check(spec, 1.0) > 0.1
 
@@ -216,21 +223,20 @@ def test_weil_petersson_vanishes_for_constant_modulus():
 
 def test_density_F_fiberwise_constant_and_frozen_form():
     spec = sf_spec(eps=0.2)
-    z = spec.base_points()[..., None, None]
+    z, _ = spec.patch()
     omega = np.exp(np.abs(z) ** 2) * np.ones(patch_shape(spec))
     F = density_F(spec, omega)
+    assert F.shape == patch_shape(spec)
     assert fiber_constancy(F) <= 1e-10
-    tau = spec.modulus(spec.base_points())[..., None, None]
+    tau = spec.modulus(z)
     want = np.exp(np.abs(z) ** 2) * tau.imag * np.ones_like(F)
     assert np.max(np.abs(F - want)) < 1e-12 * np.max(want)
 
 
 def test_density_F_negative_control_sees_fiber_dependence():
     spec = sf_spec(eps=0.2)
-    z = spec.base_points()[..., None, None]
-    xi = spec.fiber_points()[None, None, ...]
-    omega = np.exp(np.abs(z) ** 2) * (1.0 + 0.3 * np.sin(2*np.pi*xi.real)) \
-        * np.ones(patch_shape(spec))
+    z, y = spec.patch()
+    omega = np.exp(np.abs(z) ** 2) * (1.0 + 0.3 * np.sin(2*np.pi*y))
     assert fiber_constancy(density_F(spec, omega)) > 0.01
 
 
