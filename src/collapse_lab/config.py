@@ -113,23 +113,6 @@ def _apply(path, schema, data):
     return out
 
 
-_FLOW_MODEL = {
-    "n": Field(16, "int", even=True, lo=8, hi=128),
-    "b0": Field(1.0, positive=True),
-    "a0": Field(2.0, positive=True),
-    "base_dim": Field(1, "int", lo=1, hi=4),
-    "amplitude_rel": Field(0.05, positive=True, hi=0.2),
-}
-
-_FLOW_SOLVER = {
-    "horizon": Field(10.0, positive=True, hi=40.0),
-    "tol": Field(1e-8, positive=True, hi=1e-4),
-    "samples_per_unit": Field(2, "int", lo=1, hi=50),
-    "mode_fit_window": Field((0.2, 1.0), "floats", length=2),
-    "mode_fit_step": Field(0.05, positive=True),
-    "with_diameter": Field(True, "bool"),
-}
-
 SCHEMAS = {
     "product-ode": {
         "model": {
@@ -152,8 +135,21 @@ SCHEMAS = {
         },
     },
     "fiber-flow": {
-        "model": dict(_FLOW_MODEL),
-        "solver": dict(_FLOW_SOLVER),
+        "model": {
+            "n": Field(16, "int", even=True, lo=8, hi=128),
+            "b0": Field(1.0, positive=True),
+            "a0": Field(2.0, positive=True),
+            "base_dim": Field(1, "int", lo=1, hi=4),
+            "amplitude_rel": Field(0.05, positive=True, hi=0.2),
+        },
+        "solver": {
+            "horizon": Field(10.0, positive=True, hi=40.0),
+            "tol": Field(1e-8, positive=True, hi=1e-4),
+            "samples_per_unit": Field(2, "int", lo=1, hi=50),
+            "mode_fit_window": Field((0.2, 1.0), "floats", length=2),
+            "mode_fit_step": Field(0.05, positive=True),
+            "with_diameter": Field(True, "bool"),
+        },
         "acceptance": {
             # monitor ceilings are regression baselines frozen from the
             # first verified run of the shipped config, with headroom
@@ -167,6 +163,8 @@ SCHEMAS = {
             "mode_slope_rel_tol": Field(0.02, positive=True),
             "diameter_slope": Field(-0.5),
             "diameter_slope_tol": Field(0.01, positive=True),
+            "curvature_cap": Field(1e6, positive=True),
+            "late_match_rel": Field(0.01, positive=True),
         },
     },
     "gke-elliptic": {
@@ -234,26 +232,14 @@ SCHEMAS = {
             "twisted_tol": Field(1e-6, positive=True),
         },
     },
-    "curvature-bound": {
-        "model": dict(_FLOW_MODEL),
-        "solver": {
-            "horizon": Field(10.0, positive=True, hi=40.0),
-            "tol": Field(1e-8, positive=True, hi=1e-4),
-            "samples_per_unit": Field(2, "int", lo=1, hi=50),
-        },
-        "acceptance": {
-            "curvature_cap": Field(1e6, positive=True),
-            "late_match_rel": Field(0.01, positive=True),
-        },
-    },
 }
 
 
 EXPERIMENTS = tuple(SCHEMAS)
 
 # the most samples the base grid can hold: horizon 40 at 50 per unit
-_MAX_SAMPLES = int(_FLOW_SOLVER["horizon"].hi
-                   * _FLOW_SOLVER["samples_per_unit"].hi) + 1
+_MAX_SAMPLES = int(math.prod(SCHEMAS["fiber-flow"]["solver"][key].hi
+                             for key in ("horizon", "samples_per_unit"))) + 1
 
 
 @dataclass(frozen=True)
@@ -303,7 +289,6 @@ def _cross_checks(name, out):
         if (hi - lo) / solver["mode_fit_step"] + 0.5 > _MAX_SAMPLES:
             raise ConfigError(f"solver.mode_fit_step: the window takes more "
                               f"than {_MAX_SAMPLES} samples")
-    if name in ("fiber-flow", "curvature-bound"):
         # the start metric is b0 (1 - pi^2 amplitude_rel sin 2 pi x); the
         # bound on its smallest eigenvalue is exact when 4 divides n
         amp = out["model"]["amplitude_rel"]

@@ -137,7 +137,7 @@ def test_manufactured_amplitude_inside_the_cone_is_accepted():
     assert cfg.model["amplitude"] == 0.1
 
 
-@pytest.mark.parametrize("experiment", ["fiber-flow", "curvature-bound"])
+@pytest.mark.parametrize("experiment", ["fiber-flow"])
 @pytest.mark.parametrize("amplitude, code", [(0.11, 2), (0.10, 0)],
                          ids=["outside", "inside"])
 def test_flow_amplitude_is_held_inside_the_cone(tmp_path, capsys,

@@ -198,7 +198,7 @@ def test_horizon_forty_passes_every_check():
                            "solver": {"horizon": 40.0,
                                       "with_diameter": False}})
     report = run_experiment(cfg)
-    assert len(report.checks) == 8
+    assert len(report.checks) == 10
     assert [c.name for c in report.checks if not c.passed] == []
 
 

@@ -54,8 +54,8 @@ def _fast_product(tmp_path, **overrides):
 
 # ------------------------------------------------------------- registry
 
-def test_registry_lists_six_experiments():
-    assert len(REGISTRY) == 6
+def test_registry_lists_five_experiments():
+    assert len(REGISTRY) == 5
     for d in REGISTRY.values():
         assert d.description
 
@@ -70,7 +70,6 @@ def test_schema_file_matches_runtime_columns():
         assert tuple(schema["columns"][name]) == cols
     flow_fields = tuple(f.name for f in fields(Diagnostics))
     assert CSV_COLUMNS["fiber-flow"] == flow_fields
-    assert CSV_COLUMNS["curvature-bound"] == flow_fields
 
 
 def test_shipped_configs_validate():
@@ -78,6 +77,13 @@ def test_shipped_configs_validate():
     assert len(paths) == 7
     for path in paths:
         load_config(path)
+
+
+def test_shipped_configs_run_every_experiment():
+    # an experiment that no shipped config runs is dead code
+    shipped = {load_config(path).experiment
+               for path in CONFIG_DIR.glob("*.json")}
+    assert shipped == set(REGISTRY)
 
 
 def test_late_growth_flags_rising_tail():
@@ -116,6 +122,16 @@ def test_validate_rejects_bad_config_with_path(tmp_path, capsys):
     assert cli.main(["validate", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert "model.b0" in err and "positive" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_curvature_bound_is_no_longer_an_experiment(tmp_path, capsys,
+                                                     command):
+    # its checks run in fiber-flow, configs/curvature_bound.json among them
+    path = _write(tmp_path, "old.json", {"experiment": "curvature-bound"})
+    assert cli.main([command, "--config", str(path)]) == 2
+    assert "experiment: unknown experiment 'curvature-bound'" in \
+        capsys.readouterr().err
 
 
 def test_missing_config_file_is_usage_error(tmp_path):
@@ -254,6 +270,34 @@ def test_mode_slope_fits_at_small_b0(tmp_path):
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
     fit = _strict_json(out / "small_b0" / "rates.json")["fits"]["mode_low"]
     assert fit["slope"] == pytest.approx(-math.pi ** 2 / 0.05, rel=1e-9)
+
+
+def test_curvature_cap_is_read_from_fiber_flow_acceptance(tmp_path, capsys):
+    payload = json.loads((CONFIG_DIR / "curvature_bound.json").read_text())
+    payload["acceptance"]["curvature_cap"] = 100.0
+    path = _write(tmp_path, "capped.json", payload)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert "FAIL [curvature_sup_max]" in capsys.readouterr().err
+    checks = _strict_json(out / "capped" / "acceptance.json")["checks"]
+    failed = [c for c in checks if not c["passed"]]
+    assert [c["name"] for c in failed] == ["curvature_sup_max"]
+    # the sup is taken at t = 0
+    assert failed[0]["measured"] == pytest.approx(175.98, abs=5e-3)
+
+
+def test_fit_window_ending_at_the_horizon_samples_inside_it(tmp_path):
+    # arange(0.2, 1.15, 0.3) steps to 1.1, past hi = horizon = 1.0
+    path = _write(tmp_path, "window.json",
+                  {"experiment": "fiber-flow",
+                   "solver": {"horizon": 1.0, "mode_fit_step": 0.3}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) in \
+        (0, 1)
+    assert not (out / "window" / "error.json").exists()
+    times = np.loadtxt(out / "window" / "diagnostics.csv", delimiter=",",
+                       skiprows=1, usecols=0)
+    assert times[-1] == 1.0
 
 
 def test_gke_parabolic_at_the_longest_t_end_passes_every_check(tmp_path):
