@@ -334,13 +334,16 @@ def _run_gke_parabolic(cfg, rng):
 # ----------------------------------------------------- semi-flat identities
 
 def _fd_ddbar_scalar(fn, z):
-    """Fourth-order d d-bar of a scalar function of one complex variable."""
-    step = 1e-2
-    acc = 0.0
-    for h in (step, 1j * step):
-        acc += (-fn(z + 2 * h) + 16 * fn(z + h) - 30 * fn(z)
-                + 16 * fn(z - h) - fn(z - 2 * h)) / (12 * step ** 2)
-    return acc / 4.0
+    """d d-bar of a scalar function of one complex variable: the fourth-order
+    stencil at steps 1e-2 and 5e-3, Richardson-combined to cancel its h^4
+    term."""
+    def stencil(step):
+        acc = 0.0
+        for h in (step, 1j * step):
+            acc += (-fn(z + 2 * h) + 16 * fn(z + h) - 30 * fn(z)
+                    + 16 * fn(z - h) - fn(z - 2 * h)) / (12 * step ** 2)
+        return acc / 4.0
+    return (16.0 * stencil(5e-3) - stencil(1e-2)) / 15.0
 
 
 def _run_semiflat(cfg, rng):

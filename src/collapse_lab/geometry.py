@@ -15,8 +15,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .grids import HermitianField, ScalarField
 
@@ -198,6 +196,13 @@ def riemann_norm(omega: HermitianField) -> ScalarField:
     return ScalarField(grid, np.abs(curv) / (g * g))
 
 
+def _dijkstra(graph, **kwargs):
+    """scipy's shortest paths, imported on first use so that importing the
+    package loads numpy and nothing heavier."""
+    from scipy.sparse.csgraph import dijkstra
+    return dijkstra(graph, **kwargs)
+
+
 def fiber_diameter(omega: HermitianField) -> float:
     """Graph-metric diameter of the torus under the given metric field.
 
@@ -211,6 +216,7 @@ def fiber_diameter(omega: HermitianField) -> float:
     with r <= 1 + 1e-12 per free axis and r = 1 for an exact symmetry.
     Scaling the metric by c scales the result by sqrt(c) exactly.
     """
+    from scipy.sparse import csr_matrix
     omega.require_positive("fiber_diameter")
     g, (hx, hy) = omega.values, omega.grid.spacings
     offsets, idx, rows, cols = _lattice(omega.grid)
@@ -225,5 +231,5 @@ def fiber_diameter(omega: HermitianField) -> float:
             for a in (0, 1)]
     sources = idx[tuple(slice(0, 1) if f else slice(None) for f in free)]
     graph = csr_matrix((weights.ravel(), (rows, cols)), shape=(idx.size,) * 2)
-    return float(np.max(dijkstra(graph, directed=True,
-                                 indices=sources.ravel())))
+    return float(np.max(_dijkstra(graph, directed=True,
+                                  indices=sources.ravel())))

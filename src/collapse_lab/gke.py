@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, bicgstab
 
 from .grids import ScalarField
 from .geometry import (MongeAmpereFlow, ddbar, ddbar_symbol,
@@ -57,14 +56,21 @@ class GkeSolution:
     residuals: list
 
 
+def krylov_matvec(omega, v):
+    """The Newton linearisation (laplacian_omega - 1) applied to the flat
+    samples v; every Krylov iteration of the solve passes through here."""
+    f = ScalarField(omega.grid, v.reshape(omega.grid.shape))
+    return (trace_wrt(omega, ddbar(f)).values - f.values).ravel()
+
+
 def _linear_step(grid, omega, rhs_field, forcing, flat_scale):
     """Solve (laplacian_omega - 1) v = rhs to the requested relative tolerance."""
+    from scipy.sparse.linalg import LinearOperator, bicgstab
     size = rhs_field.size
     symbol = ddbar_symbol(grid) / flat_scale
 
     def matvec(v):
-        f = ScalarField(grid, v.reshape(grid.shape))
-        return (trace_wrt(omega, ddbar(f)).values - f.values).ravel()
+        return krylov_matvec(omega, v)
 
     def precond(v):
         spec = np.fft.rfftn(v.reshape(grid.shape))

@@ -352,7 +352,7 @@ def source_counts(monkeypatch):
         counts.append(np.size(kwargs["indices"]))
         return dijkstra(graph, **kwargs)
 
-    monkeypatch.setattr(geometry, "dijkstra", counting)
+    monkeypatch.setattr(geometry, "_dijkstra", counting)
     return counts
 
 

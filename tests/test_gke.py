@@ -10,12 +10,13 @@ import math
 import numpy as np
 import pytest
 
-from collapse_lab.grids import GridSpec, ScalarField
+from collapse_lab.grids import GridSpec, HermitianField, ScalarField
 from collapse_lab.geometry import ddbar, ricci_form
 from collapse_lab.models import GkeTestbedSpec
 from collapse_lab.gke import (
     _envelope,
     gke_residual,
+    krylov_matvec,
     parabolic_gke,
     parabolic_problem,
     solve_gke,
@@ -99,6 +100,30 @@ def test_solution_independent_of_start():
     b = solve_gke(tb, tol=1e-12, start=start)
     assert a.residuals[-1] <= 1e-12 and b.residuals[-1] <= 1e-12
     assert np.max(np.abs(a.potential.values - b.potential.values)) < 1e-9
+
+
+def test_krylov_matvec_times_metric_is_symmetric_negative_definite():
+    # g (laplacian_omega - 1) = ddbar - g: a real even symbol plus a negative
+    # diagonal, the property a conjugate-gradient solve would lean on
+    g = GridSpec(1, (16,))
+    x, _ = coords(g)
+    omega = (HermitianField.scaled_identity(g)
+             + ddbar(ScalarField(g, 0.04 * np.sin(2 * np.pi * x))))
+    assert omega.is_positive()
+    ones = np.ones(g.shape).ravel()
+    np.testing.assert_allclose(krylov_matvec(omega, 3.0 * ones), -3.0 * ones,
+                               rtol=0.0, atol=1e-15)
+
+    def metric_times(v):
+        return omega.values.ravel() * krylov_matvec(omega, v)
+
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        v, w = rng.standard_normal((2, ones.size))
+        gv, gw = metric_times(v), metric_times(w)
+        scale = np.linalg.norm(gv) * np.linalg.norm(w)
+        assert abs(gv @ w - v @ gw) <= 1e-12 * scale
+        assert gv @ v < 0.0
 
 
 # -------------------------------------------------------- twisted identity

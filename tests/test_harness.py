@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import asdict, fields, replace
 from importlib import resources
 from pathlib import Path
@@ -19,6 +22,7 @@ from collapse_lab.flow import Diagnostics
 from collapse_lab.timestep import StiffnessError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+SRC = CONFIG_DIR.parent / "src"
 
 
 def _write(tmp_path, name, payload):
@@ -144,6 +148,42 @@ def test_unknown_subcommand_is_usage_error():
 
 def test_no_subcommand_is_usage_error():
     assert cli.main([]) == 2
+
+
+# ---------------------------------------------------------- lazy scipy
+
+def _fresh_cli(argv):
+    """Exit code of ``cli.main(argv)`` in a fresh interpreter, and whether
+    scipy was imported by the end of it."""
+    probe = ("import sys\nfrom collapse_lab import cli\n"
+             f"code = cli.main({argv!r})\n"
+             "print(code, 'scipy' in sys.modules)\n")
+    path = os.pathsep.join(filter(None, [str(SRC),
+                                         os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=path))
+    code, loaded = done.stdout.splitlines()[-1].split()
+    return int(code), loaded == "True"
+
+
+def test_scipy_is_imported_only_by_the_runs_that_use_it(tmp_path):
+    # validate, list and a march without the diameter monitor never reach
+    # fiber_diameter or the Newton solve, so they never pay for scipy;
+    # product-ode measures the diameter, so its run does
+    shipped = [str(p) for p in sorted(CONFIG_DIR.glob("*.json"))]
+    flow = _write(tmp_path, "flow.json",
+                  {"experiment": "fiber-flow", "model": {"n": 8},
+                   "solver": {"with_diameter": False}})
+    out = str(tmp_path / "out")
+    validate = ["validate"] + [a for p in shipped for a in ("--config", p)]
+    assert _fresh_cli(validate) == (0, False)
+    assert _fresh_cli(["list"]) == (0, False)
+    assert _fresh_cli(["run", "--config", str(flow), "--out", out]) \
+        == (0, False)
+    product = _fast_product(tmp_path)
+    assert _fresh_cli(["run", "--config", str(product), "--out", out]) \
+        == (0, True)
 
 
 # -------------------------------------------------------------------- run
@@ -335,6 +375,22 @@ def test_semiflat_runs_at_odd_base_resolution(tmp_path, capsys, key, n):
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert "semiflat: PASS (5 checks)" in capsys.readouterr().out
+
+
+def test_semiflat_cubic_modulus_passes_the_variation_form_oracle(tmp_path,
+                                                                capsys):
+    # tau = i + 0.5 i z^3 left 1.4e-8 against wp_tol 1e-8 with the single
+    # 1e-2 stencil; the Richardson pair brings the oracle to roundoff
+    path = _write(tmp_path, "cubic.json",
+                  {"experiment": "semiflat-identities",
+                   "model": {"tau_coeffs": [[0, 1], [0, 0], [0, 0],
+                                            [0, 0.5]]}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert "cubic: PASS (5 checks)" in capsys.readouterr().out
+    checks = _strict_json(out / "cubic" / "acceptance.json")["checks"]
+    [wp] = [c for c in checks if c["name"] == "variation_form_defect"]
+    assert wp["measured"] <= 1e-10
 
 
 def test_run_writes_each_config_to_its_own_directory(tmp_path):

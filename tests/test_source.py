@@ -2,9 +2,11 @@
 
 No linter ships with the lab's toolchain, so the one lint rule the package
 and its tests keep, no unused imports, is checked here on the syntax tree,
-as are the package's export list and its statement of complex dimension
-one: fields are scalar, so no module reaches for numpy's per-point linear
-algebra or branches on ``GridSpec.complex_dim``.
+as are the package's export list, its statement of complex dimension
+one (fields are scalar, so no module reaches for numpy's per-point linear
+algebra or branches on ``GridSpec.complex_dim``) and its lazy scipy: no
+module imports scipy at its top level, so importing the package loads numpy
+and nothing heavier.
 """
 
 import ast
@@ -97,6 +99,37 @@ def test_checker_sees_dimension_generic_code():
 def test_no_dimension_generic_code(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert dimension_generic_code(tree) == []
+
+
+def top_level_scipy_imports(tree):
+    """Lines of the module-level statements that import scipy."""
+    hits = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            hits.append(node.lineno)
+    return hits
+
+
+def test_checker_sees_a_top_level_scipy_import():
+    tree = ast.parse("import numpy as np\nimport scipy.sparse\n"
+                     "from scipy.sparse.linalg import bicgstab\n"
+                     "from .scipy import x\nimport scipy_free\n"
+                     "def f(a):\n    from scipy.sparse import csr_matrix\n"
+                     "    import scipy\n    return csr_matrix(a)\n")
+    assert top_level_scipy_imports(tree) == [2, 3]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_top_level_scipy_import(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert top_level_scipy_imports(tree) == []
 
 
 def test_package_exports_are_bound_unique_and_complete():
