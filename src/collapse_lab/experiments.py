@@ -32,6 +32,8 @@ from .timestep import integrate_lawson
 CSV_COLUMNS = {name: tuple(cols) for name, cols in json.loads(
     (Path(__file__).parent / "data" / "csv_schema.json").read_text(
         encoding="utf-8"))["columns"].items()}
+# gke-parabolic samples its gap on the flows' default grid
+GKE_SAMPLES_PER_UNIT = 2
 
 
 @dataclass(frozen=True)
@@ -51,6 +53,11 @@ def _le(name, measured, bound):
 def _ge(name, measured, bound):
     measured, bound = float(measured), float(bound)
     return Check(name, measured, bound, ">=", bool(measured >= bound))
+
+
+def _sample_grid(horizon, per_unit):
+    """Times 0 to horizon, per_unit per unit time, and both ends always."""
+    return np.linspace(0.0, horizon, max(1, round(horizon * per_unit)) + 1)
 
 
 def _fit(times, values, abscissa="t", window=None):
@@ -98,8 +105,7 @@ def _run_product_ode(cfg, rng):
     m, s, acc = cfg.model, cfg.solver, cfg.acceptance
     model = ProductModelSpec(a0=m["a0"], b0=m["b0"], base_dim=m["base_dim"])
     horizon = s["horizon"]
-    samples = np.linspace(0.0, horizon,
-                          int(round(horizon * s["samples_per_unit"])) + 1)
+    samples = _sample_grid(horizon, s["samples_per_unit"])
     res = integrate_lawson(_ScaleOde(), np.array([model.a0, model.b0],
                                                  dtype=complex),
                            0.0, horizon, sample_times=samples,
@@ -187,8 +193,7 @@ def _run_fiber_flow(cfg, rng):
     # the base grid joined with the fit window, whose arange can overshoot
     # hi, and so the horizon; times closer than 1e-9 are sampled once
     window = np.arange(lo, hi + 0.5 * s["mode_fit_step"], s["mode_fit_step"])
-    base = np.linspace(0.0, horizon,
-                       int(round(horizon * s["samples_per_unit"])) + 1)
+    base = _sample_grid(horizon, s["samples_per_unit"])
     ts = np.unique(np.concatenate([base, window[window <= hi + 1e-9]]))
     ts = ts[np.concatenate(([True], np.diff(ts) > 1e-9))]
     rows = [asdict(d) for d in evolve(_flow_spec(m), horizon,
@@ -308,7 +313,9 @@ def _run_gke_parabolic(cfg, rng):
     rho = m["transient_scale"] + ddbar(bump).values
 
     limit = solve_gke(testbed, tol=s["limit_tol"]).potential
-    result = parabolic_gke(testbed, rho, limit, s["t_end"], tol=s["tol"])
+    result = parabolic_gke(testbed, rho, limit, s["t_end"],
+                           _sample_grid(s["t_end"], GKE_SAMPLES_PER_UNIT),
+                           tol=s["tol"])
 
     frac = acc["fit_window_fraction"]
     fit = _fit(result.times, result.gap_max,
@@ -323,9 +330,9 @@ def _run_gke_parabolic(cfg, rng):
             acc["constant_max"]),
         _le("gap_slope", fit.slope, acc["slope_max"]),
     ]
-    rows = [{"t": t, "gap_max": gm, "gap_min": gn}
-            for t, gm, gn in zip(result.times, result.gap_max,
-                                 result.gap_min)]
+    rows = [{"t": t, "gap_max": gm, "gap_min": gn, "dgap": dg}
+            for t, gm, gn, dg in zip(result.times, result.gap_max,
+                                     result.gap_min, result.dgap)]
     rates = {"gap_max": asdict(fit)}
     plots = {"gap": np.column_stack([result.times, result.gap_max])}
     return rows, checks, rates, plots

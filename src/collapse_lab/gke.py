@@ -11,10 +11,12 @@ Krylov method preconditioned by the flat-background symbol, and every trial
 update is damped back into the positive cone if it has to be.
 
 The parabolic variant relaxes the same equation along a decaying transient
-background and records the sup gap to the elliptic limit after every
-accepted step; the largest rescaled envelope slack observed on the way gives
-the reported constant, and the constant fitted on the first half of the
-record is held out against the second.
+background and reads, at fixed sample times, the sup gap A to the elliptic
+limit and its right derivative: the largest velocity V - phi over the
+points where the max is attained (Danskin, SIAM J. Appl. Math. 14, 1966),
+exact and blind to the steps the march took.  The largest rescaled envelope
+slack at the samples gives the reported constant, and the constant fitted
+on the first half of the samples is held out against the second.
 """
 
 import math
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ScalarField
-from .geometry import (MongeAmpereFlow, ddbar, ddbar_symbol,
+from .geometry import (MongeAmpereFlow, ddbar, ddbar_modes, ddbar_symbol,
                        log_volume_ratio, real_samples, ricci_form, trace_wrt)
 from .timestep import integrate_lawson
 
@@ -144,6 +146,7 @@ class ParabolicResult:
     times: np.ndarray
     gap_max: np.ndarray
     gap_min: np.ndarray
+    dgap: np.ndarray
     empirical_constant: float
     envelope_defect: float
     holdout_defect: float
@@ -158,60 +161,55 @@ def parabolic_problem(testbed, rho):
                            lambda t, omega: defect(omega), stiffening=False)
 
 
-def _envelope(times, gaps):
-    """Fit the envelope d(gap)/dt <= C exp(-t) - gap at interval midpoints.
+def _envelope(times, gaps, dgaps):
+    """Fit the envelope d(gap)/dt <= C exp(-t) - gap at the samples.
 
     Returns the smallest such C >= 0, the largest defect
-    d(gap)/dt - (C exp(-t) - gap) left at the midpoints with it, and the
-    hold-out defect: the largest defect at the later half of the midpoints
-    against the C fitted on the earlier half.  The first defect is <= 0 by
-    construction; the hold-out one is positive when the gap rises late.
+    dgap - (C exp(-t) - gap) left at the samples with it, and the hold-out
+    defect: the largest defect at the later half of the samples against the
+    C fitted on the earlier half.  The first defect is <= 0 up to rounding;
+    the hold-out one is positive when the gap rises late.
     """
-    mids = [((g1 - g0) / (t1 - t0), 0.5 * (t0 + t1), 0.5 * (g0 + g1))
-            for t0, t1, g0, g1 in zip(times, times[1:], gaps, gaps[1:])
-            if t1 > t0]
+    samples = list(zip(times, gaps, dgaps))
 
-    def fit(sample):
-        return max([0.0] + [math.exp(t) * (dg + g) for dg, t, g in sample])
+    def fit(part):
+        return max([0.0] + [math.exp(t) * (dg + g) for t, g, dg in part])
 
-    def worst(c, sample):
+    def worst(c, part):
         return max([-math.inf] + [dg - (c * math.exp(-t) - g)
-                                  for dg, t, g in sample])
+                                  for t, g, dg in part])
 
-    constant, half = fit(mids), len(mids) // 2
-    return (constant, worst(constant, mids),
-            worst(fit(mids[:half]), mids[half:]))
+    constant, half = fit(samples), len(samples) // 2
+    return (constant, worst(constant, samples),
+            worst(fit(samples[:half]), samples[half:]))
 
 
-def parabolic_gke(testbed, rho, limit, t_end, tol=1e-8):
+def parabolic_gke(testbed, rho, limit, t_end, sample_times, tol=1e-8):
     """Run the transient relaxation from zero and track the gap to the limit.
 
     ``rho`` (coefficient samples, or a constant, of the decaying background
     excess) must be nonnegative so the background only ever shrinks toward
     its limit; ``limit`` is the solved elliptic potential.  Returns the gap
-    record at every accepted step and its envelope fit.
+    and its right derivative at each of the sorted ``sample_times`` in
+    [0, t_end], and their envelope fit.
     """
     grid = testbed.grid
     if float(np.min(rho)) < -PSD_SLACK:
         raise ValueError("transient excess must be positive semidefinite")
 
-    u0 = np.zeros(grid.shape)
-    times = [0.0]
-    gap_max = [float(np.max(u0 - limit.values))]
-    gap_min = [float(np.min(u0 - limit.values))]
-
-    def record(t, modes):
+    problem = parabolic_problem(testbed, rho)
+    march = integrate_lawson(problem, np.fft.rfftn(np.zeros(grid.shape)),
+                             0.0, float(t_end), sample_times=sample_times,
+                             tol=tol)
+    rows = []
+    for t, modes in zip(march.sample_times, march.sample_modes):
         phi = real_samples(grid, modes)
-        times.append(t)
-        gap_max.append(float(np.max(phi - limit.values)))
-        gap_min.append(float(np.min(phi - limit.values)))
-
-    integrate_lawson(parabolic_problem(testbed, rho), np.fft.rfftn(u0), 0.0,
-                     float(t_end), tol=tol, on_accept=record)
-    t_arr = np.asarray(times)
-    gmax = np.asarray(gap_max)
-    constant, defect, holdout = _envelope(t_arr, gmax)
-    return ParabolicResult(times=t_arr, gap_max=gmax,
-                           gap_min=np.asarray(gap_min),
-                           empirical_constant=constant, envelope_defect=defect,
-                           holdout_defect=holdout)
+        gap = phi - limit.values
+        omega = problem.background(t) + ddbar_modes(grid, modes)
+        peak = np.max(gap)
+        speed = problem.velocity(t, omega) - phi
+        rows.append((peak, np.min(gap), np.max(speed[gap == peak])))
+    times = np.asarray(march.sample_times)
+    gap_max, gap_min, dgap = np.array(rows).T
+    return ParabolicResult(times, gap_max, gap_min, dgap,
+                           *_envelope(times, gap_max, dgap))

@@ -126,7 +126,8 @@ def test_criterion_6_gap_envelope_and_decay(reports):
     ok = (env.passed and hold.passed and slope.measured <= -0.5
           and const.passed)
     _verdict(6, ok,
-             f"envelope holds at every accepted step for "
+             f"envelope holds at every sample, dA/dt read from the "
+             f"velocity, for "
              f"C={const.measured:.3f} (defect {env.measured:+.1e}; "
              f"first-half C on the second half {hold.measured:+.1e}), "
              f"gap slope {slope.measured:.3f} <= -0.5")

@@ -159,56 +159,72 @@ def test_parabolic_static_gap_decays_exactly():
     g = GridSpec(1, (16,))
     tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 2.0))
     limit = ScalarField.constant(g, -math.log(2.0))
-    res = parabolic_gke(tb, 0.0, limit, 3.0)
+    res = parabolic_gke(tb, 0.0, limit, 3.0, np.linspace(0.0, 3.0, 13))
     assert res.times[0] == 0.0
     assert res.times[-1] == 3.0
     want = math.log(2.0) * np.exp(-res.times)
     assert np.max(np.abs(res.gap_max - want)) < 1e-7
     slope = np.polyfit(res.times, np.log(res.gap_max), 1)[0]
     assert abs(slope + 1.0) < 1e-4
+    # the gap is constant in space, so its derivative is -gap everywhere
+    assert np.max(np.abs(res.dgap + res.gap_max)) < 1e-12
 
 
-def test_parabolic_transient_settles_onto_limit():
+def _transient_case():
     g = GridSpec(1, (16,))
     x, _ = coords(g)
     tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 1.0))
     rho = 0.25 + ddbar(ScalarField(g, 0.02 * np.cos(2 * np.pi * x))).values
-    res = parabolic_gke(tb, rho, solve_gke(tb).potential, 6.0)
+    return tb, rho, solve_gke(tb).potential
+
+
+def test_parabolic_transient_settles_onto_limit():
+    tb, rho, limit = _transient_case()
+    res = parabolic_gke(tb, rho, limit, 6.0, np.linspace(0.0, 6.0, 13))
     assert np.max(res.gap_max) > 1e-3
     assert res.gap_max[-1] < 0.05 * np.max(res.gap_max)
     assert 0.0 <= res.empirical_constant < 20.0
 
 
 def test_envelope_constant_and_defect_by_hand():
-    # intervals [0, 1] and [1, 3]; the repeated time 1 is skipped.  The
-    # first midpoint (0.5, gap 1.5, slope -1) binds: C = e^0.5 (-1 + 1.5),
-    # where its defect is 0; the second (2, gap 0.5, slope -0.5) needs no
-    # C and is left a defect of -0.5 e^-1.5 < 0
-    constant, defect, _ = _envelope([0.0, 1.0, 1.0, 3.0],
-                                    [2.0, 1.0, 1.0, 0.0])
-    assert constant == pytest.approx(0.5 * math.exp(0.5), rel=1e-15)
+    # the sample at t = 1 (gap 1, dgap -0.5) binds: C = e (-0.5 + 1), where
+    # its defect is 0; the one at t = 0 (gap 2, dgap -1.5) needs only
+    # C = 0.5 and is left a defect of 0.5 - C < 0, the one at t = 3 none
+    constant, defect, _ = _envelope([0.0, 1.0, 3.0], [2.0, 1.0, 0.0],
+                                    [-1.5, -0.5, 0.0])
+    assert constant == pytest.approx(0.5 * math.e, rel=1e-15)
     assert abs(defect) < 1e-15
-    assert _envelope([0.0], [1.0]) == (0.0, -math.inf, -math.inf)
+    assert _envelope([], [], []) == (0.0, -math.inf, -math.inf)
 
 
 def test_envelope_holdout_sees_a_late_rise():
-    # gap 2 e^-t at t = 0..3: every midpoint gives the same e^(k + 1/2)
-    # (dgap + mid_g) = e^0.5 (3/e - 1), so the C fitted on the first
-    # midpoint leaves the later two a hold-out defect of zero
+    # gap (2 + t) e^-t solves dgap = e^-t - gap, so every sample gives
+    # e^t (dgap + gap) = 1, and the C fitted on the first half of the
+    # samples leaves the second half a hold-out defect of zero
     times = [0.0, 1.0, 2.0, 3.0]
-    decay = [2.0 * math.exp(-t) for t in times]
-    c = math.exp(0.5) * (3.0 / math.e - 1.0)
-    constant, defect, holdout = _envelope(times, decay)
-    assert constant == pytest.approx(c, rel=1e-14)
+    gaps = [(2.0 + t) * math.exp(-t) for t in times]
+    dgaps = [math.exp(-t) - g for t, g in zip(times, gaps)]
+    constant, defect, holdout = _envelope(times, gaps, dgaps)
+    assert constant == pytest.approx(1.0, rel=1e-14)
     assert abs(defect) < 1e-15 and abs(holdout) < 1e-15
-    # a gap held flat over [2, 3] leaves the last midpoint (2.5, slope 0,
-    # gap 2 e^-2) the hold-out defect 2 e^-2 - c e^-2.5 = 3 e^-2 (1 - 1/e);
-    # the C refitted on every midpoint hides the rise in-sample
-    constant, defect, holdout = _envelope(times, decay[:3] + decay[2:3])
-    assert constant == pytest.approx(2.0 * math.exp(0.5), rel=1e-14)
+    # a gap held flat at t = 3 (dgap 0) leaves it the hold-out defect
+    # gap - e^-3 = 4 e^-3; the C refitted on every sample, 5, hides the
+    # rise in-sample
+    constant, defect, holdout = _envelope(times, gaps, dgaps[:3] + [0.0])
+    assert constant == pytest.approx(5.0, rel=1e-14)
     assert abs(defect) < 1e-15
-    rise = 3.0 * math.exp(-2.0) * (1.0 - 1.0 / math.e)
-    assert holdout == pytest.approx(rise, rel=1e-13)
+    assert holdout == pytest.approx(4.0 * math.exp(-3.0), rel=1e-13)
+
+
+def test_gap_derivative_matches_a_centred_difference():
+    # dgap is read from the velocity at the argmax of the gap field; the
+    # centred difference of gap_max over t +- 1e-4 must agree
+    tb, rho, limit = _transient_case()
+    h = 1e-4
+    for t in (0.5, 3.0):
+        res = parabolic_gke(tb, rho, limit, t + h, (t - h, t, t + h))
+        centred = (res.gap_max[2] - res.gap_max[0]) / (2.0 * h)
+        assert res.dgap[1] == pytest.approx(centred, rel=1e-5)
 
 
 def test_parabolic_rejects_indefinite_transient():
@@ -217,7 +233,7 @@ def test_parabolic_rejects_indefinite_transient():
     tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 1.0))
     rho = ddbar(ScalarField(g, 0.2 * np.cos(2 * np.pi * x))).values
     with pytest.raises(ValueError, match="semidefinite"):
-        parabolic_gke(tb, rho, ScalarField.constant(g, 0.0), 1.0)
+        parabolic_gke(tb, rho, ScalarField.constant(g, 0.0), 1.0, (1.0,))
 
 
 def _parabolic_case():

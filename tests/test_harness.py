@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collapse_lab import cli
+from collapse_lab import cli, timestep
 from collapse_lab.config import (EXPERIMENTS, SCHEMAS, load_config,
                                  validate_config)
 from collapse_lab.experiments import (CSV_COLUMNS, REGISTRY, Check,
@@ -278,8 +278,8 @@ def test_every_solver_error_exits_three_with_error_file(tmp_path, capsys,
     ({"experiment": "gke-parabolic",
       "model": {"transient_cos": 0.0, "transient_scale": 0.0}},
      "gap_slope"),
-    # a fit window of the last 0.03 time units holds fewer accepted steps
-    # than a fit needs
+    # a fit window of the last 0.03 time units holds fewer samples than a
+    # fit needs
     ({"experiment": "gke-parabolic", "solver": {"t_end": 0.3},
       "acceptance": {"fit_window_fraction": 0.9}},
      "gap_slope"),
@@ -340,15 +340,50 @@ def test_fit_window_ending_at_the_horizon_samples_inside_it(tmp_path):
     assert times[-1] == 1.0
 
 
+@pytest.mark.parametrize("name, solver", [
+    ("fiber-flow", {"horizon": 0.3, "samples_per_unit": 1,
+                    "mode_fit_window": [0.0, 0.3], "mode_fit_step": 10.0}),
+    ("fiber-flow", {"horizon": 0.4, "samples_per_unit": 1,
+                    "mode_fit_window": [0.1, 0.3]}),
+    ("product-ode", {"horizon": 0.4, "samples_per_unit": 1}),
+], ids=["fiber-flow-0.3", "fiber-flow-0.4-window", "product-ode-0.4"])
+def test_the_sample_grid_ends_at_the_horizon(tmp_path, name, solver):
+    # horizon * samples_per_unit < 1/2 still samples both ends, so the late
+    # checks are judged at the horizon and not at t = 0
+    path = _write(tmp_path, "short.json",
+                  {"experiment": name, "solver": solver})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) in \
+        (0, 1)
+    assert not (out / "short" / "error.json").exists()
+    times = np.loadtxt(out / "short" / "diagnostics.csv", delimiter=",",
+                       skiprows=1, usecols=0)
+    assert times[-1] == solver["horizon"]
+
+
 def test_gke_parabolic_at_the_longest_t_end_passes_every_check(tmp_path):
-    # guards timestep.DT_MAX: the march records a row at every accepted
-    # step, and with no step ceiling (or one of 1.0) the envelope checks fail
+    # the envelope is read at fixed samples from the exact gap derivative,
+    # so late steps as long as the sample spacing leave the checks sound
     path = _write(tmp_path, "long.json",
                   {"experiment": "gke-parabolic", "solver": {"t_end": 40.0}})
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
     checks = _strict_json(out / "long" / "acceptance.json")["checks"]
     assert checks and all(c["passed"] for c in checks)
+
+
+@pytest.mark.parametrize("t_end", [6.0, 40.0])
+@pytest.mark.parametrize("knob, value", [("SAFETY", 0.7), ("DT_INIT", 0.05)])
+def test_gke_parabolic_checks_do_not_depend_on_the_step_controller(
+        monkeypatch, t_end, knob, value):
+    cfg = validate_config({"experiment": "gke-parabolic",
+                           "solver": {"t_end": t_end}})
+    want = run_experiment(cfg).checks
+    monkeypatch.setattr(timestep, knob, value)
+    got = run_experiment(cfg).checks
+    assert [c.name for c in got] == [c.name for c in want]
+    for a, b in zip(got, want):
+        assert abs(a.measured - b.measured) <= 1e-8, a.name
 
 
 def test_error_code_dominates_mixed_runs(tmp_path, monkeypatch):

@@ -87,6 +87,26 @@ class GrowthWithMargin:
         return 1.0 - float(np.max(np.abs(u)))
 
 
+class StepProbe(LinearProblem):
+    """u' = -u, whose constant Kähler margin records the time of every state
+    it is asked about: the start, then the end of each accepted step."""
+
+    def __init__(self):
+        super().__init__(-1.0)
+        self.times = []
+
+    def kaehler_margin(self, t, u):
+        self.times.append(t)
+        return 1.0
+
+    def accepted_steps(self, res, t1):
+        """The lengths of the accepted steps of the march ``res`` to t1."""
+        assert len(self.times) == res.accepted + 1
+        assert all(b > a for a, b in zip(self.times, self.times[1:]))
+        assert self.times[-1] == t1
+        return np.diff(self.times)
+
+
 class CountingProblem:
     """Bernoulli equation per mode, counting remainder and symbol evaluations."""
 
@@ -113,8 +133,8 @@ def test_pure_exponential_is_exact_in_few_steps():
     res = integrate_lawson(LinearProblem(-1.0), np.array([2.0 + 0j]), 0.0, 3.0)
     assert abs(res.final_modes[0] - 2.0 * np.exp(-3.0)) < 1e-14
     assert res.rejected == 0
-    # a zero error estimate grows the step fivefold up to DT_MAX, so the
-    # budget stays small
+    # a zero error estimate grows the step fivefold, so the budget stays
+    # small
     assert res.accepted < 60
 
 
@@ -183,7 +203,6 @@ def test_single_step_has_classical_order(monkeypatch):
     errs = []
     for h in (0.2, 0.1):
         monkeypatch.setattr(timestep, "DT_INIT", h)
-        monkeypatch.setattr(timestep, "DT_MAX", h)
         res = integrate_lawson(BernoulliProblem(), u0, 0.0, h, tol=1.0)
         assert (res.accepted, res.rejected) == (1, 0)
         errs.append(abs(res.final_modes[0] - bernoulli_exact(0.5, h)))
@@ -210,7 +229,6 @@ def test_last_stage_is_the_next_first_stage_bit_for_bit(monkeypatch):
     u0 = np.array([0.5 + 0j, 0.3 + 0j])
     h = 0.2
     monkeypatch.setattr(timestep, "DT_INIT", h)
-    monkeypatch.setattr(timestep, "DT_MAX", h)
     two = integrate_lawson(prob, u0, 0.0, 2 * h, tol=1.0)
     assert (two.accepted, two.rejected) == (2, 0)
     assert prob.calls == 13
@@ -227,7 +245,7 @@ def test_last_stage_is_the_next_first_stage_bit_for_bit(monkeypatch):
 @pytest.mark.parametrize("tol", [1e-6, 1e-10])
 def test_error_estimate_sees_the_integrating_factor_quadrature(tol):
     # an estimate blind to the quadrature of exp(-(t1 - s)) would read zero
-    # here and let the first steps grow to DT_MAX unchecked
+    # here and let the first steps grow fivefold unchecked
     u0 = np.array([3.0 + 0j])
     res = integrate_lawson(RelaxationProblem(), u0, 0.0, 5.0, tol=tol)
     want = 1.0 + 2.0 * np.exp(-5.0)
@@ -256,16 +274,16 @@ def test_sample_times_are_hit_exactly():
 
 
 def test_no_accepted_step_is_shorter_than_the_step_floor(monkeypatch):
-    # capped at 0.01, the march runs in steps of 0.01 whose rounded sums
+    # held at 0.01, the march runs in steps of 0.01 whose rounded sums
     # fall about 1e-14 short of some sample times; it lands on them instead
     # of spending an attempt on each gap (16 more without the stretch)
-    monkeypatch.setattr(timestep, "DT_MAX", 0.01)
-    times = [0.0]
-    res = integrate_lawson(LinearProblem(-1.0), np.array([2.0 + 0j]), 0.0,
-                           10.0, sample_times=np.linspace(0.0, 10.0, 21),
-                           on_accept=lambda t, u: times.append(t))
+    monkeypatch.setattr(timestep, "DT_INIT", 0.01)
+    monkeypatch.setattr(timestep, "_step_factor", lambda err, tol: 1.0)
+    probe = StepProbe()
+    res = integrate_lawson(probe, np.array([2.0 + 0j]), 0.0, 10.0,
+                           sample_times=np.linspace(0.0, 10.0, 21))
     assert (res.accepted, res.rejected) == (1000, 0)
-    assert min(np.diff(times)) >= timestep.DT_MIN
+    assert min(probe.accepted_steps(res, 10.0)) >= timestep.DT_MIN
     for s, u in zip(res.sample_times, res.sample_modes):
         assert abs(u[0] - 2.0 * np.exp(-s)) < 1e-14
 
@@ -285,25 +303,25 @@ def _record_attempts(monkeypatch, errors=()):
     return steps
 
 
-def test_zero_error_grows_the_step_fivefold_up_to_the_ceiling():
-    times = [0.0]
-    res = integrate_lawson(LinearProblem(-1.0), np.array([1.0 + 0j]), 0.0,
-                           3.0, on_accept=lambda t, u: times.append(t))
-    # 0.01, 0.05, 0.25, then 0.5 five times, then 0.19 to land on t1
-    assert (res.accepted, res.rejected) == (9, 0)
-    want = [0.01, 0.05, 0.25] + [0.5] * 5 + [0.19]
-    assert np.allclose(np.diff(times), want, rtol=0.0, atol=1e-14)
+def test_zero_error_grows_the_step_fivefold():
+    probe = StepProbe()
+    res = integrate_lawson(probe, np.array([1.0 + 0j]), 0.0, 3.0)
+    # 0.01, 0.05, 0.25, 1.25, then 1.44 to land on t1
+    assert (res.accepted, res.rejected) == (5, 0)
+    want = [0.01, 0.05, 0.25, 1.25, 1.44]
+    assert np.allclose(probe.accepted_steps(res, 3.0), want, rtol=0.0,
+                       atol=1e-14)
 
 
 def test_a_sample_landing_does_not_shorten_the_next_step():
     # the landing step on 0.0105 is 0.0005 long; the next is the 0.05 the
     # step before it earned, not 5 * 0.0005
-    times = [0.0]
-    integrate_lawson(LinearProblem(-1.0), np.array([1.0 + 0j]), 0.0, 1.0,
-                     sample_times=(0.0105,),
-                     on_accept=lambda t, u: times.append(t))
-    want = [0.01, 0.0005, 0.05, 0.25, 0.5, 0.1895]
-    assert np.allclose(np.diff(times), want, rtol=0.0, atol=1e-14)
+    probe = StepProbe()
+    res = integrate_lawson(probe, np.array([1.0 + 0j]), 0.0, 1.0,
+                           sample_times=(0.0105,))
+    want = [0.01, 0.0005, 0.05, 0.25, 0.6895]
+    assert np.allclose(probe.accepted_steps(res, 1.0), want, rtol=0.0,
+                       atol=1e-14)
 
 
 def test_error_rejection_scales_the_step_by_the_controller_factor(
@@ -351,15 +369,6 @@ def test_sample_times_outside_span_are_rejected():
                          sample_times=(1.5,))
 
 
-def test_on_accept_sees_every_accepted_step():
-    seen = []
-    res = integrate_lawson(BernoulliProblem(), np.array([0.5 + 0j]), 0.0, 1.0,
-                           on_accept=lambda t, u: seen.append(t))
-    assert len(seen) == res.accepted
-    assert all(b > a for a, b in zip(seen, seen[1:]))
-    assert seen[-1] == 1.0
-
-
 def test_margin_exhaustion_raises_stiffness_error():
     with pytest.raises(StiffnessError, match="stiffness breakdown"):
         integrate_lawson(GrowthWithMargin(), np.array([0.95 + 0j]), 0.0, 2.0)
@@ -369,7 +378,7 @@ def test_zero_tolerance_is_rejected_and_step_limits_are_ordered():
     with pytest.raises(ValueError, match="tol must be positive"):
         integrate_lawson(BernoulliProblem(), np.array([0.5 + 0j]), 0.0, 1.0,
                          tol=0.0)
-    assert 0 < timestep.DT_MIN <= timestep.DT_INIT <= timestep.DT_MAX
+    assert 0 < timestep.DT_MIN <= timestep.DT_INIT
 
 
 @settings(max_examples=25, deadline=None)
