@@ -15,8 +15,7 @@ from pathlib import Path
 from .config import ConfigError, load_config
 from .experiments import REGISTRY, run_experiment, write_error, write_report
 
-# StiffnessError is a RuntimeError; PositivityError and LinAlgError are
-# ValueErrors
+# StiffnessError is a RuntimeError; PositivityError is a ValueError
 _SOLVER_ERRORS = (RuntimeError, ValueError, ArithmeticError)
 
 

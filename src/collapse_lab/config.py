@@ -71,7 +71,11 @@ def _coerce(path, field, value):
             pair = Field(kind="floats", length=2)
             return tuple(_coerce(f"{path}[{i}]", pair, v)
                          for i, v in enumerate(value))
-        return tuple(_finite(f"{path}[{i}]", v) for i, v in enumerate(value))
+        # a floats field's bounds hold for each entry
+        entry = Field(positive=field.positive, nonneg=field.nonneg,
+                      lo=field.lo, hi=field.hi)
+        return tuple(_coerce(f"{path}[{i}]", entry, v)
+                     for i, v in enumerate(value))
     if field.kind == "float":
         value = _finite(path, value)
     elif not _type_ok(field.kind, value):
@@ -220,7 +224,7 @@ SCHEMAS = {
             "density_cos": Field(0.3, nonneg=True, hi=0.9),
         },
         "solver": {
-            "times": Field((0.0, 1.0, 5.0), "floats"),
+            "times": Field((0.0, 1.0, 5.0), "floats", nonneg=True, hi=40.0),
             "gke_tol": Field(1e-11, positive=True),
             "probe_points": Field(6, "int", lo=1, hi=64),
         },
@@ -315,8 +319,6 @@ def _cross_checks(name, out):
                               f"transient_cos <= transient_scale = "
                               f"{scale!r}, got {amp!r}")
     if name == "semiflat-identities":
-        if any(t < 0 for t in solver["times"]):
-            raise ConfigError("solver.times: must be nonnegative")
         if not solver["times"]:
             raise ConfigError("solver.times: may not be empty")
         if not out["model"]["tau_coeffs"]:

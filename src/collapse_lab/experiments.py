@@ -108,8 +108,7 @@ def _run_product_ode(cfg, rng):
     samples = _sample_grid(horizon, s["samples_per_unit"])
     res = integrate_lawson(_ScaleOde(), np.array([model.a0, model.b0],
                                                  dtype=complex),
-                           0.0, horizon, sample_times=samples,
-                           tol=s["ode_tol"])
+                           0.0, samples, tol=s["ode_tol"])
 
     fiber_grid = GridSpec(1, (m["fiber_resolution"],))
     unit_diam = fiber_diameter(HermitianField.scaled_identity(fiber_grid, 1.0))
@@ -118,7 +117,7 @@ def _run_product_ode(cfg, rng):
     closed_defect = 0.0
     ratio_defect = 0.0
     curv_defect = 0.0
-    for t, modes in zip(res.sample_times, res.sample_modes):
+    for t, modes in zip(samples.tolist(), res.sample_modes):
         a_num, b_num = modes[0].real, modes[1].real
         a_ref, b_ref = model.closed_form(t)
         ra, rb = abs(a_num / a_ref - 1.0), abs(b_num / b_ref - 1.0)
@@ -196,8 +195,7 @@ def _run_fiber_flow(cfg, rng):
     base = _sample_grid(horizon, s["samples_per_unit"])
     ts = np.unique(np.concatenate([base, window[window <= hi + 1e-9]]))
     ts = ts[np.concatenate(([True], np.diff(ts) > 1e-9))]
-    rows = [asdict(d) for d in evolve(_flow_spec(m), horizon,
-                                      sample_times=ts, tol=s["tol"],
+    rows = [asdict(d) for d in evolve(_flow_spec(m), ts, tol=s["tol"],
                                       with_diameter=s["with_diameter"])]
     times = _series(rows, "t")
     curv = _series(rows, "curvature_sup")
@@ -313,7 +311,7 @@ def _run_gke_parabolic(cfg, rng):
     rho = m["transient_scale"] + ddbar(bump).values
 
     limit = solve_gke(testbed, tol=s["limit_tol"]).potential
-    result = parabolic_gke(testbed, rho, limit, s["t_end"],
+    result = parabolic_gke(testbed, rho, limit,
                            _sample_grid(s["t_end"], GKE_SAMPLES_PER_UNIT),
                            tol=s["tol"])
 

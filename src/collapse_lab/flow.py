@@ -132,10 +132,11 @@ def diagnostics_for(spec, t, modes, with_diameter=True):
     )
 
 
-def evolve(spec, t_end, sample_times, tol=1e-8, with_diameter=True):
-    """March the flow to t_end; return the monitors at each sample time."""
+def evolve(spec, sample_times, tol=1e-8, with_diameter=True):
+    """March the flow from 0 to its last sample time; return the monitors at
+    each sample time."""
     u0 = np.fft.rfftn(spec.initial_potential.values)
-    res = integrate_lawson(spectral_problem(spec), u0, 0.0, float(t_end),
-                           sample_times=sample_times, tol=tol)
+    res = integrate_lawson(spectral_problem(spec), u0, 0.0, sample_times,
+                           tol=tol)
     return [diagnostics_for(spec, s, modes, with_diameter=with_diameter)
-            for s, modes in zip(res.sample_times, res.sample_modes)]
+            for s, modes in zip(sample_times, res.sample_modes)]

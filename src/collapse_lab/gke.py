@@ -11,12 +11,13 @@ Krylov method preconditioned by the flat-background symbol, and every trial
 update is damped back into the positive cone if it has to be.
 
 The parabolic variant relaxes the same equation along a decaying transient
-background and reads, at fixed sample times, the sup gap A to the elliptic
-limit and its right derivative: the largest velocity V - phi over the
-points where the max is attained (Danskin, SIAM J. Appl. Math. 14, 1966),
-exact and blind to the steps the march took.  The largest rescaled envelope
-slack at the samples gives the reported constant, and the constant fitted
-on the first half of the samples is held out against the second.
+background, from zero to the last of its fixed sample times, and reads at
+each sample the sup gap A to the elliptic limit and its right derivative:
+the largest velocity V - phi over the points where the max is attained
+(Danskin, SIAM J. Appl. Math. 14, 1966), exact and blind to the steps the
+march took.  The largest rescaled envelope slack at the samples gives the
+reported constant, and the constant fitted on the first half of the
+samples is held out against the second.
 """
 
 import math
@@ -184,14 +185,14 @@ def _envelope(times, gaps, dgaps):
             worst(fit(samples[:half]), samples[half:]))
 
 
-def parabolic_gke(testbed, rho, limit, t_end, sample_times, tol=1e-8):
+def parabolic_gke(testbed, rho, limit, sample_times, tol=1e-8):
     """Run the transient relaxation from zero and track the gap to the limit.
 
     ``rho`` (coefficient samples, or a constant, of the decaying background
     excess) must be nonnegative so the background only ever shrinks toward
     its limit; ``limit`` is the solved elliptic potential.  Returns the gap
-    and its right derivative at each of the sorted ``sample_times`` in
-    [0, t_end], and their envelope fit.
+    and its right derivative at each of the sorted ``sample_times`` (the
+    march ends at the last), and their envelope fit.
     """
     grid = testbed.grid
     if float(np.min(rho)) < -PSD_SLACK:
@@ -199,17 +200,16 @@ def parabolic_gke(testbed, rho, limit, t_end, sample_times, tol=1e-8):
 
     problem = parabolic_problem(testbed, rho)
     march = integrate_lawson(problem, np.fft.rfftn(np.zeros(grid.shape)),
-                             0.0, float(t_end), sample_times=sample_times,
-                             tol=tol)
+                             0.0, sample_times, tol=tol)
     rows = []
-    for t, modes in zip(march.sample_times, march.sample_modes):
+    for t, modes in zip(sample_times, march.sample_modes):
         phi = real_samples(grid, modes)
         gap = phi - limit.values
         omega = problem.background(t) + ddbar_modes(grid, modes)
         peak = np.max(gap)
         speed = problem.velocity(t, omega) - phi
         rows.append((peak, np.min(gap), np.max(speed[gap == peak])))
-    times = np.asarray(march.sample_times)
+    times = np.asarray(sample_times, dtype=float)
     gap_max, gap_min, dgap = np.array(rows).T
     return ParabolicResult(times, gap_max, gap_min, dgap,
                            *_envelope(times, gap_max, dgap))

@@ -140,9 +140,6 @@ class HermitianField:
             return HermitianField(self.grid, self.values - other.values)
         return NotImplemented
 
-    def __rmul__(self, c):
-        return HermitianField(self.grid, float(c) * self.values)
-
     @classmethod
     def scaled_identity(cls, grid, scale=1.0):
         return cls(grid, np.full(grid.shape, float(scale)))

@@ -32,7 +32,8 @@ fac = min(5, max(0.2, 0.9 * (tol / err)**(1/5))), and fac = 5 when err is
 a rejection for the Kaehler margin halves h instead.  The exponential frame
 absorbs the stiffness, so on the collapsing flows err falls far below tol
 at late times and the step is bounded only by the sample times it must
-land on.  The samples are the only output of a march.
+land on.  A march ends at its last sample time, and the states at the
+sample times are its only output.
 
 Cost: a march of n attempts makes 1 + 6n remainder evaluations: one at
 its start, then 6 per attempt, accepted or rejected.  Each attempt takes 5
@@ -67,8 +68,6 @@ class StiffnessError(RuntimeError):
 
 @dataclass
 class IntegrationResult:
-    final_modes: np.ndarray
-    sample_times: tuple
     sample_modes: list
     accepted: int
     rejected: int
@@ -122,37 +121,28 @@ def _step_factor(err, tol):
     return min(FAC_MAX, max(FAC_MIN, SAFETY * (tol / err) ** 0.2))
 
 
-def integrate_lawson(problem, u0, t0, t1, sample_times=(), tol=1e-8):
-    """March modes from t0 to t1 with an embedded pair and margin guarding.
+def integrate_lawson(problem, u0, t0, sample_times, tol=1e-8):
+    """March modes from t0 through the sorted sample times; return the state
+    at each.  The march ends at the last sample time.
 
     Each attempt costs 6 remainder evaluations and 5 propagators; the first
     stage is the last stage of the step before, and a rejected attempt
     keeps it for the retry. The controller of the module docstring sizes
-    each step. Requested sample times are landed on
-    exactly; a step cut short to land on one is followed by the larger of
-    the step it was cut from and h * fac, so a landing does not shrink the
-    next step. A step that would stop less than ``DT_MIN`` short of a sample
-    time is stretched onto it, so no accepted step is shorter than
-    ``DT_MIN`` unless t0, the sample times and t1 themselves lie closer
-    together than that.
+    each step. Sample times are landed on exactly; a step cut short to land
+    on one is followed by the larger of the step it was cut from and
+    h * fac, so a landing does not shrink the next step. A step that would
+    stop less than ``DT_MIN`` short of a sample time is stretched onto it,
+    so no accepted step is shorter than ``DT_MIN`` unless t0 and the sample
+    times themselves lie closer together than that.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     u = np.array(u0, dtype=complex)
     t = float(t0)
-    if t1 <= t:
-        raise ValueError("need t1 > t0")
-    req = tuple(float(s) for s in sample_times)
-    if any(s < t0 or s > t1 for s in req):
-        raise ValueError(f"sample times must lie in [{t0}, {t1}]")
-    if list(req) != sorted(req):
-        raise ValueError("sample times must be sorted")
-
-    out = []
-    idx = 0
-    while idx < len(req) and req[idx] <= t:
-        out.append(u.copy())
-        idx += 1
+    req = [float(s) for s in sample_times]
+    if not req or req != sorted(req) or req[0] < t or req[-1] <= t:
+        raise ValueError(f"sample times must be sorted, none before t0={t0} "
+                         "and the last after it")
 
     margin_fn = getattr(problem, "kaehler_margin", None)
     prev_margin = margin_fn(t, u) if margin_fn else None
@@ -160,37 +150,35 @@ def integrate_lawson(problem, u0, t0, t1, sample_times=(), tol=1e-8):
     accepted = rejected = 0
     n1 = problem.nonlinear_modes(t, u)
 
-    while t < t1:
-        target = req[idx] if idx < len(req) else t1
-        short = target - t < dt
-        end = target if dt >= target - t - DT_MIN else t + dt
+    out = []
+    for target in req:
+        while t < target:
+            short = target - t < dt
+            end = target if dt >= target - t - DT_MIN else t + dt
 
-        new, n_new, err = _attempt(problem, t, end, u, n1)
-        h, fac = end - t, _step_factor(err, tol)
-        ok = err <= tol
-        new_margin = None
-        if ok and margin_fn is not None:
-            new_margin = margin_fn(end, new)
-            ok = new_margin > 0.1 * prev_margin
-        if not ok:
-            rejected += 1
-            # an error rejection retries at h * fac, a margin rejection at h / 2
-            dt = h * (0.5 if err <= tol else fac)
-            if dt < DT_MIN:
-                raise StiffnessError(
-                    f"stiffness breakdown: step size {dt:.3e} fell below "
-                    f"{DT_MIN:.3e} at t={t:.6f}")
-            continue
+            new, n_new, err = _attempt(problem, t, end, u, n1)
+            h, fac = end - t, _step_factor(err, tol)
+            ok = err <= tol
+            new_margin = None
+            if ok and margin_fn is not None:
+                new_margin = margin_fn(end, new)
+                ok = new_margin > 0.1 * prev_margin
+            if not ok:
+                rejected += 1
+                # an error rejection retries at h * fac, a margin one at h / 2
+                dt = h * (0.5 if err <= tol else fac)
+                if dt < DT_MIN:
+                    raise StiffnessError(
+                        f"stiffness breakdown: step size {dt:.3e} fell below "
+                        f"{DT_MIN:.3e} at t={t:.6f}")
+                continue
 
-        t, u, n1 = end, new, n_new
-        accepted += 1
-        prev_margin = new_margin
-        while idx < len(req) and req[idx] <= t:
-            out.append(u.copy())
-            idx += 1
-        # a step cut short to land on a sample time does not shrink the next
-        dt = max(dt, h * fac) if short else h * fac
+            t, u, n1 = end, new, n_new
+            accepted += 1
+            prev_margin = new_margin
+            # a step cut short to land on a sample does not shrink the next
+            dt = max(dt, h * fac) if short else h * fac
+        out.append(u.copy())
 
-    return IntegrationResult(final_modes=u, sample_times=req,
-                             sample_modes=out, accepted=accepted,
+    return IntegrationResult(sample_modes=out, accepted=accepted,
                              rejected=rejected)

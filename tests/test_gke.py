@@ -159,7 +159,7 @@ def test_parabolic_static_gap_decays_exactly():
     g = GridSpec(1, (16,))
     tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 2.0))
     limit = ScalarField.constant(g, -math.log(2.0))
-    res = parabolic_gke(tb, 0.0, limit, 3.0, np.linspace(0.0, 3.0, 13))
+    res = parabolic_gke(tb, 0.0, limit, np.linspace(0.0, 3.0, 13))
     assert res.times[0] == 0.0
     assert res.times[-1] == 3.0
     want = math.log(2.0) * np.exp(-res.times)
@@ -180,7 +180,7 @@ def _transient_case():
 
 def test_parabolic_transient_settles_onto_limit():
     tb, rho, limit = _transient_case()
-    res = parabolic_gke(tb, rho, limit, 6.0, np.linspace(0.0, 6.0, 13))
+    res = parabolic_gke(tb, rho, limit, np.linspace(0.0, 6.0, 13))
     assert np.max(res.gap_max) > 1e-3
     assert res.gap_max[-1] < 0.05 * np.max(res.gap_max)
     assert 0.0 <= res.empirical_constant < 20.0
@@ -222,7 +222,7 @@ def test_gap_derivative_matches_a_centred_difference():
     tb, rho, limit = _transient_case()
     h = 1e-4
     for t in (0.5, 3.0):
-        res = parabolic_gke(tb, rho, limit, t + h, (t - h, t, t + h))
+        res = parabolic_gke(tb, rho, limit, (t - h, t, t + h))
         centred = (res.gap_max[2] - res.gap_max[0]) / (2.0 * h)
         assert res.dgap[1] == pytest.approx(centred, rel=1e-5)
 
@@ -233,7 +233,7 @@ def test_parabolic_rejects_indefinite_transient():
     tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 1.0))
     rho = ddbar(ScalarField(g, 0.2 * np.cos(2 * np.pi * x))).values
     with pytest.raises(ValueError, match="semidefinite"):
-        parabolic_gke(tb, rho, ScalarField.constant(g, 0.0), 1.0, (1.0,))
+        parabolic_gke(tb, rho, ScalarField.constant(g, 0.0), (1.0,))
 
 
 def _parabolic_case():

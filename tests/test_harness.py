@@ -312,6 +312,19 @@ def test_mode_slope_fits_at_small_b0(tmp_path):
     assert fit["slope"] == pytest.approx(-math.pi ** 2 / 0.05, rel=1e-9)
 
 
+@pytest.mark.parametrize("b0", [1e7, 1e12])
+def test_fiber_flow_at_huge_b0_runs_to_a_report(tmp_path, capsys, b0):
+    # the start potential's FFT-roundoff mean scales with b0 (2.9e-11 at
+    # 1e7), so the mean-free check is relative to its sup; the frozen
+    # monitor ceilings fail here as they do at b0 1e4
+    path = _write(tmp_path, "huge_b0.json",
+                  {"experiment": "fiber-flow", "model": {"b0": b0},
+                   "solver": {"with_diameter": False}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert "huge_b0: FAIL [phi_sup_max" in capsys.readouterr().err
+
+
 def test_curvature_cap_is_read_from_fiber_flow_acceptance(tmp_path, capsys):
     payload = json.loads((CONFIG_DIR / "curvature_bound.json").read_text())
     payload["acceptance"]["curvature_cap"] = 100.0
@@ -407,6 +420,23 @@ def test_semiflat_runs_at_odd_base_resolution(tmp_path, capsys, key, n):
     # fiber_n the schema admits runs, odd ones included
     path = _write(tmp_path, "semiflat.json",
                   {"experiment": "semiflat-identities", "model": {key: n}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert "semiflat: PASS (5 checks)" in capsys.readouterr().out
+
+
+def test_semiflat_times_are_capped_like_every_horizon(tmp_path, capsys):
+    # the potential-scaling probe overflows past t of about 700; each entry
+    # of solver.times is held to [0, 40] as every other horizon is
+    for times, entry in (([0.0, 40.5], 1), ([-1.0, 1.0], 0)):
+        path = _write(tmp_path, "semiflat.json",
+                      {"experiment": "semiflat-identities",
+                       "solver": {"times": times}})
+        assert cli.main(["validate", "--config", str(path)]) == 2
+        assert f"solver.times[{entry}]: must be" in capsys.readouterr().err
+    path = _write(tmp_path, "semiflat.json",
+                  {"experiment": "semiflat-identities",
+                   "solver": {"times": [0.0, 1.0, 40.0]}})
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert "semiflat: PASS (5 checks)" in capsys.readouterr().out

@@ -75,6 +75,13 @@ def test_fiber_flow_spec_requires_mean_free_and_kaehler():
     assert ok.initial_form().is_positive()
     with pytest.raises(ValueError, match="mean"):
         FiberFlowSpec(grid=g, b0=1.0, initial_potential=ScalarField.constant(g, 0.2))
+    # the mean is judged against the sup: roundoff at a huge amplitude
+    # passes, a mean of 1e-6 of the sup does not
+    sine = 1e7 * np.sin(2 * np.pi * x)
+    FiberFlowSpec(grid=g, b0=1e9, initial_potential=ScalarField(g, sine + 1e-6))
+    with pytest.raises(ValueError, match="mean-free"):
+        FiberFlowSpec(grid=g, b0=1e9,
+                      initial_potential=ScalarField(g, sine + 10.0))
     with pytest.raises(ValueError, match="positiv"):
         FiberFlowSpec(grid=g, b0=0.5, initial_potential=ScalarField(g, 0.2 * np.sin(2*np.pi*x)))
 
