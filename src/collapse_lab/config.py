@@ -241,6 +241,9 @@ SCHEMAS = {
 
 EXPERIMENTS = tuple(SCHEMAS)
 
+# fiber-flow takes sample times closer than this as one, so its horizon
+# must exceed it
+SAMPLE_SPACING = 1e-9
 # the most samples the base grid can hold: horizon 40 at 50 per unit
 _MAX_SAMPLES = int(math.prod(SCHEMAS["fiber-flow"]["solver"][key].hi
                              for key in ("horizon", "samples_per_unit"))) + 1
@@ -284,6 +287,9 @@ def validate_config(data):
 def _cross_checks(name, out):
     solver = out["solver"]
     if name == "fiber-flow":
+        if not solver["horizon"] > SAMPLE_SPACING:
+            raise ConfigError(f"solver.horizon: must exceed {SAMPLE_SPACING}, "
+                              "the spacing below which samples merge")
         lo, hi = solver["mode_fit_window"]
         if not 0.0 <= lo < hi:
             raise ConfigError("solver.mode_fit_window: need 0 <= lo < hi")

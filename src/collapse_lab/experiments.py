@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import SAMPLE_SPACING
 from .flow import evolve
 from .geometry import ddbar, fiber_diameter
 from .gke import parabolic_gke, solve_gke, twisted_einstein_residual
@@ -190,13 +191,16 @@ def _run_fiber_flow(cfg, rng):
     horizon = s["horizon"]
     lo, hi = s["mode_fit_window"]
     # the base grid joined with the fit window, whose arange can overshoot
-    # hi, and so the horizon; times closer than 1e-9 are sampled once
+    # hi, and so the horizon; times closer than SAMPLE_SPACING are sampled
+    # once
     window = np.arange(lo, hi + 0.5 * s["mode_fit_step"], s["mode_fit_step"])
     base = _sample_grid(horizon, s["samples_per_unit"])
-    ts = np.unique(np.concatenate([base, window[window <= hi + 1e-9]]))
-    ts = ts[np.concatenate(([True], np.diff(ts) > 1e-9))]
-    rows = [asdict(d) for d in evolve(_flow_spec(m), ts, tol=s["tol"],
-                                      with_diameter=s["with_diameter"])]
+    ts = np.unique(np.concatenate([base,
+                                   window[window <= hi + SAMPLE_SPACING]]))
+    ts = ts[np.concatenate(([True], np.diff(ts) > SAMPLE_SPACING))]
+    # a Diagnostics holds only floats, so a shallow copy is a full one
+    rows = [dict(vars(d)) for d in evolve(_flow_spec(m), ts, tol=s["tol"],
+                                          with_diameter=s["with_diameter"])]
     times = _series(rows, "t")
     curv = _series(rows, "curvature_sup")
     # the base scale at the horizon; the base curvature is sqrt(base_dim)/a

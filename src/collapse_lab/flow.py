@@ -21,35 +21,52 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import HermitianField, ScalarField
-from .geometry import (MongeAmpereFlow, ddbar_modes, fiber_diameter,
-                       log_volume_ratio, real_samples, riemann_norm,
-                       trace_wrt)
+from .geometry import (MongeAmpereFlow, ddbar_symbol, fiber_diameter,
+                       half_modes, log_volume_ratio, real_samples,
+                       riemann_norm, trace_wrt)
 from .timestep import integrate_lawson
+
+
+def _base_scale(a0, t):
+    """The base scale a(t) = 1 + (a0 - 1) exp(-t) and its log.
+
+    log1p keeps the relative precision of log a once exp(-t) nears the
+    floating-point floor.  For a0 below about 1.1e-16, a0 - 1 rounds to -1
+    and that formula reads a(0) = 0; there, while a < 1/2, a is taken as
+    a0 exp(-t) - expm1(-t), whose terms do not cancel.
+    """
+    decay = math.exp(-t)
+    if a0 - 1.0 == -1.0 and decay > 0.5:
+        a = a0 * decay - math.expm1(-t)
+        return a, math.log(a)
+    shift = (a0 - 1.0) * decay
+    return 1.0 + shift, math.log1p(shift)
 
 
 def relaxation_potential(a0, t):
     """Mean potential of the relaxation flow, in closed form.
 
-    Solves d(phi)/dt = log(1 + (a0 - 1) exp(-t)) - phi from zero initial
-    data; the integral has an elementary antiderivative.
+    Solves d(phi)/dt = log a(t) - phi from zero initial data, with
+    a(t) = 1 + (a0 - 1) exp(-t); the integral has an elementary
+    antiderivative.
     """
     c = a0 - 1.0
     if c == 0.0:
         return 0.0
     x = math.exp(t)
+    if c == -1.0:
+        # a0 - 1 has rounded to -1, so log1p(c) reads log 0: the same
+        # antiderivative with x + c = x a(t) and 1 + c = a0
+        a, log_a = _base_scale(a0, t)
+        return math.exp(-t) * (x * a * log_a + c * t - a0 * math.log(a0))
     upper = x * math.log1p(c / x) + c * math.log(x + c)
     lower = math.log1p(c) + c * math.log1p(c)
     return math.exp(-t) * (upper - lower)
 
 
 def _velocity(spec, t, twisted):
-    """Pointwise velocity of the potential, less the potential itself.
-
-    log1p keeps the relative precision of the base term once exp(-t) nears
-    the floating-point floor.
-    """
-    return (math.log1p((spec.a0 - 1.0) * math.exp(-t))
-            + log_volume_ratio(twisted, spec.b0))
+    """Pointwise velocity of the potential, less the potential itself."""
+    return _base_scale(spec.a0, t)[1] + log_volume_ratio(twisted, spec.b0)
 
 
 def spectral_problem(spec):
@@ -89,10 +106,11 @@ def diagnostics_for(spec, t, modes, with_diameter=True):
     g = spec.grid
     p = spec.base_dim
     et = math.exp(t)
-    a_hat = 1.0 + (spec.a0 - 1.0) * math.exp(-t)
-    potential = ScalarField(g, real_samples(g, modes))
+    a_hat = _base_scale(spec.a0, t)[0]
+    phi, hess = real_samples(g, np.stack([modes, ddbar_symbol(g) * modes]))
+    potential = ScalarField(g, phi)
 
-    twisted = HermitianField(g, spec.b0 + et * ddbar_modes(g, modes))
+    twisted = HermitianField(g, spec.b0 + et * hess)
     twisted.require_positive("evolving fiber metric")
     # the velocity of the potential, from the twisted metric built above
     dphi = _velocity(spec, t, twisted.values) - potential.values
@@ -135,7 +153,7 @@ def diagnostics_for(spec, t, modes, with_diameter=True):
 def evolve(spec, sample_times, tol=1e-8, with_diameter=True):
     """March the flow from 0 to its last sample time; return the monitors at
     each sample time."""
-    u0 = np.fft.rfftn(spec.initial_potential.values)
+    u0 = half_modes(spec.initial_potential.values)
     res = integrate_lawson(spectral_problem(spec), u0, 0.0, sample_times,
                            tol=tol)
     return [diagnostics_for(spec, s, modes, with_diameter=with_diameter)

@@ -36,7 +36,7 @@ def _nyquist_zeroed(k):
 
 @functools.lru_cache(maxsize=None)
 def _symbols(grid):
-    """Fourier multipliers on the half spectrum of ``rfftn``, cached.
+    """Fourier multipliers on the half spectrum of ``half_modes``, cached.
 
     Returns ``(lap, dx, dy)``: ``lap`` is the symbol of d/dz d/dzbar, the
     quarter-Laplacian -|k|^2/4 with its Nyquist value, formed as the product
@@ -74,9 +74,22 @@ def _lattice(grid):
     return offsets, idx, rows, cols
 
 
+def half_modes(values):
+    """Half-spectrum modes of real samples over their last two axes.
+
+    These are the modes ``np.fft.rfftn`` gives over axes (0, 1), bit for
+    bit: a real pass along y, then a complex one along x.  A stack of fields
+    is transformed in one call.  With ``real_samples`` this is the lab's
+    one real transform pair.
+    """
+    return np.fft.fft(np.fft.rfft(values, axis=-1), axis=-2)
+
+
 def real_samples(grid, modes):
-    """Samples of a real field from its half-spectrum modes, inverse of rfftn."""
-    return np.fft.irfftn(modes, s=grid.shape, axes=(0, 1))
+    """Samples of real fields from their half-spectrum modes over the last
+    two axes, the inverse of ``half_modes``: a complex pass along x, then a
+    real one along y, bit for bit ``np.fft.irfftn`` over axes (0, 1)."""
+    return np.fft.irfft(np.fft.ifft(modes, axis=-2), n=grid.shape[1], axis=-1)
 
 
 def ddbar_modes(grid, modes):
@@ -99,7 +112,7 @@ def ddbar(f: ScalarField) -> HermitianField:
     Returns the coefficient field of i*ddbar(f).  It is grid-mean-free
     because the zero mode carries no derivative.
     """
-    return HermitianField(f.grid, ddbar_modes(f.grid, np.fft.rfftn(f.values)))
+    return HermitianField(f.grid, ddbar_modes(f.grid, half_modes(f.values)))
 
 
 def log_volume_ratio(values, reference):
@@ -121,7 +134,7 @@ class MongeAmpereFlow:
     the pointwise log-volume velocity.  The stiff part handed to the
     exponential frame is (s(t)/scale) times the quarter-Laplacian, minus the
     identity; ``scale`` is the flat part of B.  Modes are the half spectrum
-    of ``rfftn``.
+    of ``half_modes``.
 
     The last form built is kept with the (t, u) it was built for, so an
     attempt's last stage, the margin of its new state and the next step's
@@ -157,7 +170,7 @@ class MongeAmpereFlow:
         # the potential itself cancels against the identity in the stiff part;
         # the quarter-Laplacian is the same ddbar array
         s, hess, omega = self._form(t, u)
-        return np.fft.rfftn(self.velocity(t, omega) - (s / self.scale) * hess)
+        return half_modes(self.velocity(t, omega) - (s / self.scale) * hess)
 
     def kaehler_margin(self, t, u):
         """Smallest metric coefficient of omega relative to the flat scale."""
@@ -190,9 +203,10 @@ def riemann_norm(omega: HermitianField) -> ScalarField:
     omega.require_positive("riemann_norm")
     grid, g = omega.grid, omega.values
     lap, dx, dy = _symbols(grid)
-    modes = np.fft.rfftn(g)
-    gx, gy = (real_samples(grid, d * modes) for d in (dx, dy))
-    curv = 0.25 * (gx * gx + gy * gy) / g - real_samples(grid, lap * modes)
+    modes = half_modes(g)
+    gx, gy, hess = real_samples(grid, np.stack([dx * modes, dy * modes,
+                                                lap * modes]))
+    curv = 0.25 * (gx * gx + gy * gy) / g - hess
     return ScalarField(grid, np.abs(curv) / (g * g))
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ScalarField
-from .geometry import (MongeAmpereFlow, ddbar, ddbar_modes, ddbar_symbol,
+from .geometry import (MongeAmpereFlow, ddbar, ddbar_symbol, half_modes,
                        log_volume_ratio, real_samples, ricci_form, trace_wrt)
 from .timestep import integrate_lawson
 
@@ -76,7 +76,7 @@ def _linear_step(grid, omega, rhs_field, forcing, flat_scale):
         return krylov_matvec(omega, v)
 
     def precond(v):
-        spec = np.fft.rfftn(v.reshape(grid.shape))
+        spec = half_modes(v.reshape(grid.shape))
         return real_samples(grid, spec / (symbol - 1.0)).ravel()
 
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
@@ -199,13 +199,14 @@ def parabolic_gke(testbed, rho, limit, sample_times, tol=1e-8):
         raise ValueError("transient excess must be positive semidefinite")
 
     problem = parabolic_problem(testbed, rho)
-    march = integrate_lawson(problem, np.fft.rfftn(np.zeros(grid.shape)),
+    march = integrate_lawson(problem, half_modes(np.zeros(grid.shape)),
                              0.0, sample_times, tol=tol)
+    lap = ddbar_symbol(grid)
     rows = []
     for t, modes in zip(sample_times, march.sample_modes):
-        phi = real_samples(grid, modes)
+        phi, hess = real_samples(grid, np.stack([modes, lap * modes]))
         gap = phi - limit.values
-        omega = problem.background(t) + ddbar_modes(grid, modes)
+        omega = problem.background(t) + hess
         peak = np.max(gap)
         speed = problem.velocity(t, omega) - phi
         rows.append((peak, np.min(gap), np.max(speed[gap == peak])))

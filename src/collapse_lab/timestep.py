@@ -24,6 +24,13 @@ e = b - b_hat.  So it also sees the quadrature error of the integrating
 factor when the remainder does not depend on the state.  The seventh stage is the
 remainder at the new state, so it is the next step's first (FSAL).
 
+The tolerance ``tol`` bounds that max-abs in the units of the state: for
+the potential flows, the unnormalised half-spectrum modes of
+:func:`collapse_lab.geometry.half_modes` (``rfftn``'s, no 1/n^2).  On an
+n x n grid a single Fourier mode of sample amplitude A reads A n^2 / 2
+there and the mean reads n^2 times itself, so one ``tol`` asks n = 64 for
+16 times the sample-space accuracy it asks of n = 16.
+
 Step sizes follow the elementary controller of a 5(4) pair (Hairer,
 Norsett & Wanner, Solving ODEs I, section II.4): after a step of length h
 with error estimate err, the next is h * fac with
@@ -40,10 +47,13 @@ its start, then 6 per attempt, accepted or rejected.  Each attempt takes 5
 propagators, one per interval between the consecutive nodes 0, 1/5, 3/10,
 4/5, 8/9 and 1.  The state and the earlier stages are carried from node to
 node by multiplying by each interval's propagator, never by dividing, so
-stiff modes stay exact zeros once they underflow.  For the potential
-flows of :class:`collapse_lab.geometry.MongeAmpereFlow` on the torus fiber
-one evaluation is one real-to-complex FFT pair: an inverse one for ddbar of
-the potential and a forward one back to mode space.
+stiff modes stay exact zeros once they underflow.  The seven stages of an
+attempt are one (7, *shape) stack: each interval's propagator rescales the
+earlier stages with one in-place multiply, and each stage's state and the
+error are one contraction over the stack.  For the potential flows of
+:class:`collapse_lab.geometry.MongeAmpereFlow` on the torus fiber one
+evaluation is one transform pair: ``real_samples`` for ddbar of the
+potential and ``half_modes`` back to mode space.
 
 The stepper never mutates a state after handing it to the problem, so a
 problem may recognise a state it has seen by identity.
@@ -86,6 +96,10 @@ _A = (
 )
 _E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525,
       -1 / 40)
+# the rows of _A and then e, zero-padded to 7 x 7: row k - 1 weighs the
+# stages 0..k-1 that the state of stage k is built from, and the last row
+# weighs all seven into the error
+_WEIGHTS = np.array([row + (0.0,) * (7 - len(row)) for row in _A + (_E,)])
 
 
 def _attempt(problem, t, end, u, n1):
@@ -94,20 +108,26 @@ def _attempt(problem, t, end, u, n1):
     Returns the fifth-order state, the remainder there and the error
     estimate.  Both stages at node 1 are taken at ``end`` itself, not at
     t + h, so the last one sees the new state at the time it is kept for.
+    Each contraction over the stage stack's real view adds the weighted
+    stages in stage order, as a sum over a list of them would.
     """
     h = end - t
-    here, base, stages = t, u, [n1]
-    for c, c_prev, row in zip(_C[1:], _C, _A):
+    here, base = t, u
+    stages = np.empty((7,) + u.shape, dtype=complex)
+    real = stages.view(float)
+    stages[0] = n1
+    for k, (c, c_prev) in enumerate(zip(_C[1:], _C), start=1):
         if c != c_prev:
             there = end if c == 1.0 else t + c * h
             prop = np.exp(problem.symbol_integral(here, there))
             base = prop * base
-            stages = [prop * n for n in stages]
+            stages[:k] *= prop
             here = there
-        state = base + h * sum(a * n for a, n in zip(row, stages) if a)
-        stages.append(problem.nonlinear_modes(here, state))
-    err = h * float(np.max(np.abs(sum(e * n for e, n in zip(_E, stages)
-                                      if e))))
+        mix = np.einsum("j,j...->...", _WEIGHTS[k - 1, :k], real[:k])
+        state = base + h * mix.view(complex)
+        stages[k] = problem.nonlinear_modes(here, state)
+    mix = np.einsum("j,j...->...", _WEIGHTS[-1], real)
+    err = h * float(np.max(np.abs(mix.view(complex))))
     return state, stages[-1], err
 
 

@@ -149,6 +149,19 @@ def test_relaxation_potential_solves_its_ode():
         assert abs(d - want) < 1e-9
 
 
+def test_relaxation_potential_where_a0_minus_one_rounds_to_minus_one():
+    # there log1p(a0 - 1) reads log 0; the base scale comes from a0 itself
+    a0 = 1e-17
+    assert a0 - 1.0 == -1.0
+    assert relaxation_potential(a0, 0.0) == 0.0
+    for t in (1e-3, 0.4, 3.0):
+        val, err = quad(lambda s: np.exp(s) * np.log(a0 * np.exp(-s)
+                                                     - np.expm1(-s)),
+                        0.0, t, epsabs=1e-14, epsrel=1e-13)
+        assert err < 1e-12
+        assert abs(relaxation_potential(a0, t) - math.exp(-t) * val) < 1e-13
+
+
 def test_relaxation_potential_trivial_at_unit_scale():
     assert relaxation_potential(1.0, 2.0) == 0.0
 

@@ -21,6 +21,8 @@ from collapse_lab.grids import GridSpec, HermitianField, PositivityError, Scalar
 from collapse_lab.geometry import (
     ddbar,
     fiber_diameter,
+    half_modes,
+    real_samples,
     ricci_form,
     riemann_norm,
     trace_wrt,
@@ -118,6 +120,23 @@ def test_ddbar_half_spectrum_matches_full_spectrum_with_nyquist():
     want = full_spectrum_ddbar(grid, vals)
     got = ddbar(ScalarField(grid, vals)).values
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [8, 16, 64, 128])
+def test_transform_pair_is_rfftn_bit_for_bit_on_a_field_and_a_stack(n):
+    grid = GridSpec(1, (n,))
+    fields = np.random.default_rng(n).standard_normal((3,) + grid.shape)
+    want = np.stack([np.fft.rfftn(f) for f in fields])
+    for got, ref in ((half_modes(fields[0]), want[0]),
+                     (half_modes(fields), want)):
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+    back = np.stack([np.fft.irfftn(m, s=grid.shape, axes=(0, 1))
+                     for m in want])
+    for got, ref in ((real_samples(grid, want[0]), back[0]),
+                     (real_samples(grid, want), back)):
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
 
 
 # ---------------------------------------------------------------- trace_wrt

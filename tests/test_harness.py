@@ -325,6 +325,35 @@ def test_fiber_flow_at_huge_b0_runs_to_a_report(tmp_path, capsys, b0):
     assert "huge_b0: FAIL [phi_sup_max" in capsys.readouterr().err
 
 
+def test_fiber_flow_at_tiny_a0_runs_to_a_report(tmp_path):
+    # below a0 of about 1.1e-16, a0 - 1 rounds to -1, and log1p(a0 - 1)
+    # raised a math domain error at t = 0 (exit 3)
+    path = _write(tmp_path, "tiny_a0.json",
+                  {"experiment": "fiber-flow", "model": {"a0": 1e-17}})
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(path), "--out", str(out)])
+    assert code in (0, 1)
+    assert (out / "tiny_a0" / "diagnostics.csv").is_file()
+
+
+def test_fiber_flow_horizon_must_exceed_the_sample_spacing(tmp_path, capsys):
+    # fiber-flow samples times closer than 1e-9 once, so at horizon 1e-9
+    # only t = 0 was left, and the march exited 3
+    def config(horizon):
+        return _write(tmp_path, "short.json",
+                      {"experiment": "fiber-flow",
+                       "solver": {"horizon": horizon,
+                                  "mode_fit_window": [0.0, horizon]}})
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config(1e-9)),
+                     "--out", str(out)]) == 2
+    assert "solver.horizon: must exceed 1e-09" in capsys.readouterr().err
+    assert cli.main(["run", "--config", str(config(1e-8)),
+                     "--out", str(out)]) in (0, 1)
+    rows = (out / "short" / "diagnostics.csv").read_text().splitlines()
+    assert [float(r.split(",")[0]) for r in rows[1:]] == [0.0, 1e-8]
+
+
 def test_curvature_cap_is_read_from_fiber_flow_acceptance(tmp_path, capsys):
     payload = json.loads((CONFIG_DIR / "curvature_bound.json").read_text())
     payload["acceptance"]["curvature_cap"] = 100.0

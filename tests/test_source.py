@@ -4,9 +4,11 @@ No linter ships with the lab's toolchain, so the one lint rule the package
 and its tests keep, no unused imports, is checked here on the syntax tree,
 as are the package's export list, its statement of complex dimension
 one (fields are scalar, so no module reaches for numpy's per-point linear
-algebra or branches on ``GridSpec.complex_dim``) and its lazy scipy: no
+algebra or branches on ``GridSpec.complex_dim``), its lazy scipy (no
 module imports scipy at its top level, so importing the package loads numpy
-and nothing heavier.
+and nothing heavier) and its one real transform pair: no module calls a
+``numpy.fft`` transform outside ``geometry.half_modes`` and
+``geometry.real_samples``, so the transform convention lives in one place.
 """
 
 import ast
@@ -130,6 +132,59 @@ def test_checker_sees_a_top_level_scipy_import():
 def test_no_top_level_scipy_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert top_level_scipy_imports(tree) == []
+
+
+# the functions that may call numpy's transforms; fftfreq is no transform
+TRANSFORM_HELPERS = {"geometry.py": {"half_modes", "real_samples"}}
+
+
+def fft_transforms(tree, helpers=()):
+    """(line, name) of each numpy.fft transform a module reaches, through an
+    attribute or an import, outside the functions named in ``helpers``."""
+    hits = []
+
+    def visit(node, inside):
+        names = []
+        if isinstance(node, ast.Attribute):
+            base = node.value
+            if isinstance(base, ast.Attribute) and base.attr == "fft" \
+                    and isinstance(base.value, ast.Name) \
+                    and base.value.id in ("np", "numpy"):
+                names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.fft":
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            names = [alias.name for alias in node.names if alias.name == "fft"]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names
+                     if alias.name == "numpy.fft"]
+        if not inside:
+            hits.extend((node.lineno, n) for n in names if n != "fftfreq")
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside or (isinstance(node, ast.FunctionDef)
+                                    and node.name in helpers))
+
+    visit(tree, False)
+    return sorted(hits)
+
+
+def test_checker_sees_a_transform_outside_the_helpers():
+    tree = ast.parse("import numpy as np\nfrom numpy.fft import rfft\n"
+                     "from numpy import fft\n"
+                     "def half_modes(v):\n    return np.fft.rfftn(v)\n"
+                     "def f(v):\n    k = np.fft.fftfreq(8)\n"
+                     "    return np.fft.irfftn(v) + k\n")
+    assert fft_transforms(tree) == [(2, "rfft"), (3, "fft"), (5, "rfftn"),
+                                    (8, "irfftn")]
+    assert fft_transforms(tree, {"half_modes"}) == [(2, "rfft"), (3, "fft"),
+                                                    (8, "irfftn")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_transforms_only_in_the_transform_pair(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert fft_transforms(tree, TRANSFORM_HELPERS.get(path.name, ())) == []
 
 
 def test_package_exports_are_bound_unique_and_complete():

@@ -198,6 +198,75 @@ def test_tableau_meets_the_fifth_order_conditions():
         assert abs(b @ c**k - 1.0 / (k + 1)) < 1e-14
 
 
+def list_attempt(problem, t, end, u, n1):
+    """The attempt with its stages as a list of arrays, each carried to the
+    next node by its own multiply and summed by Python: the oracle the
+    stacked attempt must match bit for bit."""
+    c_, a_, e_ = timestep._C, timestep._A, timestep._E
+    h = end - t
+    here, base, stages = t, u, [n1]
+    for c, c_prev, row in zip(c_[1:], c_, a_):
+        if c != c_prev:
+            there = end if c == 1.0 else t + c * h
+            prop = np.exp(problem.symbol_integral(here, there))
+            base = prop * base
+            stages = [prop * n for n in stages]
+            here = there
+        state = base + h * sum(a * n for a, n in zip(row, stages) if a)
+        stages.append(problem.nonlinear_modes(here, state))
+    err = h * float(np.max(np.abs(sum(e * n for e, n in zip(e_, stages)
+                                      if e))))
+    return state, stages[-1], err
+
+
+class StiffMix:
+    """Per-mode decay with a bounded nonlinear remainder.  Every third mode
+    is stiff and has no remainder, so it underflows to an exact zero within
+    a step; ``none`` makes the remainder the scalar 0.0.  Keeps each array
+    it returns, with a copy of it."""
+
+    def __init__(self, shape, seed, none=False):
+        rng = np.random.default_rng(seed)
+        self.rate = -np.abs(rng.standard_normal(shape)) * 5.0
+        self.rate.flat[::3] = -1e5
+        self.mix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        self.mix.flat[::3] = 0.0
+        self.none = none
+        self.returned = []
+
+    def symbol_integral(self, t0, t1):
+        return self._keep(self.rate * (t1 - t0))
+
+    def nonlinear_modes(self, t, u):
+        return 0.0 if self.none else self._keep(self.mix * (np.tanh(u) + t))
+
+    def _keep(self, arr):
+        self.returned.append((arr, arr.copy()))
+        return arr
+
+
+@pytest.mark.parametrize("none", [False, True], ids=["remainder", "scalar"])
+@pytest.mark.parametrize("shape", [(2,), (16, 9), (64, 33)])
+def test_stacked_attempt_matches_the_list_oracle_bit_for_bit(shape, none):
+    rng = np.random.default_rng(5)
+    u = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    u.flat[::4] = 0.0
+    want_prob, got_prob = StiffMix(shape, 9, none), StiffMix(shape, 9, none)
+    n1 = want_prob.nonlinear_modes(0.1, u)
+    want = list_attempt(want_prob, 0.1, 0.35, u, n1)
+    got = timestep._attempt(got_prob, 0.1, 0.35, u,
+                            got_prob.nonlinear_modes(0.1, u))
+    assert np.any(want[0] == 0.0)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].shape == shape
+    last = np.broadcast_to(np.asarray(want[1], dtype=complex), shape)
+    assert got[1].tobytes() == last.tobytes()
+    assert got[2] == want[2]
+    assert len(got_prob.returned) == len(want_prob.returned)
+    for arr, copy in got_prob.returned:
+        assert arr.tobytes() == copy.tobytes()
+
+
 def test_single_step_has_classical_order(monkeypatch):
     # local error ratio under step halving pins the 6th-order local
     # truncation of the 5th-order solution: 2**6 = 64
