@@ -22,25 +22,10 @@ import numpy as np
 
 from .grids import HermitianField, ScalarField
 from .geometry import (MongeAmpereFlow, ddbar_symbol, fiber_diameter,
-                       half_modes, log_volume_ratio, real_samples,
-                       riemann_norm, trace_wrt)
+                       full_width, half_modes, log_volume_ratio,
+                       real_samples, riemann_norm, trace_wrt, y_profiles)
+from .models import _base_scale
 from .timestep import integrate_lawson
-
-
-def _base_scale(a0, t):
-    """The base scale a(t) = 1 + (a0 - 1) exp(-t) and its log.
-
-    log1p keeps the relative precision of log a once exp(-t) nears the
-    floating-point floor.  For a0 below about 1.1e-16, a0 - 1 rounds to -1
-    and that formula reads a(0) = 0; there, while a < 1/2, a is taken as
-    a0 exp(-t) - expm1(-t), whose terms do not cancel.
-    """
-    decay = math.exp(-t)
-    if a0 - 1.0 == -1.0 and decay > 0.5:
-        a = a0 * decay - math.expm1(-t)
-        return a, math.log(a)
-    shift = (a0 - 1.0) * decay
-    return 1.0 + shift, math.log1p(shift)
 
 
 def relaxation_potential(a0, t):
@@ -70,9 +55,15 @@ def _velocity(spec, t, twisted):
 
 
 def spectral_problem(spec):
-    """The flow in mode space: omega = b0 + exp(t) ddbar(phi), scale b0."""
-    return MongeAmpereFlow(spec.grid, spec.b0, lambda t: spec.b0,
-                           functools.partial(_velocity, spec), stiffening=True)
+    """The flow in mode space: omega = b0 + exp(t) ddbar(phi), scale b0.
+    Returns the problem and the modes of the start potential, held as its
+    y-profile when it is constant along y, as the flow then keeps it."""
+    (start,) = y_profiles(spec.initial_potential.values)
+    u0 = half_modes(spec.grid, start)
+    problem = MongeAmpereFlow(spec.grid, spec.b0, lambda t: spec.b0,
+                              functools.partial(_velocity, spec),
+                              stiffening=True, width=u0.shape[-1])
+    return problem, u0
 
 
 def normalized_potential(spec, t, potential):
@@ -153,8 +144,8 @@ def diagnostics_for(spec, t, modes, with_diameter=True):
 def evolve(spec, sample_times, tol=1e-8, with_diameter=True):
     """March the flow from 0 to its last sample time; return the monitors at
     each sample time."""
-    u0 = half_modes(spec.initial_potential.values)
-    res = integrate_lawson(spectral_problem(spec), u0, 0.0, sample_times,
-                           tol=tol)
-    return [diagnostics_for(spec, s, modes, with_diameter=with_diameter)
+    problem, u0 = spectral_problem(spec)
+    res = integrate_lawson(problem, u0, 0.0, sample_times, tol=tol)
+    return [diagnostics_for(spec, s, full_width(spec.grid, modes),
+                            with_diameter=with_diameter)
             for s, modes in zip(sample_times, res.sample_modes)]

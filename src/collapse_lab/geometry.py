@@ -6,6 +6,11 @@ Laplacian; on the unit torus the lowest cosine mode maps to minus pi^2 times
 itself, which pins every sign convention used here.  A metric is the positive
 coefficient g of i g dz ^ dzbar (see :mod:`collapse_lab.grids`), so its
 determinant, inverse and traces are pointwise scalar arithmetic.
+
+A field that is constant along y may be held as its y-profile: the (n, 1)
+column of its samples at y = 0, whose modes are the (n, 1) ky = 0 column of
+the half spectrum.  The transform pair takes either width, and a march
+whose data are all constant along y runs on profiles (``y_profiles``).
 """
 
 from __future__ import annotations
@@ -74,31 +79,60 @@ def _lattice(grid):
     return offsets, idx, rows, cols
 
 
-def half_modes(values):
+def half_modes(grid, values):
     """Half-spectrum modes of real samples over their last two axes.
 
     These are the modes ``np.fft.rfftn`` gives over axes (0, 1), bit for
-    bit: a real pass along y, then a complex one along x.  A stack of fields
-    is transformed in one call.  With ``real_samples`` this is the lab's
-    one real transform pair.
+    bit: a real pass along y, then a complex one along x.  A y-profile,
+    samples of width 1, maps to the ky = 0 column of those modes with one
+    pass along x of n times itself, the sum of its n equal values along y.
+    A stack of fields is transformed in one call.  With ``real_samples``
+    this is the lab's one real transform pair.
     """
+    if values.shape[-1] == 1:
+        return np.fft.fft(grid.shape[1] * values, axis=-2)
     return np.fft.fft(np.fft.rfft(values, axis=-1), axis=-2)
 
 
 def real_samples(grid, modes):
     """Samples of real fields from their half-spectrum modes over the last
     two axes, the inverse of ``half_modes``: a complex pass along x, then a
-    real one along y, bit for bit ``np.fft.irfftn`` over axes (0, 1)."""
+    real one along y, bit for bit ``np.fft.irfftn`` over axes (0, 1).  The
+    ky = 0 column alone gives the y-profile, the real part of its pass
+    along x over n."""
+    if modes.shape[-1] == 1:
+        return np.fft.ifft(modes, axis=-2).real * (1.0 / grid.shape[1])
     return np.fft.irfft(np.fft.ifft(modes, axis=-2), n=grid.shape[1], axis=-1)
+
+
+def y_profiles(*fields):
+    """The sample fields a march runs on: when every array among them is
+    constant along y, each one's y-profile, its (n, 1) column at y = 0,
+    with scalars passed through; otherwise the fields as given."""
+    if all(np.all(f == f[..., :1]) for f in fields if np.ndim(f)):
+        return tuple(f[..., :1] if np.ndim(f) else f for f in fields)
+    return fields
+
+
+def full_width(grid, modes):
+    """Modes widened to the grid's whole half spectrum: the ky != 0 columns
+    a y-profile leaves out are exact zeros."""
+    cut = grid.shape[1] // 2 + 1
+    if modes.shape[-1] == cut:
+        return modes
+    full = np.zeros(modes.shape[:-1] + (cut,), dtype=complex)
+    full[..., :modes.shape[-1]] = modes
+    return full
 
 
 def ddbar_modes(grid, modes):
     """Coefficient samples of i*ddbar(f) from the half-spectrum modes of f.
 
-    One inverse real transform; the result is real by construction, so it is
-    returned bare, without the validation of a HermitianField.
+    One inverse real transform, at the width of ``modes``; the result is
+    real by construction, so it is returned bare, without the validation of
+    a HermitianField.
     """
-    return real_samples(grid, _symbols(grid)[0] * modes)
+    return real_samples(grid, _symbols(grid)[0][:, :modes.shape[-1]] * modes)
 
 
 def ddbar_symbol(grid):
@@ -112,7 +146,8 @@ def ddbar(f: ScalarField) -> HermitianField:
     Returns the coefficient field of i*ddbar(f).  It is grid-mean-free
     because the zero mode carries no derivative.
     """
-    return HermitianField(f.grid, ddbar_modes(f.grid, half_modes(f.values)))
+    modes = half_modes(f.grid, f.values)
+    return HermitianField(f.grid, ddbar_modes(f.grid, modes))
 
 
 def log_volume_ratio(values, reference):
@@ -134,7 +169,9 @@ class MongeAmpereFlow:
     the pointwise log-volume velocity.  The stiff part handed to the
     exponential frame is (s(t)/scale) times the quarter-Laplacian, minus the
     identity; ``scale`` is the flat part of B.  Modes are the half spectrum
-    of ``half_modes``.
+    of ``half_modes``, cut to its first ``width`` columns: all n/2 + 1 of
+    them, or 1 for a march on y-profiles, where B and V take and give
+    profiles too.  Modes of another width raise ``ValueError``.
 
     The last form built is kept with the (t, u) it was built for, so an
     attempt's last stage, the margin of its new state and the next step's
@@ -142,13 +179,13 @@ class MongeAmpereFlow:
     stepper never mutates a state after handing it to the problem.
     """
 
-    def __init__(self, grid, scale, background, velocity, stiffening):
+    def __init__(self, grid, scale, background, velocity, stiffening, width):
         self.grid = grid
         self.scale = scale
         self.background = background
         self.velocity = velocity
         self.stiffening = stiffening
-        self._symbol = ddbar_symbol(grid)
+        self._symbol = ddbar_symbol(grid)[:, :width]
         self._last = (None, None, None)
 
     def symbol_integral(self, t0, t1):
@@ -160,6 +197,9 @@ class MongeAmpereFlow:
         last_t, last_u, form = self._last
         if last_u is u and last_t == t:
             return form
+        if u.shape[-1] != self._symbol.shape[-1]:
+            raise ValueError(f"modes of width {u.shape[-1]} on a problem of "
+                             f"width {self._symbol.shape[-1]}")
         s = math.exp(t) if self.stiffening else 1.0
         hess = ddbar_modes(self.grid, u)
         form = s, hess, self.background(t) + s * hess
@@ -170,7 +210,8 @@ class MongeAmpereFlow:
         # the potential itself cancels against the identity in the stiff part;
         # the quarter-Laplacian is the same ddbar array
         s, hess, omega = self._form(t, u)
-        return half_modes(self.velocity(t, omega) - (s / self.scale) * hess)
+        return half_modes(self.grid,
+                          self.velocity(t, omega) - (s / self.scale) * hess)
 
     def kaehler_margin(self, t, u):
         """Smallest metric coefficient of omega relative to the flat scale."""
@@ -203,7 +244,7 @@ def riemann_norm(omega: HermitianField) -> ScalarField:
     omega.require_positive("riemann_norm")
     grid, g = omega.grid, omega.values
     lap, dx, dy = _symbols(grid)
-    modes = half_modes(g)
+    modes = half_modes(grid, g)
     gx, gy, hess = real_samples(grid, np.stack([dx * modes, dy * modes,
                                                 lap * modes]))
     curv = 0.25 * (gx * gx + gy * gy) / g - hess

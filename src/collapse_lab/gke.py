@@ -26,8 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ScalarField
-from .geometry import (MongeAmpereFlow, ddbar, ddbar_symbol, half_modes,
-                       log_volume_ratio, real_samples, ricci_form, trace_wrt)
+from .geometry import (MongeAmpereFlow, ddbar, ddbar_symbol, full_width,
+                       half_modes, log_volume_ratio, real_samples, ricci_form,
+                       trace_wrt, y_profiles)
 from .timestep import integrate_lawson
 
 NEWTON_FORCING_CAP = 1e-3
@@ -35,21 +36,13 @@ NEWTON_FORCING_FLOOR = 1e-6
 PSD_SLACK = 1e-12
 
 
-def _volume_defect(testbed):
-    """The pointwise map omega -> log(omega / sigma) - log F.
-
-    NaN wherever omega has left the positive cone.
-    """
-    sigma = testbed.sigma_form().values
-    log_f = np.log(testbed.density_field().values)
-    return lambda omega: log_volume_ratio(omega, sigma) - log_f
-
-
 def gke_residual(testbed, u):
-    """Scalar defect of the volume equation at the potential u."""
-    omega = testbed.sigma_form() + ddbar(u)
-    return ScalarField(testbed.grid,
-                       _volume_defect(testbed)(omega.values) - u.values)
+    """Scalar defect of the volume equation at the potential u, NaN
+    wherever sigma + ddbar(u) has left the positive cone."""
+    sigma = testbed.sigma_form()
+    defect = (log_volume_ratio((sigma + ddbar(u)).values, sigma.values)
+              - np.log(testbed.density_field().values))
+    return ScalarField(testbed.grid, defect - u.values)
 
 
 @dataclass
@@ -76,7 +69,7 @@ def _linear_step(grid, omega, rhs_field, forcing, flat_scale):
         return krylov_matvec(omega, v)
 
     def precond(v):
-        spec = half_modes(v.reshape(grid.shape))
+        spec = half_modes(grid, v.reshape(grid.shape))
         return real_samples(grid, spec / (symbol - 1.0)).ravel()
 
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
@@ -154,12 +147,19 @@ class ParabolicResult:
 
 
 def parabolic_problem(testbed, rho):
-    """The relaxation in mode space: omega = sigma + exp(-t) rho + ddbar(u)."""
-    sigma = testbed.sigma_form().values
-    defect = _volume_defect(testbed)
-    return MongeAmpereFlow(testbed.grid, testbed.flat_scale,
-                           lambda t: sigma + math.exp(-t) * rho,
-                           lambda t, omega: defect(omega), stiffening=False)
+    """The relaxation in mode space: omega = sigma + exp(-t) rho + ddbar(u),
+    from u = 0.  Returns the problem and the modes of that start: y-profiles
+    when sigma, rho and the density are all constant along y."""
+    start, sigma, rho, log_f = y_profiles(
+        np.zeros(testbed.grid.shape), testbed.sigma_form().values, rho,
+        np.log(testbed.density_field().values))
+    u0 = half_modes(testbed.grid, start)
+    problem = MongeAmpereFlow(
+        testbed.grid, testbed.flat_scale,
+        lambda t: sigma + math.exp(-t) * rho,
+        lambda t, omega: log_volume_ratio(omega, sigma) - log_f,
+        stiffening=False, width=u0.shape[-1])
+    return problem, u0
 
 
 def _envelope(times, gaps, dgaps):
@@ -198,12 +198,13 @@ def parabolic_gke(testbed, rho, limit, sample_times, tol=1e-8):
     if float(np.min(rho)) < -PSD_SLACK:
         raise ValueError("transient excess must be positive semidefinite")
 
-    problem = parabolic_problem(testbed, rho)
-    march = integrate_lawson(problem, half_modes(np.zeros(grid.shape)),
-                             0.0, sample_times, tol=tol)
+    problem, u0 = parabolic_problem(testbed, rho)
+    march = integrate_lawson(problem, u0, 0.0, sample_times, tol=tol)
     lap = ddbar_symbol(grid)
     rows = []
     for t, modes in zip(sample_times, march.sample_modes):
+        # read on the full grid, against the limit; profile data broadcast
+        modes = full_width(grid, modes)
         phi, hess = real_samples(grid, np.stack([modes, lap * modes]))
         gap = phi - limit.values
         omega = problem.background(t) + hess

@@ -31,6 +31,22 @@ from .geometry import ddbar
 MEAN_FREE_TOL = 1e-12
 
 
+def _base_scale(a0, t):
+    """The base scale a(t) = 1 + (a0 - 1) exp(-t) and its log.
+
+    log1p keeps the relative precision of log a once exp(-t) nears the
+    floating-point floor.  For a0 below about 1.1e-16, a0 - 1 rounds to -1
+    and that formula reads a(0) = 0; there, while a < 1/2, a is taken as
+    a0 exp(-t) - expm1(-t), whose terms do not cancel.
+    """
+    decay = math.exp(-t)
+    if a0 - 1.0 == -1.0 and decay > 0.5:
+        a = a0 * decay - math.expm1(-t)
+        return a, math.log(a)
+    shift = (a0 - 1.0) * decay
+    return 1.0 + shift, math.log1p(shift)
+
+
 # ------------------------------------------------------------ product model
 
 @dataclass(frozen=True)
@@ -54,7 +70,7 @@ class ProductModelSpec:
             raise ValueError("base_dim must be >= 1")
 
     def base_scale(self, t):
-        return 1.0 + (self.a0 - 1.0) * math.exp(-t)
+        return _base_scale(self.a0, t)[0]
 
     def closed_form(self, t):
         return self.base_scale(t), self.b0 * math.exp(-t)

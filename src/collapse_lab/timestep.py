@@ -26,10 +26,11 @@ remainder at the new state, so it is the next step's first (FSAL).
 
 The tolerance ``tol`` bounds that max-abs in the units of the state: for
 the potential flows, the unnormalised half-spectrum modes of
-:func:`collapse_lab.geometry.half_modes` (``rfftn``'s, no 1/n^2).  On an
-n x n grid a single Fourier mode of sample amplitude A reads A n^2 / 2
-there and the mean reads n^2 times itself, so one ``tol`` asks n = 64 for
-16 times the sample-space accuracy it asks of n = 16.
+:func:`collapse_lab.geometry.half_modes` (``rfftn``'s, no 1/n^2), or
+their ky = 0 column for a march on y-profiles.  On an n x n grid a single
+Fourier mode of sample amplitude A reads A n^2 / 2 there and the mean
+reads n^2 times itself, so one ``tol`` asks n = 64 for 16 times the
+sample-space accuracy it asks of n = 16.
 
 Step sizes follow the elementary controller of a 5(4) pair (Hairer,
 Norsett & Wanner, Solving ODEs I, section II.4): after a step of length h
@@ -50,10 +51,15 @@ node by multiplying by each interval's propagator, never by dividing, so
 stiff modes stay exact zeros once they underflow.  The seven stages of an
 attempt are one (7, *shape) stack: each interval's propagator rescales the
 earlier stages with one in-place multiply, and each stage's state and the
-error are one contraction over the stack.  For the potential flows of
-:class:`collapse_lab.geometry.MongeAmpereFlow` on the torus fiber one
-evaluation is one transform pair: ``real_samples`` for ddbar of the
-potential and ``half_modes`` back to mode space.
+error are one contraction over the stack.  All of it is elementwise over
+the state's shape, so the work of an attempt scales with the state's size.
+For the potential flows of :class:`collapse_lab.geometry.MongeAmpereFlow`
+on the torus fiber one evaluation is one transform pair: ``real_samples``
+for ddbar of the potential and ``half_modes`` back to mode space.  The
+state is the n x (n/2 + 1) half spectrum, or its n x 1 ky = 0 column when
+every datum of the march is constant along y; then each transform is one
+pass along x, and the stages, propagators and pointwise arithmetic are
+n/2 + 1 times smaller.
 
 The stepper never mutates a state after handing it to the problem, so a
 problem may recognise a state it has seen by identity.

@@ -7,7 +7,7 @@ field, which shares no code with the exponential-frame stepper.
 """
 
 import math
-from dataclasses import asdict
+from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
@@ -16,9 +16,9 @@ from scipy.integrate import quad, solve_ivp
 from collapse_lab.config import validate_config
 from collapse_lab.experiments import run_experiment
 from collapse_lab.grids import GridSpec, HermitianField, ScalarField
-from collapse_lab import geometry
-from collapse_lab.geometry import (ddbar, fiber_diameter, real_samples,
-                                   riemann_norm, trace_wrt)
+from collapse_lab import flow, geometry
+from collapse_lab.geometry import (ddbar, fiber_diameter, full_width,
+                                   real_samples, riemann_norm, trace_wrt)
 from collapse_lab.models import FiberFlowSpec
 from collapse_lab.timestep import integrate_lawson
 from collapse_lab.flow import (
@@ -91,7 +91,8 @@ def test_mode_space_rhs_is_map_rhs_less_its_linear_part():
     phi = spec.initial_potential
     linear = (math.exp(t) / spec.b0) * quarter_laplacian(spec.grid, phi.values)
     want = np.fft.rfftn(map_rhs(spec, t, phi).values - (linear - phi.values))
-    got = spectral_problem(spec).nonlinear_modes(t, np.fft.rfftn(phi.values))
+    problem, modes = spectral_problem(spec)
+    got = full_width(spec.grid, problem.nonlinear_modes(t, modes))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -100,16 +101,26 @@ def test_mode_space_rhs_is_nan_outside_the_cone():
     # indefinite there, and NaN is what makes the stepper reject the step
     spec = sine_spec(amp=0.05)
     t = 2.5
-    modes = np.fft.rfftn(spec.initial_potential.values)
+    problem, modes = spectral_problem(spec)
     assert np.isnan(map_rhs(spec, t, spec.initial_potential).values).any()
-    assert np.isnan(spectral_problem(spec).nonlinear_modes(t, modes)).all()
+    assert np.isnan(problem.nonlinear_modes(t, modes)).all()
 
 
-def test_march_builds_one_ddbar_per_rhs_evaluation(monkeypatch):
+def keep_every_column(monkeypatch):
+    """Make the flow march y-invariant starts at full width too."""
+    monkeypatch.setattr(flow, "y_profiles", lambda *fields: fields)
+
+
+@pytest.mark.parametrize("profile", [False, True],
+                         ids=["full_width", "y_profile"])
+def test_march_builds_one_ddbar_per_rhs_evaluation(monkeypatch, profile):
     # an attempt's last stage, the new state's margin and the next step's
     # first stage share one ddbar, as do the initial margin and first stage
+    if not profile:
+        keep_every_column(monkeypatch)
     spec = sine_spec(n=16, b0=1.0, a0=1.3, amp=0.02)
-    problem = spectral_problem(spec)
+    problem, u0 = spectral_problem(spec)
+    assert u0.shape == ((16, 1) if profile else (16, 9))
     calls = {"ddbar": 0, "rhs": 0}
     ddbar_modes, rhs = geometry.ddbar_modes, problem.nonlinear_modes
 
@@ -123,11 +134,74 @@ def test_march_builds_one_ddbar_per_rhs_evaluation(monkeypatch):
 
     monkeypatch.setattr(geometry, "ddbar_modes", counted_ddbar)
     problem.nonlinear_modes = counted_rhs
-    res = integrate_lawson(problem, np.fft.rfftn(spec.initial_potential.values),
-                           0.0, (2.0,))
+    res = integrate_lawson(problem, u0, 0.0, (2.0,))
     assert res.accepted > 1
     assert calls["rhs"] == 1 + 6 * (res.accepted + res.rejected)
     assert calls["ddbar"] == calls["rhs"]
+
+
+def product_spec(n=16):
+    """A start potential that varies along y, sin(2 pi x) cos(2 pi y)."""
+    grid = GridSpec(1, (n,))
+    x, y = grid.axis_coordinates(0), grid.axis_coordinates(1)
+    phi = 0.01 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y)
+    return FiberFlowSpec(grid=grid, b0=1.0, a0=2.0,
+                         initial_potential=ScalarField(grid, phi))
+
+
+def test_modes_of_another_width_than_the_problem_raise():
+    # an (n, n/2 + 1) symbol times (n, 1) modes would broadcast silently
+    profile, u0 = spectral_problem(sine_spec())
+    full, w0 = spectral_problem(product_spec())
+    with pytest.raises(ValueError, match="width 1 on a problem of width 9"):
+        full.nonlinear_modes(0.0, u0)
+    with pytest.raises(ValueError, match="width 9 on a problem of width 1"):
+        profile.kaehler_margin(0.0, w0)
+    with pytest.raises(ValueError, match="width 9 on a problem of width 1"):
+        integrate_lawson(profile, w0, 0.0, (1.0,))
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_profile_march_is_the_full_width_march_bit_for_bit(monkeypatch, n):
+    spec = sine_spec(n=n, b0=1.0, a0=2.0, amp=0.01)
+    times = (0.5, 1.5, 3.0)
+    prof = integrate_lawson(*spectral_problem(spec), 0.0, times)
+    keep_every_column(monkeypatch)
+    full = integrate_lawson(*spectral_problem(spec), 0.0, times)
+    assert (prof.accepted, prof.rejected) == (full.accepted, full.rejected)
+    for got, want in zip(prof.sample_modes, full.sample_modes):
+        assert (got.shape, want.shape) == ((n, 1), (n, n // 2 + 1))
+        assert got.tobytes() == want[:, :1].tobytes()
+        assert not np.any(want[:, 1:])
+
+
+def test_two_dimensional_start_marches_full_width(monkeypatch):
+    spec = product_spec()
+    widths = []
+
+    def spy(problem, u0, *args, **kwargs):
+        widths.append(u0.shape)
+        return integrate_lawson(problem, u0, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "integrate_lawson", spy)
+    rows = [astuple(d) for d in evolve(spec, (0.0, 1.0, 3.0))]
+    assert widths == [(16, 9)]
+    # frozen from the full-width march (numpy 2.4.6): a start that varies
+    # along y keeps that path, bit for bit
+    assert rows == [
+        (0.0, 0.010000000000000002, 0.8832931124155171, 1.6052158239564256,
+         2.3947841760435753, 0.5, 0.8026079119782128, 1.1973920880217876,
+         0.010000000000000002, 0.7031471805599453, 6.0691994381239915,
+         2.7957054829092434e-19, 0.7408605734897228),
+        (1.0, 0.2863490367318424, 0.026912650786384884, 1.3678794411714363,
+         1.3678794411714483, 0.7310585786300049, 0.9999999999999956,
+         1.0000000000000044, 0.0001234959866144107, 0.551289358365899,
+         0.7310585786300049, 6.360854171995564e-19, 0.4288819424803534),
+        (3.0, 0.13134189783832856, 0.0827545462645865, 1.0497870683678638,
+         1.0497870683678638, 0.9525741268224334, 1.0, 1.0,
+         0.00012349589485761352, 0.2565036097466269, 0.9525741268224334,
+         1.0157194549065534e-85, 0.15777684932819505),
+    ]
 
 
 # --------------------------------------------------- mean-mode closed form
@@ -170,10 +244,9 @@ def test_relaxation_potential_trivial_at_unit_scale():
 
 def march(spec, t_end, tol=1e-8):
     """Potential samples at t_end of the mode-space march that evolve runs."""
-    res = integrate_lawson(spectral_problem(spec),
-                           np.fft.rfftn(spec.initial_potential.values),
-                           0.0, (t_end,), tol=tol)
-    return real_samples(spec.grid, res.sample_modes[-1])
+    res = integrate_lawson(*spectral_problem(spec), 0.0, (t_end,), tol=tol)
+    return real_samples(spec.grid, full_width(spec.grid,
+                                              res.sample_modes[-1]))
 
 
 def test_evolve_keeps_stationary_state_exactly():
@@ -289,10 +362,9 @@ def field_space_diagnostics(spec, t, potential):
 def test_diagnostics_from_modes_match_the_field_space_reference():
     spec = sine_spec(n=16, b0=1.0, a0=2.0, amp=0.01)
     times = (0.5, 1.5, 3.0)
-    res = integrate_lawson(spectral_problem(spec),
-                           np.fft.rfftn(spec.initial_potential.values),
-                           0.0, times)
+    res = integrate_lawson(*spectral_problem(spec), 0.0, times)
     for t, modes in zip(times, res.sample_modes):
+        modes = full_width(spec.grid, modes)
         got = asdict(diagnostics_for(spec, t, modes))
         want = field_space_diagnostics(
             spec, t, ScalarField(spec.grid, real_samples(spec.grid, modes)))

@@ -21,11 +21,13 @@ from collapse_lab.grids import GridSpec, HermitianField, PositivityError, Scalar
 from collapse_lab.geometry import (
     ddbar,
     fiber_diameter,
+    full_width,
     half_modes,
     real_samples,
     ricci_form,
     riemann_norm,
     trace_wrt,
+    y_profiles,
 )
 
 
@@ -127,8 +129,8 @@ def test_transform_pair_is_rfftn_bit_for_bit_on_a_field_and_a_stack(n):
     grid = GridSpec(1, (n,))
     fields = np.random.default_rng(n).standard_normal((3,) + grid.shape)
     want = np.stack([np.fft.rfftn(f) for f in fields])
-    for got, ref in ((half_modes(fields[0]), want[0]),
-                     (half_modes(fields), want)):
+    for got, ref in ((half_modes(grid, fields[0]), want[0]),
+                     (half_modes(grid, fields), want)):
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
     back = np.stack([np.fft.irfftn(m, s=grid.shape, axes=(0, 1))
@@ -137,6 +139,61 @@ def test_transform_pair_is_rfftn_bit_for_bit_on_a_field_and_a_stack(n):
                      (real_samples(grid, want), back)):
         assert got.shape == ref.shape
         assert got.tobytes() == ref.tobytes()
+
+
+def profile_pair_cases(n):
+    """Three fields constant along y on an n-grid, their ky = 0 columns of
+    rfftn, and what irfftn makes of those columns with zeros beside them."""
+    grid = GridSpec(1, (n,))
+    cols = np.random.default_rng(n).standard_normal((3, n, 1))
+    fields = np.broadcast_to(cols, (3,) + grid.shape)
+    modes = np.stack([np.fft.rfftn(f) for f in fields])[..., :1]
+    back = np.stack([np.fft.irfftn(full_width(grid, m), s=grid.shape,
+                                   axes=(0, 1))
+                     for m in modes])[..., :1]
+    return grid, cols, modes, back
+
+
+@pytest.mark.parametrize("n", [8, 12, 16, 24, 32, 64, 96, 128])
+def test_profile_pair_is_the_ky0_column_bit_for_bit(n):
+    grid, cols, modes, back = profile_pair_cases(n)
+    for got, ref in ((half_modes(grid, cols[0]), modes[0]),
+                     (half_modes(grid, cols), modes),
+                     (real_samples(grid, modes[0]), back[0]),
+                     (real_samples(grid, modes), back)):
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [10, 18, 20, 50])
+def test_profile_pair_is_the_ky0_column_to_roundoff_at_other_n(n):
+    # pocketfft's sum of n equal values need not be n times the value here
+    grid, cols, modes, back = profile_pair_cases(n)
+    for got, ref in ((half_modes(grid, cols), modes),
+                     (real_samples(grid, modes), back)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_y_profiles_only_when_every_field_is_constant_along_y():
+    grid = GridSpec(1, (8,))
+    x, y = coords(grid)
+    along_x, along_y = np.cos(2 * np.pi * x), np.cos(2 * np.pi * y)
+    profile, scalar = y_profiles(along_x, 2.0)
+    assert profile.shape == (8, 1) and scalar == 2.0
+    assert profile[:, 0].tobytes() == along_x[:, 0].tobytes()
+    kept = y_profiles(along_x, along_y, 2.0)
+    assert kept[0] is along_x and kept[1] is along_y and kept[2] == 2.0
+
+
+def test_full_width_pads_profile_modes_with_exact_zeros():
+    grid = GridSpec(1, (8,))
+    modes = np.arange(8.0).reshape(8, 1) + 1j
+    full = full_width(grid, modes)
+    assert full.shape == (8, 5)
+    assert full[:, :1].tobytes() == modes.tobytes()
+    assert not np.any(full[:, 1:])
+    assert full_width(grid, full) is full
 
 
 # ---------------------------------------------------------------- trace_wrt

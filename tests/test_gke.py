@@ -13,6 +13,7 @@ import pytest
 from collapse_lab.grids import GridSpec, HermitianField, ScalarField
 from collapse_lab.geometry import ddbar, ricci_form
 from collapse_lab.models import GkeTestbedSpec
+from collapse_lab import gke
 from collapse_lab.gke import (
     _envelope,
     gke_residual,
@@ -186,6 +187,27 @@ def test_parabolic_transient_settles_onto_limit():
     assert 0.0 <= res.empirical_constant < 20.0
 
 
+def test_parabolic_problem_marches_profiles_only_when_all_data_are():
+    tb, rho, _ = _transient_case()
+    assert parabolic_problem(tb, rho)[1].shape == (16, 1)
+    assert parabolic_problem(tb, 0.25)[1].shape == (16, 1)
+    # a density, sigma or rho that varies along y keeps every column
+    y_tb, y_rho, _ = _parabolic_case()
+    assert parabolic_problem(y_tb, rho)[1].shape == (16, 9)
+    assert parabolic_problem(tb, y_rho)[1].shape == (16, 9)
+
+
+def test_parabolic_profile_march_matches_the_full_width_one(monkeypatch):
+    tb, rho, limit = _transient_case()
+    times = np.linspace(0.0, 4.0, 9)
+    prof = parabolic_gke(tb, rho, limit, times)
+    monkeypatch.setattr(gke, "y_profiles", lambda *fields: fields)
+    assert parabolic_problem(tb, rho)[1].shape == (16, 9)
+    full = parabolic_gke(tb, rho, limit, times)
+    for name in ("gap_max", "gap_min", "dgap"):
+        assert getattr(prof, name).tobytes() == getattr(full, name).tobytes()
+
+
 def test_envelope_constant_and_defect_by_hand():
     # the sample at t = 1 (gap 1, dgap -0.5) binds: C = e (-0.5 + 1), where
     # its defect is 0; the one at t = 0 (gap 2, dgap -1.5) needs only
@@ -255,12 +277,13 @@ def test_parabolic_mode_space_rhs_is_velocity_less_linear_part():
                 - phi.values)
     linear = ddbar(phi).values / tb.flat_scale - phi.values
     want = np.fft.rfftn(velocity - linear)
-    got = parabolic_problem(tb, rho).nonlinear_modes(t, np.fft.rfftn(phi.values))
+    got = parabolic_problem(tb, rho)[0].nonlinear_modes(
+        t, np.fft.rfftn(phi.values))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     # without the transient the velocity is the static residual
     want = np.fft.rfftn(gke_residual(tb, phi).values - linear)
-    got = parabolic_problem(tb, np.zeros_like(rho)).nonlinear_modes(
+    got = parabolic_problem(tb, np.zeros_like(rho))[0].nonlinear_modes(
         t, np.fft.rfftn(phi.values))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -268,4 +291,5 @@ def test_parabolic_mode_space_rhs_is_velocity_less_linear_part():
 def test_parabolic_mode_space_rhs_is_nan_outside_the_cone():
     tb, rho, phi = _parabolic_case()
     steep = np.fft.rfftn(40.0 * phi.values)
-    assert np.isnan(parabolic_problem(tb, rho).nonlinear_modes(0.0, steep)).all()
+    problem = parabolic_problem(tb, rho)[0]
+    assert np.isnan(problem.nonlinear_modes(0.0, steep)).all()

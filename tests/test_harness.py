@@ -336,6 +336,17 @@ def test_fiber_flow_at_tiny_a0_runs_to_a_report(tmp_path):
     assert (out / "tiny_a0" / "diagnostics.csv").is_file()
 
 
+def test_product_ode_at_tiny_a0_runs_to_a_report(tmp_path):
+    # below a0 of about 1.1e-16, a0 - 1 rounds to -1, and the closed form
+    # read a(0) = 0, which the defect divided by (exit 3)
+    path = _write(tmp_path, "tiny_a0.json",
+                  {"experiment": "product-ode", "model": {"a0": 1e-17}})
+    out = tmp_path / "out"
+    code = cli.main(["run", "--config", str(path), "--out", str(out)])
+    assert code in (0, 1)
+    assert (out / "tiny_a0" / "diagnostics.csv").is_file()
+
+
 def test_fiber_flow_horizon_must_exceed_the_sample_spacing(tmp_path, capsys):
     # fiber-flow samples times closer than 1e-9 once, so at horizon 1e-9
     # only t = 0 was left, and the march exited 3
