@@ -24,7 +24,7 @@ from .geometry import ddbar, fiber_diameter
 from .gke import parabolic_gke, solve_gke, twisted_einstein_residual
 from .grids import GridSpec, HermitianField, PositivityError, ScalarField
 from .models import (FiberFlowSpec, GkeTestbedSpec, ProductModelSpec,
-                     SemiFlatSpec, density_F, fiber_constancy,
+                     SemiFlatSpec, _base_scale, density_F, fiber_constancy,
                      rescaling_check, semiflat_components,
                      semiflat_potential, weil_petersson)
 from .rates import RateFit, UnfittableSeries, rate_fit
@@ -204,7 +204,7 @@ def _run_fiber_flow(cfg, rng):
     times = _series(rows, "t")
     curv = _series(rows, "curvature_sup")
     # the base scale at the horizon; the base curvature is sqrt(base_dim)/a
-    a_end = 1.0 + (m["a0"] - 1.0) * math.exp(-horizon)
+    a_end = _base_scale(m["a0"], horizon)[0]
 
     target = math.pi ** 2 / m["b0"]
     mode_fit = _fit(times, _series(rows, "mode_low"),
@@ -309,9 +309,9 @@ def _run_gke_parabolic(cfg, rng):
     testbed = GkeTestbedSpec(
         grid, density=ScalarField.constant(grid, m["density_const"]),
         flat_scale=m["flat_scale"])
-    x, _ = _plane_coords(grid)
-    bump = ScalarField(grid, m["transient_cos"] * np.cos(2 * np.pi * x)
-                       * np.ones(grid.shape))
+    # the bump is constant along y: its profile keeps rho a profile
+    bump = ScalarField(grid, m["transient_cos"]
+                       * np.cos(2 * np.pi * grid.axis_coordinates(0)))
     rho = m["transient_scale"] + ddbar(bump).values
 
     limit = solve_gke(testbed, tol=s["limit_tol"]).potential

@@ -22,8 +22,8 @@ import numpy as np
 
 from .grids import HermitianField, ScalarField
 from .geometry import (MongeAmpereFlow, ddbar_symbol, fiber_diameter,
-                       full_width, half_modes, log_volume_ratio,
-                       real_samples, riemann_norm, trace_wrt, y_profiles)
+                       half_modes, log_volume_ratio, real_samples,
+                       riemann_norm, trace_wrt, y_profiles)
 from .models import _base_scale
 from .timestep import integrate_lawson
 
@@ -93,12 +93,14 @@ class Diagnostics:
 
 def diagnostics_for(spec, t, modes, with_diameter=True):
     """Evaluate the full monitor suite for one state of the flow, given the
-    half-spectrum modes of its potential, as the march holds them."""
+    half-spectrum modes of its potential, as the march holds them: a
+    y-profile's monitors are read on the profile."""
     g = spec.grid
     p = spec.base_dim
     et = math.exp(t)
     a_hat = _base_scale(spec.a0, t)[0]
-    phi, hess = real_samples(g, np.stack([modes, ddbar_symbol(g) * modes]))
+    lap = ddbar_symbol(g)[:, :modes.shape[-1]]
+    phi, hess = real_samples(g, np.stack([modes, lap * modes]))
     potential = ScalarField(g, phi)
 
     twisted = HermitianField(g, spec.b0 + et * hess)
@@ -111,14 +113,15 @@ def diagnostics_for(spec, t, modes, with_diameter=True):
     vt = normalized_potential(spec, t, potential).values
 
     # trace of the initial metric in the evolving one, rescaled to its limit
+    initial = HermitianField(g, spec.initial_form().values[:, :phi.shape[-1]])
     qfield = np.log(math.exp(-t) * p * spec.a0 / a_hat
-                    + trace_wrt(twisted, spec.initial_form()).values) - vt
+                    + trace_wrt(twisted, initial).values) - vt
 
     fiber_curv = et * float(np.max(riemann_norm(twisted).values))
     curvature = math.hypot(math.sqrt(p) / a_hat, fiber_curv)
 
     # the relaxation shift of vt moves only the zero mode
-    mode_low = et * abs(modes[1, 0]) / vt.size
+    mode_low = et * abs(modes[1, 0]) / math.prod(g.shape)
 
     diam = math.nan
     if with_diameter:
@@ -146,6 +149,5 @@ def evolve(spec, sample_times, tol=1e-8, with_diameter=True):
     each sample time."""
     problem, u0 = spectral_problem(spec)
     res = integrate_lawson(problem, u0, 0.0, sample_times, tol=tol)
-    return [diagnostics_for(spec, s, full_width(spec.grid, modes),
-                            with_diameter=with_diameter)
+    return [diagnostics_for(spec, s, modes, with_diameter=with_diameter)
             for s, modes in zip(sample_times, res.sample_modes)]

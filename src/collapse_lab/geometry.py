@@ -9,8 +9,9 @@ determinant, inverse and traces are pointwise scalar arithmetic.
 
 A field that is constant along y may be held as its y-profile: the (n, 1)
 column of its samples at y = 0, whose modes are the (n, 1) ky = 0 column of
-the half spectrum.  The transform pair takes either width, and a march
-whose data are all constant along y runs on profiles (``y_profiles``).
+the half spectrum.  The transform pair and every operator here take either
+width, and a march whose data are all constant along y runs on profiles
+(``y_profiles``), which its monitors read as they are.
 """
 
 from __future__ import annotations
@@ -22,10 +23,6 @@ import math
 import numpy as np
 
 from .grids import HermitianField, ScalarField
-
-# relative spread of edge lengths below which fiber_diameter takes an axis as
-# free; FFT roundoff leaves 9.2e-14 on the y-invariant flow metric at n=66
-_SYMMETRY_TOL = 1e-12
 
 
 def _nyquist_zeroed(k):
@@ -112,17 +109,6 @@ def y_profiles(*fields):
     if all(np.all(f == f[..., :1]) for f in fields if np.ndim(f)):
         return tuple(f[..., :1] if np.ndim(f) else f for f in fields)
     return fields
-
-
-def full_width(grid, modes):
-    """Modes widened to the grid's whole half spectrum: the ky != 0 columns
-    a y-profile leaves out are exact zeros."""
-    cut = grid.shape[1] // 2 + 1
-    if modes.shape[-1] == cut:
-        return modes
-    full = np.zeros(modes.shape[:-1] + (cut,), dtype=complex)
-    full[..., :modes.shape[-1]] = modes
-    return full
 
 
 def ddbar_modes(grid, modes):
@@ -239,12 +225,13 @@ def riemann_norm(omega: HermitianField) -> ScalarField:
     so scaling the metric by c scales the result by 1/c.  Every derivative
     is taken of g itself: R / g is also -ddbar log g, but log g carries
     modes that g does not, and at n = 16 their truncation moves the norm by
-    1e-2 relative.
+    1e-2 relative.  The symbols are cut to the width of the modes of g, so a
+    y-profile's y-derivative is exactly zero.
     """
     omega.require_positive("riemann_norm")
     grid, g = omega.grid, omega.values
-    lap, dx, dy = _symbols(grid)
     modes = half_modes(grid, g)
+    lap, dx, dy = (sym[:, :modes.shape[-1]] for sym in _symbols(grid))
     gx, gy, hess = real_samples(grid, np.stack([dx * modes, dy * modes,
                                                 lap * modes]))
     curv = 0.25 * (gx * gx + gy * gy) / g - hess
@@ -262,18 +249,17 @@ def fiber_diameter(omega: HermitianField) -> float:
     """Graph-metric diameter of the torus under the given metric field.
 
     Edges are king moves, each as long as the mean of g |dz|^2 at its
-    endpoints.  An axis is free when every edge length is constant along it
-    within a relative ``_SYMMETRY_TOL``; Dijkstra runs from one source per
-    orbit of the translations along free axes, from every node if none is.
-    Such a translation stretches each edge, hence each eccentricity, by at
-    most r, the product over free axes of the largest max/min edge ratio
-    along it, so the largest distance D found obeys D <= diameter <= r D,
-    with r <= 1 + 1e-12 per free axis and r = 1 for an exact symmetry.
-    Scaling the metric by c scales the result by sqrt(c) exactly.
+    endpoints, over the whole grid, a y-profile broadcast to it.  An axis
+    is free when every edge length is exactly equal along it, as y is for
+    a profile; Dijkstra runs from one source per orbit of the translations
+    along free axes, from every node if none is, so the result is the
+    exact graph diameter.  Scaling the metric by c scales the result by
+    sqrt(c) exactly.
     """
     from scipy.sparse import csr_matrix
     omega.require_positive("fiber_diameter")
-    g, (hx, hy) = omega.values, omega.grid.spacings
+    g = np.broadcast_to(omega.values, omega.grid.shape)
+    hx, hy = omega.grid.spacings
     offsets, idx, rows, cols = _lattice(omega.grid)
     weights = []
     for off in offsets:
@@ -281,8 +267,7 @@ def fiber_diameter(omega: HermitianField) -> float:
         q_nb = np.roll(q, shift=(-off[0], -off[1]), axis=(0, 1))
         weights.append(np.sqrt(0.5 * (q + q_nb)))
     weights = np.stack(weights)
-    free = [np.all(weights.max(axis=a + 1)
-                   <= (1.0 + _SYMMETRY_TOL) * weights.min(axis=a + 1))
+    free = [np.all(weights.max(axis=a + 1) == weights.min(axis=a + 1))
             for a in (0, 1)]
     sources = idx[tuple(slice(0, 1) if f else slice(None) for f in free)]
     graph = csr_matrix((weights.ravel(), (rows, cols)), shape=(idx.size,) * 2)

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import ScalarField
-from .geometry import (MongeAmpereFlow, ddbar, ddbar_symbol, full_width,
-                       half_modes, log_volume_ratio, real_samples, ricci_form,
-                       trace_wrt, y_profiles)
+from .geometry import (MongeAmpereFlow, ddbar, ddbar_symbol, half_modes,
+                       log_volume_ratio, real_samples, ricci_form, trace_wrt,
+                       y_profiles)
 from .timestep import integrate_lawson
 
 NEWTON_FORCING_CAP = 1e-3
@@ -200,13 +200,12 @@ def parabolic_gke(testbed, rho, limit, sample_times, tol=1e-8):
 
     problem, u0 = parabolic_problem(testbed, rho)
     march = integrate_lawson(problem, u0, 0.0, sample_times, tol=tol)
-    lap = ddbar_symbol(grid)
+    lap = ddbar_symbol(grid)[:, :u0.shape[-1]]
     rows = []
     for t, modes in zip(sample_times, march.sample_modes):
-        # read on the full grid, against the limit; profile data broadcast
-        modes = full_width(grid, modes)
+        # read at the march's width, against the limit at that width
         phi, hess = real_samples(grid, np.stack([modes, lap * modes]))
-        gap = phi - limit.values
+        gap = phi - limit.values[:, :phi.shape[-1]]
         omega = problem.background(t) + hess
         peak = np.max(gap)
         speed = problem.velocity(t, omega) - phi

@@ -3,7 +3,9 @@
 A grid covers the unit torus of complex dimension one, the fiber of the
 elliptic fibrations the lab models: period 1 along both real directions of
 z = x + iy, with the same even number of uniform samples along each.  Field
-arrays have axis 0 along x and axis 1 along y.
+arrays have axis 0 along x and axis 1 along y.  A field constant along y
+may be held as its y-profile, the (n, 1) column of its samples at y = 0;
+the field containers take samples of the grid's shape or of that one.
 """
 
 from __future__ import annotations
@@ -70,18 +72,24 @@ class GridSpec:
         return k.reshape(shape)
 
 
+def _samples(grid, values):
+    """``values`` as float samples over the grid or a y-profile of them."""
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.shape not in (grid.shape, (grid.shape[0], 1)):
+        raise ValueError(f"samples must have shape {grid.shape} or "
+                         f"{(grid.shape[0], 1)}, got {vals.shape}")
+    return vals
+
+
 @dataclass
 class ScalarField:
-    """Real scalar samples over a grid."""
+    """Real scalar samples over a grid, or their y-profile."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != self.grid.shape:
-            vals = np.broadcast_to(vals, self.grid.shape).copy()
-        self.values = vals
+        self.values = _samples(self.grid, self.values)
 
     def mean(self):
         return float(np.mean(self.values))
@@ -100,8 +108,8 @@ class HermitianField:
 
     In one complex dimension the Hermitian coefficient matrix is the single
     real number g, so a metric is a positive scalar field and g is its only
-    eigenvalue.  Realness is validated on entry; positivity is deliberately
-    not, callers query it.
+    eigenvalue.  Realness and shape are validated on entry; positivity is
+    deliberately not, callers query it.
     """
 
     grid: GridSpec
@@ -110,11 +118,7 @@ class HermitianField:
     def __post_init__(self):
         if np.iscomplexobj(self.values):
             raise ValueError("coefficients of a real (1,1)-form must be real")
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.shape != self.grid.shape:
-            raise ValueError(f"coefficient array must have shape "
-                             f"{self.grid.shape}, got {vals.shape}")
-        self.values = vals
+        self.values = _samples(self.grid, self.values)
 
     def is_positive(self):
         return bool(np.min(self.values) > 0.0)

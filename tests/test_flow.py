@@ -17,8 +17,8 @@ from collapse_lab.config import validate_config
 from collapse_lab.experiments import run_experiment
 from collapse_lab.grids import GridSpec, HermitianField, ScalarField
 from collapse_lab import flow, geometry
-from collapse_lab.geometry import (ddbar, fiber_diameter, full_width,
-                                   real_samples, riemann_norm, trace_wrt)
+from collapse_lab.geometry import (ddbar, fiber_diameter, real_samples,
+                                   riemann_norm, trace_wrt)
 from collapse_lab.models import FiberFlowSpec
 from collapse_lab.timestep import integrate_lawson
 from collapse_lab.flow import (
@@ -36,6 +36,15 @@ def sine_spec(n=16, b0=1.0, a0=1.0, amp=0.01):
     x = grid.axis_coordinates(0) * np.ones(grid.shape)
     return FiberFlowSpec(grid=grid, b0=b0, a0=a0,
                          initial_potential=ScalarField(grid, amp * np.sin(2 * np.pi * x)))
+
+
+def full_width(grid, modes):
+    """Modes widened to the grid's whole half spectrum with exact-zero
+    ky != 0 columns, as a y-profile leaves them out."""
+    full = np.zeros(modes.shape[:-1] + (grid.shape[1] // 2 + 1,),
+                    dtype=complex)
+    full[..., :modes.shape[-1]] = modes
+    return full
 
 
 # ------------------------------------------------------------- rhs oracles
@@ -187,7 +196,8 @@ def test_two_dimensional_start_marches_full_width(monkeypatch):
     rows = [astuple(d) for d in evolve(spec, (0.0, 1.0, 3.0))]
     assert widths == [(16, 9)]
     # frozen from the full-width march (numpy 2.4.6): a start that varies
-    # along y keeps that path, bit for bit
+    # along y keeps that path, bit for bit; the t = 1 diameter is frozen
+    # with every node a source, the metric there being flat only to 4e-15
     assert rows == [
         (0.0, 0.010000000000000002, 0.8832931124155171, 1.6052158239564256,
          2.3947841760435753, 0.5, 0.8026079119782128, 1.1973920880217876,
@@ -196,7 +206,7 @@ def test_two_dimensional_start_marches_full_width(monkeypatch):
         (1.0, 0.2863490367318424, 0.026912650786384884, 1.3678794411714363,
          1.3678794411714483, 0.7310585786300049, 0.9999999999999956,
          1.0000000000000044, 0.0001234959866144107, 0.551289358365899,
-         0.7310585786300049, 6.360854171995564e-19, 0.4288819424803534),
+         0.7310585786300049, 6.360854171995564e-19, 0.42888194248035355),
         (3.0, 0.13134189783832856, 0.0827545462645865, 1.0497870683678638,
          1.0497870683678638, 0.9525741268224334, 1.0, 1.0,
          0.00012349589485761352, 0.2565036097466269, 0.9525741268224334,
@@ -360,18 +370,37 @@ def field_space_diagnostics(spec, t, potential):
 
 
 def test_diagnostics_from_modes_match_the_field_space_reference():
+    # the monitors read the profile modes the march holds; the reference
+    # reads the whole grid
     spec = sine_spec(n=16, b0=1.0, a0=2.0, amp=0.01)
     times = (0.5, 1.5, 3.0)
     res = integrate_lawson(*spectral_problem(spec), 0.0, times)
     for t, modes in zip(times, res.sample_modes):
-        modes = full_width(spec.grid, modes)
+        assert modes.shape == (16, 1)
         got = asdict(diagnostics_for(spec, t, modes))
-        want = field_space_diagnostics(
-            spec, t, ScalarField(spec.grid, real_samples(spec.grid, modes)))
+        samples = real_samples(spec.grid, full_width(spec.grid, modes))
+        want = field_space_diagnostics(spec, t,
+                                       ScalarField(spec.grid, samples))
         assert got.pop("t") == t
         # the reference rounds the lowest mode against the relaxing mean
         assert abs(got.pop("mode_low") - want.pop("mode_low")) <= 2e-16
         assert got == pytest.approx(want, rel=1e-11, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_diagnostics_of_profile_modes_are_those_of_widened_ones(n):
+    # bit for bit, mode_low included, so it must divide by n^2 on either
+    # width; the diameter is left out, its sources depend on exact symmetry
+    spec = sine_spec(n=n, b0=1.0, a0=2.0, amp=0.01)
+    times = (0.5, 1.5, 3.0)
+    res = integrate_lawson(*spectral_problem(spec), 0.0, times)
+    for t, modes in zip(times, res.sample_modes):
+        assert modes.shape == (n, 1)
+        got, want = (asdict(diagnostics_for(spec, t, m, with_diameter=False))
+                     for m in (modes, full_width(spec.grid, modes)))
+        del got["diameter"], want["diameter"]
+        assert np.array(list(got.values())).tobytes() \
+            == np.array(list(want.values())).tobytes()
 
 
 def test_evolve_samples_align_and_monitors_settle():

@@ -10,9 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from collapse_lab.config import validate_config
+from collapse_lab.experiments import run_experiment
 from collapse_lab.grids import GridSpec, HermitianField, ScalarField
 from collapse_lab.geometry import ddbar, ricci_form
 from collapse_lab.models import GkeTestbedSpec
+from collapse_lab.timestep import integrate_lawson
 from collapse_lab import gke
 from collapse_lab.gke import (
     _envelope,
@@ -206,6 +209,21 @@ def test_parabolic_profile_march_matches_the_full_width_one(monkeypatch):
     full = parabolic_gke(tb, rho, limit, times)
     for name in ("gap_max", "gap_min", "dgap"):
         assert getattr(prof, name).tobytes() == getattr(full, name).tobytes()
+
+
+def test_gke_parabolic_at_n10_marches_on_profiles(monkeypatch):
+    # its bump is built as a y-profile, so rho is one: through the 2-D
+    # transform, FFT roundoff along y at n = 10 kept every column
+    widths = []
+
+    def spy(problem, u0, *args, **kwargs):
+        widths.append(u0.shape)
+        return integrate_lawson(problem, u0, *args, **kwargs)
+
+    monkeypatch.setattr(gke, "integrate_lawson", spy)
+    run_experiment(validate_config({"experiment": "gke-parabolic",
+                                    "model": {"n": 10}}))
+    assert widths == [(10, 1)]
 
 
 def test_envelope_constant_and_defect_by_hand():
