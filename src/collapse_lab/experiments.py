@@ -164,9 +164,10 @@ def _run_product_ode(cfg, rng):
 
 def _flow_spec(model):
     grid = GridSpec(1, (model["n"],))
-    x = grid.axis_coordinates(0) * np.ones(grid.shape)
+    # the start is constant along y: its profile keeps the march on profiles
     amp = model["amplitude_rel"] * model["b0"]
-    initial = ScalarField(grid, amp * np.sin(2.0 * np.pi * x))
+    initial = ScalarField(grid, amp * np.sin(2.0 * np.pi
+                                             * grid.axis_coordinates(0)))
     return FiberFlowSpec(grid=grid, b0=model["b0"], a0=model["a0"],
                          initial_potential=initial,
                          base_dim=model["base_dim"])

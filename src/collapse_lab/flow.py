@@ -23,7 +23,7 @@ import numpy as np
 from .grids import HermitianField, ScalarField
 from .geometry import (MongeAmpereFlow, ddbar_symbol, fiber_diameter,
                        half_modes, log_volume_ratio, real_samples,
-                       riemann_norm, trace_wrt, y_profiles)
+                       riemann_norm, trace_wrt)
 from .models import _base_scale
 from .timestep import integrate_lawson
 
@@ -56,10 +56,10 @@ def _velocity(spec, t, twisted):
 
 def spectral_problem(spec):
     """The flow in mode space: omega = b0 + exp(t) ddbar(phi), scale b0.
-    Returns the problem and the modes of the start potential, held as its
-    y-profile when it is constant along y, as the flow then keeps it."""
-    (start,) = y_profiles(spec.initial_potential.values)
-    u0 = half_modes(spec.grid, start)
+    Returns the problem and the modes of the start potential at its width:
+    a y-profile start marches on profiles, which the flow keeps constant
+    along y; a start over the whole grid marches at full width."""
+    u0 = half_modes(spec.grid, spec.initial_potential.values)
     problem = MongeAmpereFlow(spec.grid, spec.b0, lambda t: spec.b0,
                               functools.partial(_velocity, spec),
                               stiffening=True, width=u0.shape[-1])
@@ -113,9 +113,8 @@ def diagnostics_for(spec, t, modes, with_diameter=True):
     vt = normalized_potential(spec, t, potential).values
 
     # trace of the initial metric in the evolving one, rescaled to its limit
-    initial = HermitianField(g, spec.initial_form().values[:, :phi.shape[-1]])
     qfield = np.log(math.exp(-t) * p * spec.a0 / a_hat
-                    + trace_wrt(twisted, initial).values) - vt
+                    + trace_wrt(twisted, spec.initial_form()).values) - vt
 
     fiber_curv = et * float(np.max(riemann_norm(twisted).values))
     curvature = math.hypot(math.sqrt(p) / a_hat, fiber_curv)

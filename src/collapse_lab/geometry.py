@@ -9,9 +9,9 @@ determinant, inverse and traces are pointwise scalar arithmetic.
 
 A field that is constant along y may be held as its y-profile: the (n, 1)
 column of its samples at y = 0, whose modes are the (n, 1) ky = 0 column of
-the half spectrum.  The transform pair and every operator here take either
-width, and a march whose data are all constant along y runs on profiles
-(``y_profiles``), which its monitors read as they are.
+the half spectrum.  The transform pair and every operator here work at the
+width of the data they are given, so a march whose data are all profiles
+runs on profiles, and its monitors read them as they are.
 """
 
 from __future__ import annotations
@@ -100,15 +100,6 @@ def real_samples(grid, modes):
     if modes.shape[-1] == 1:
         return np.fft.ifft(modes, axis=-2).real * (1.0 / grid.shape[1])
     return np.fft.irfft(np.fft.ifft(modes, axis=-2), n=grid.shape[1], axis=-1)
-
-
-def y_profiles(*fields):
-    """The sample fields a march runs on: when every array among them is
-    constant along y, each one's y-profile, its (n, 1) column at y = 0,
-    with scalars passed through; otherwise the fields as given."""
-    if all(np.all(f == f[..., :1]) for f in fields if np.ndim(f)):
-        return tuple(f[..., :1] if np.ndim(f) else f for f in fields)
-    return fields
 
 
 def ddbar_modes(grid, modes):

@@ -27,8 +27,7 @@ import numpy as np
 
 from .grids import ScalarField
 from .geometry import (MongeAmpereFlow, ddbar, ddbar_symbol, half_modes,
-                       log_volume_ratio, real_samples, ricci_form, trace_wrt,
-                       y_profiles)
+                       log_volume_ratio, real_samples, ricci_form, trace_wrt)
 from .timestep import integrate_lawson
 
 NEWTON_FORCING_CAP = 1e-3
@@ -54,22 +53,25 @@ class GkeSolution:
 
 def krylov_matvec(omega, v):
     """The Newton linearisation (laplacian_omega - 1) applied to the flat
-    samples v; every Krylov iteration of the solve passes through here."""
-    f = ScalarField(omega.grid, v.reshape(omega.grid.shape))
+    samples v, at their width: the grid's n*n, or a y-profile's n, which a
+    profile omega broadcasts against.  Every Krylov iteration of the solve
+    passes through here."""
+    f = ScalarField(omega.grid, v.reshape(omega.grid.shape[0], -1))
     return (trace_wrt(omega, ddbar(f)).values - f.values).ravel()
 
 
 def _linear_step(grid, omega, rhs_field, forcing, flat_scale):
-    """Solve (laplacian_omega - 1) v = rhs to the requested relative tolerance."""
+    """Solve (laplacian_omega - 1) v = rhs to the requested relative
+    tolerance, at the width of rhs."""
     from scipy.sparse.linalg import LinearOperator, bicgstab
-    size = rhs_field.size
-    symbol = ddbar_symbol(grid) / flat_scale
+    shape, size = rhs_field.shape, rhs_field.size
+    symbol = ddbar_symbol(grid)[:, :shape[-1]] / flat_scale
 
     def matvec(v):
         return krylov_matvec(omega, v)
 
     def precond(v):
-        spec = half_modes(grid, v.reshape(grid.shape))
+        spec = half_modes(grid, v.reshape(shape))
         return real_samples(grid, spec / (symbol - 1.0)).ravel()
 
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
@@ -78,7 +80,7 @@ def _linear_step(grid, omega, rhs_field, forcing, flat_scale):
                        M=pre, maxiter=500)
     if info != 0:
         raise RuntimeError(f"linearized solve stalled (bicgstab info {info})")
-    return v.reshape(grid.shape)
+    return v.reshape(shape)
 
 
 def solve_gke(testbed, tol=1e-11, max_iter=20, start=None):
@@ -148,12 +150,13 @@ class ParabolicResult:
 
 def parabolic_problem(testbed, rho):
     """The relaxation in mode space: omega = sigma + exp(-t) rho + ddbar(u),
-    from u = 0.  Returns the problem and the modes of that start: y-profiles
-    when sigma, rho and the density are all constant along y."""
-    start, sigma, rho, log_f = y_profiles(
-        np.zeros(testbed.grid.shape), testbed.sigma_form().values, rho,
+    from u = 0.  Returns the problem and the modes of that start, at the
+    width sigma, rho and the density broadcast to: y-profiles when all three
+    are profiles."""
+    sigma, rho, log_f = np.broadcast_arrays(
+        testbed.sigma_form().values, rho,
         np.log(testbed.density_field().values))
-    u0 = half_modes(testbed.grid, start)
+    u0 = half_modes(testbed.grid, np.zeros(sigma.shape))
     problem = MongeAmpereFlow(
         testbed.grid, testbed.flat_scale,
         lambda t: sigma + math.exp(-t) * rho,
@@ -203,12 +206,12 @@ def parabolic_gke(testbed, rho, limit, sample_times, tol=1e-8):
     lap = ddbar_symbol(grid)[:, :u0.shape[-1]]
     rows = []
     for t, modes in zip(sample_times, march.sample_modes):
-        # read at the march's width, against the limit at that width
+        # read at the march's width, widened to the limit's if that is wider
         phi, hess = real_samples(grid, np.stack([modes, lap * modes]))
-        gap = phi - limit.values[:, :phi.shape[-1]]
         omega = problem.background(t) + hess
+        gap, speed = np.broadcast_arrays(phi - limit.values,
+                                         problem.velocity(t, omega) - phi)
         peak = np.max(gap)
-        speed = problem.velocity(t, omega) - phi
         rows.append((peak, np.min(gap), np.max(speed[gap == peak])))
     times = np.asarray(sample_times, dtype=float)
     gap_max, gap_min, dgap = np.array(rows).T

@@ -5,7 +5,9 @@ elliptic fibrations the lab models: period 1 along both real directions of
 z = x + iy, with the same even number of uniform samples along each.  Field
 arrays have axis 0 along x and axis 1 along y.  A field constant along y
 may be held as its y-profile, the (n, 1) column of its samples at y = 0;
-the field containers take samples of the grid's shape or of that one.
+the field containers take samples of the grid's shape or of that one, and
+numpy broadcasting widens a profile where it meets a full field.  The
+width is fixed where the samples are built: a constant is a profile.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ class ScalarField:
 
     @classmethod
     def constant(cls, grid, value):
-        return cls(grid, np.full(grid.shape, float(value)))
+        return cls(grid, np.full((grid.shape[0], 1), float(value)))
 
 
 @dataclass
@@ -124,10 +126,11 @@ class HermitianField:
         return bool(np.min(self.values) > 0.0)
 
     def require_positive(self, context=""):
-        """Raise PositivityError naming the worst grid point if not positive."""
+        """Raise PositivityError naming the worst grid point if not positive;
+        a NaN sample is the worst point and is not positive."""
         worst = np.unravel_index(np.argmin(self.values), self.values.shape)
         val = float(self.values[worst])
-        if val <= 0.0:
+        if not val > 0.0:
             where = " in " + context if context else ""
             raise PositivityError(
                 f"metric not positive definite{where}: eigenvalue {val:.6e} "
@@ -146,4 +149,4 @@ class HermitianField:
 
     @classmethod
     def scaled_identity(cls, grid, scale=1.0):
-        return cls(grid, np.full(grid.shape, float(scale)))
+        return cls(grid, np.full((grid.shape[0], 1), float(scale)))

@@ -56,10 +56,10 @@ the state's shape, so the work of an attempt scales with the state's size.
 For the potential flows of :class:`collapse_lab.geometry.MongeAmpereFlow`
 on the torus fiber one evaluation is one transform pair: ``real_samples``
 for ddbar of the potential and ``half_modes`` back to mode space.  The
-state is the n x (n/2 + 1) half spectrum, or its n x 1 ky = 0 column when
-every datum of the march is constant along y; then each transform is one
-pass along x, and the stages, propagators and pointwise arithmetic are
-n/2 + 1 times smaller.
+state is the n x (n/2 + 1) half spectrum, or its n x 1 ky = 0 column for
+a march whose data are y-profiles; then each transform is one pass along
+x, and the stages, propagators and pointwise arithmetic are n/2 + 1 times
+smaller.
 
 The stepper never mutates a state after handing it to the problem, so a
 problem may recognise a state it has seen by identity.

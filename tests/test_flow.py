@@ -31,9 +31,13 @@ from collapse_lab.flow import (
 )
 
 
-def sine_spec(n=16, b0=1.0, a0=1.0, amp=0.01):
+def sine_spec(n=16, b0=1.0, a0=1.0, amp=0.01, profile=True):
+    """A sine start along x, as its y-profile, which marches on profiles,
+    or over the whole grid, which marches at full width."""
     grid = GridSpec(1, (n,))
-    x = grid.axis_coordinates(0) * np.ones(grid.shape)
+    x = grid.axis_coordinates(0)
+    if not profile:
+        x = x * np.ones(grid.shape)
     return FiberFlowSpec(grid=grid, b0=b0, a0=a0,
                          initial_potential=ScalarField(grid, amp * np.sin(2 * np.pi * x)))
 
@@ -95,12 +99,15 @@ def quarter_laplacian(grid, values):
 
 
 def test_mode_space_rhs_is_map_rhs_less_its_linear_part():
-    spec = sine_spec(n=32, b0=2.0, a0=3.0, amp=0.05)
+    # the reference works on the whole grid, the problem on the profile
+    spec = sine_spec(n=32, b0=2.0, a0=3.0, amp=0.05, profile=False)
     t = 0.9
     phi = spec.initial_potential
     linear = (math.exp(t) / spec.b0) * quarter_laplacian(spec.grid, phi.values)
     want = np.fft.rfftn(map_rhs(spec, t, phi).values - (linear - phi.values))
-    problem, modes = spectral_problem(spec)
+    problem, modes = spectral_problem(sine_spec(n=32, b0=2.0, a0=3.0,
+                                                amp=0.05))
+    assert modes.shape == (32, 1)
     got = full_width(spec.grid, problem.nonlinear_modes(t, modes))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -115,19 +122,12 @@ def test_mode_space_rhs_is_nan_outside_the_cone():
     assert np.isnan(problem.nonlinear_modes(t, modes)).all()
 
 
-def keep_every_column(monkeypatch):
-    """Make the flow march y-invariant starts at full width too."""
-    monkeypatch.setattr(flow, "y_profiles", lambda *fields: fields)
-
-
 @pytest.mark.parametrize("profile", [False, True],
                          ids=["full_width", "y_profile"])
 def test_march_builds_one_ddbar_per_rhs_evaluation(monkeypatch, profile):
     # an attempt's last stage, the new state's margin and the next step's
     # first stage share one ddbar, as do the initial margin and first stage
-    if not profile:
-        keep_every_column(monkeypatch)
-    spec = sine_spec(n=16, b0=1.0, a0=1.3, amp=0.02)
+    spec = sine_spec(n=16, b0=1.0, a0=1.3, amp=0.02, profile=profile)
     problem, u0 = spectral_problem(spec)
     assert u0.shape == ((16, 1) if profile else (16, 9))
     calls = {"ddbar": 0, "rhs": 0}
@@ -171,12 +171,12 @@ def test_modes_of_another_width_than_the_problem_raise():
 
 
 @pytest.mark.parametrize("n", [16, 64])
-def test_profile_march_is_the_full_width_march_bit_for_bit(monkeypatch, n):
-    spec = sine_spec(n=n, b0=1.0, a0=2.0, amp=0.01)
+def test_profile_march_is_the_full_width_march_bit_for_bit(n):
+    # the same start, held as its profile and over the whole grid
     times = (0.5, 1.5, 3.0)
-    prof = integrate_lawson(*spectral_problem(spec), 0.0, times)
-    keep_every_column(monkeypatch)
-    full = integrate_lawson(*spectral_problem(spec), 0.0, times)
+    prof, full = (integrate_lawson(*spectral_problem(
+        sine_spec(n=n, b0=1.0, a0=2.0, amp=0.01, profile=profile)),
+        0.0, times) for profile in (True, False))
     assert (prof.accepted, prof.rejected) == (full.accepted, full.rejected)
     for got, want in zip(prof.sample_modes, full.sample_modes):
         assert (got.shape, want.shape) == ((n, 1), (n, n // 2 + 1))
@@ -280,7 +280,8 @@ def test_evolve_matches_independent_rk45():
     def rhs(t, y):
         return map_rhs(spec, t, ScalarField(spec.grid, y.reshape(shape))).values.ravel()
 
-    sol = solve_ivp(rhs, (0.0, 2.0), spec.initial_potential.values.ravel(),
+    start = np.broadcast_to(spec.initial_potential.values, shape)
+    sol = solve_ivp(rhs, (0.0, 2.0), start.ravel(),
                     method="RK45", rtol=1e-11, atol=1e-13)
     assert sol.success
     want = sol.y[:, -1].reshape(shape)
@@ -312,7 +313,7 @@ def test_normalized_potential_inverts_the_scaling():
 
 
 def test_diagnostics_hand_values_at_start():
-    spec = sine_spec(n=16, b0=1.0, a0=2.0, amp=0.01)
+    spec = sine_spec(n=16, b0=1.0, a0=2.0, amp=0.01, profile=False)
     d = diagnostics_for(spec, 0.0, np.fft.rfftn(spec.initial_potential.values))
     bump = 0.01 * np.pi**2
     assert d.phi_sup == pytest.approx(0.01, abs=1e-15)

@@ -26,7 +26,6 @@ from collapse_lab.geometry import (
     ricci_form,
     riemann_norm,
     trace_wrt,
-    y_profiles,
 )
 
 
@@ -57,6 +56,28 @@ def test_grid_and_metric_have_one_complex_dimension():
                 field(g, np.ones(shape))
     with pytest.raises(ValueError, match="shape"):
         ScalarField(g, 2.0)
+
+
+def test_a_constant_is_a_y_profile():
+    g = grid1(8)
+    for field in (ScalarField.constant(g, 2.5),
+                  HermitianField.scaled_identity(g, 2.5)):
+        assert field.values.shape == (8, 1)
+        assert np.all(field.values == 2.5)
+
+
+def test_a_profile_plus_a_full_field_is_the_widened_sum():
+    g = grid1(8)
+    x, y = coords(g)
+    profile = HermitianField(g, 1.0 + 0.1 * np.cos(2 * np.pi * x[:, :1]))
+    full = HermitianField(g, 0.2 * np.sin(2 * np.pi * (x + y)))
+    widened = HermitianField(g, np.broadcast_to(profile.values, g.shape))
+    for got, want in ((profile + full, widened + full),
+                      (full + profile, full + widened),
+                      (profile - full, widened - full),
+                      (full - profile, full - widened)):
+        assert got.values.shape == g.shape
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 # ---------------------------------------------------------------- FD oracles
@@ -188,17 +209,6 @@ def test_profile_pair_is_the_ky0_column_to_roundoff_at_other_n(n):
                      (real_samples(grid, modes), back)):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
-
-
-def test_y_profiles_only_when_every_field_is_constant_along_y():
-    grid = GridSpec(1, (8,))
-    x, y = coords(grid)
-    along_x, along_y = np.cos(2 * np.pi * x), np.cos(2 * np.pi * y)
-    profile, scalar = y_profiles(along_x, 2.0)
-    assert profile.shape == (8, 1) and scalar == 2.0
-    assert profile[:, 0].tobytes() == along_x[:, 0].tobytes()
-    kept = y_profiles(along_x, along_y, 2.0)
-    assert kept[0] is along_x and kept[1] is along_y and kept[2] == 2.0
 
 
 # ---------------------------------------------------------------- trace_wrt

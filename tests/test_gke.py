@@ -10,13 +10,9 @@ import math
 import numpy as np
 import pytest
 
-from collapse_lab.config import validate_config
-from collapse_lab.experiments import run_experiment
 from collapse_lab.grids import GridSpec, HermitianField, ScalarField
 from collapse_lab.geometry import ddbar, ricci_form
 from collapse_lab.models import GkeTestbedSpec
-from collapse_lab.timestep import integrate_lawson
-from collapse_lab import gke
 from collapse_lab.gke import (
     _envelope,
     gke_residual,
@@ -106,6 +102,24 @@ def test_solution_independent_of_start():
     assert np.max(np.abs(a.potential.values - b.potential.values)) < 1e-9
 
 
+@pytest.mark.parametrize("amp", [0.0, 0.3], ids=["constant", "along_x"])
+@pytest.mark.parametrize("n", [16, 10])
+def test_newton_on_profiles_is_the_full_width_solve(n, amp):
+    # y-profile data make a Newton solve on n-vectors; the same data over
+    # the whole grid make one on n*n-vectors
+    g = GridSpec(1, (n,))
+    profile = 2.0 + amp * np.cos(2 * np.pi * g.axis_coordinates(0))
+    prof, full = (solve_gke(GkeTestbedSpec(grid=g,
+                                           density=ScalarField(g, dens)),
+                            tol=1e-12)
+                  for dens in (profile, profile * np.ones(g.shape)))
+    assert prof.potential.values.shape == (n, 1)
+    assert full.potential.values.shape == g.shape
+    assert prof.iterations == full.iterations
+    assert np.max(np.abs(prof.potential.values
+                         - full.potential.values)) <= 1e-14
+
+
 def test_krylov_matvec_times_metric_is_symmetric_negative_definite():
     # g (laplacian_omega - 1) = ddbar - g: a real even symbol plus a negative
     # diagonal, the property a conjugate-gradient solve would lean on
@@ -175,8 +189,9 @@ def test_parabolic_static_gap_decays_exactly():
 
 
 def _transient_case():
+    # every datum is a y-profile, so the march runs on profiles
     g = GridSpec(1, (16,))
-    x, _ = coords(g)
+    x = g.axis_coordinates(0)
     tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 1.0))
     rho = 0.25 + ddbar(ScalarField(g, 0.02 * np.cos(2 * np.pi * x))).values
     return tb, rho, solve_gke(tb).potential
@@ -200,30 +215,31 @@ def test_parabolic_problem_marches_profiles_only_when_all_data_are():
     assert parabolic_problem(tb, y_rho)[1].shape == (16, 9)
 
 
-def test_parabolic_profile_march_matches_the_full_width_one(monkeypatch):
+def test_parabolic_profile_march_matches_the_full_width_one():
     tb, rho, limit = _transient_case()
     times = np.linspace(0.0, 4.0, 9)
     prof = parabolic_gke(tb, rho, limit, times)
-    monkeypatch.setattr(gke, "y_profiles", lambda *fields: fields)
-    assert parabolic_problem(tb, rho)[1].shape == (16, 9)
-    full = parabolic_gke(tb, rho, limit, times)
+    wide = rho * np.ones(tb.grid.shape)
+    assert parabolic_problem(tb, wide)[1].shape == (16, 9)
+    full = parabolic_gke(tb, wide, limit, times)
     for name in ("gap_max", "gap_min", "dgap"):
         assert getattr(prof, name).tobytes() == getattr(full, name).tobytes()
 
 
-def test_gke_parabolic_at_n10_marches_on_profiles(monkeypatch):
-    # its bump is built as a y-profile, so rho is one: through the 2-D
-    # transform, FFT roundoff along y at n = 10 kept every column
-    widths = []
-
-    def spy(problem, u0, *args, **kwargs):
-        widths.append(u0.shape)
-        return integrate_lawson(problem, u0, *args, **kwargs)
-
-    monkeypatch.setattr(gke, "integrate_lawson", spy)
-    run_experiment(validate_config({"experiment": "gke-parabolic",
-                                    "model": {"n": 10}}))
-    assert widths == [(10, 1)]
+def test_profile_march_reads_a_full_width_limit_at_full_width():
+    # a limit that varies along y widens the gap of a profile march: its
+    # read-out equals the full-width march's, not that of the y = 0 column
+    tb, rho, limit = _transient_case()
+    _, y = coords(tb.grid)
+    wavy = ScalarField(tb.grid, limit.values + 0.01 * np.cos(2 * np.pi * y))
+    times = np.linspace(0.0, 1.0, 3)
+    prof = parabolic_gke(tb, rho, wavy, times)
+    full = parabolic_gke(tb, rho * np.ones(tb.grid.shape), wavy, times)
+    for name in ("gap_max", "gap_min", "dgap"):
+        assert getattr(prof, name).tobytes() == getattr(full, name).tobytes()
+    column = parabolic_gke(tb, rho, ScalarField(tb.grid, wavy.values[:, :1]),
+                           times)
+    assert np.all(prof.gap_max > column.gap_max)
 
 
 def test_envelope_constant_and_defect_by_hand():

@@ -12,13 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from collapse_lab import cli, timestep
+from collapse_lab import cli, geometry, timestep
 from collapse_lab.config import (EXPERIMENTS, SCHEMAS, load_config,
                                  validate_config)
 from collapse_lab.experiments import (CSV_COLUMNS, REGISTRY, Check,
                                       _late_growth, run_experiment,
-                                      write_report)
+                                      write_error, write_report)
 from collapse_lab.flow import Diagnostics
+from collapse_lab.grids import GridSpec, HermitianField, PositivityError
 from collapse_lab.timestep import StiffnessError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -221,6 +222,26 @@ def test_rerun_is_byte_identical(tmp_path):
         assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes()
 
 
+@pytest.mark.parametrize("experiment, model", [
+    ("fiber-flow", {}), ("fiber-flow", {"n": 10}),
+    ("gke-parabolic", {}), ("gke-parabolic", {"n": 10}),
+], ids=["fiber-flow", "fiber-flow-n10", "gke-parabolic", "gke-parabolic-n10"])
+def test_every_cli_march_runs_at_width_one(monkeypatch, experiment, model):
+    # the start data are built as y-profiles; a full-width start would only
+    # run slower, so the width is pinned here
+    widths = []
+    init = geometry.MongeAmpereFlow.__init__
+
+    def spy(self, *args, width, **kwargs):
+        widths.append(width)
+        init(self, *args, width=width, **kwargs)
+
+    monkeypatch.setattr(geometry.MongeAmpereFlow, "__init__", spy)
+    run_experiment(validate_config({"experiment": experiment,
+                                    "model": model}))
+    assert widths == [1]
+
+
 def test_failed_acceptance_exits_one_and_reports(tmp_path, capsys):
     path = _fast_product(tmp_path,
                          acceptance={"closed_form_tol": 1e-30})
@@ -247,6 +268,21 @@ def test_solver_failure_exits_three_with_error_file(tmp_path):
     assert error["value"] <= 0.0
     assert f"at grid point {tuple(error['point'])}" in error["message"]
     assert f"eigenvalue {error['value']:.6e}" in error["message"]
+
+
+def test_a_nan_sample_is_not_positive_and_is_written_as_null(tmp_path):
+    grid = GridSpec(1, (8,))
+    vals = np.ones(grid.shape)
+    vals[2, 5] = math.nan
+    metric = HermitianField(grid, vals)
+    assert not metric.is_positive()
+    with pytest.raises(PositivityError, match="fiber_diameter"):
+        geometry.fiber_diameter(metric)
+    with pytest.raises(PositivityError) as err:
+        metric.require_positive("a NaN sample")
+    assert err.value.point == (2, 5) and math.isnan(err.value.value)
+    error = _strict_json(write_error(tmp_path, "fiber-flow", err.value))
+    assert error["point"] == [2, 5] and error["value"] is None
 
 
 @pytest.mark.parametrize("exc", [
