@@ -26,7 +26,6 @@ class Field:
     default: object = _REQUIRED
     kind: str = "float"
     positive: bool = False
-    nonneg: bool = False
     even: bool = False
     lo: object = None
     hi: object = None
@@ -72,8 +71,7 @@ def _coerce(path, field, value):
             return tuple(_coerce(f"{path}[{i}]", pair, v)
                          for i, v in enumerate(value))
         # a floats field's bounds hold for each entry
-        entry = Field(positive=field.positive, nonneg=field.nonneg,
-                      lo=field.lo, hi=field.hi)
+        entry = Field(positive=field.positive, lo=field.lo, hi=field.hi)
         return tuple(_coerce(f"{path}[{i}]", entry, v)
                      for i, v in enumerate(value))
     if field.kind == "float":
@@ -85,8 +83,6 @@ def _coerce(path, field, value):
     if field.positive and not value > 0:
         raise ConfigError(f"{path}: must be positive (breaks a positivity "
                           f"invariant), got {value!r}")
-    if field.nonneg and value < 0:
-        raise ConfigError(f"{path}: must be nonnegative, got {value!r}")
     if field.even and value % 2:
         raise ConfigError(f"{path}: must be even, got {value!r}")
     if field.lo is not None and value < field.lo:
@@ -198,8 +194,8 @@ SCHEMAS = {
             "n": Field(16, "int", even=True, lo=8, hi=64),
             "flat_scale": Field(1.0, positive=True),
             "density_const": Field(1.0, positive=True),
-            "transient_scale": Field(0.25, nonneg=True),
-            "transient_cos": Field(0.02, nonneg=True),
+            "transient_scale": Field(0.25, lo=0),
+            "transient_cos": Field(0.02, lo=0),
         },
         "solver": {
             "t_end": Field(6.0, positive=True, hi=40.0),
@@ -220,11 +216,11 @@ SCHEMAS = {
             "base_extent": Field(1.0, positive=True),
             "tau_coeffs": Field(((0.0, 1.0), (0.2, 0.0)), "pairs"),
             "identity_n": Field(32, "int", even=True, lo=8, hi=64),
-            "eta_amplitude": Field(0.03, nonneg=True, hi=0.05),
-            "density_cos": Field(0.3, nonneg=True, hi=0.9),
+            "eta_amplitude": Field(0.03, lo=0, hi=0.05),
+            "density_cos": Field(0.3, lo=0, hi=0.9),
         },
         "solver": {
-            "times": Field((0.0, 1.0, 5.0), "floats", nonneg=True, hi=40.0),
+            "times": Field((0.0, 1.0, 5.0), "floats", lo=0, hi=40.0),
             "gke_tol": Field(1e-11, positive=True),
             "probe_points": Field(6, "int", lo=1, hi=64),
         },
@@ -271,7 +267,7 @@ def validate_config(data):
                           f"want one of {EXPERIMENTS}")
     envelope = {
         "experiment": Field(kind="str", choices=EXPERIMENTS),
-        "seed": Field(0, "int", nonneg=True),
+        "seed": Field(0, "int", lo=0),
         "out": Field(None, "str", allow_none=True),
         "model": SCHEMAS[name]["model"],
         "solver": SCHEMAS[name]["solver"],

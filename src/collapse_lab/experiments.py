@@ -1,13 +1,13 @@
 """Experiment registry, acceptance checks, and report writing.
 
 Each experiment consumes a validated config, runs its solver, and returns
-a diagnostics table, a list of acceptance checks (measured value, bound,
-comparator, verdict), fitted rates and plots, which ``run_experiment``
-makes a report.  Reports serialize to a fixed on-disk layout:
-diagnostics.csv (columns as data/csv_schema.json declares them), rates.json,
-acceptance.json, resolved_config.json (strict JSON, non-finite as null),
-and two-column plot files under plots/.  All output is byte-deterministic
-for a fixed config and seed.
+a diagnostics table of named columns, a list of acceptance checks (measured
+value, bound, comparator, verdict), fitted rates and plots, which
+``run_experiment`` makes a report.  Reports serialize to a fixed on-disk
+layout: diagnostics.csv (columns as data/csv_schema.json declares them),
+rates.json, acceptance.json, resolved_config.json (strict JSON, non-finite
+as null), and two-column plot files under plots/.  All output is
+byte-deterministic for a fixed config and seed.
 """
 
 import csv
@@ -27,7 +27,7 @@ from .models import (FiberFlowSpec, GkeTestbedSpec, ProductModelSpec,
                      SemiFlatSpec, _base_scale, density_F, fiber_constancy,
                      rescaling_check, semiflat_components,
                      semiflat_potential, weil_petersson)
-from .rates import RateFit, UnfittableSeries, rate_fit
+from .rates import rate_fit
 from .timestep import integrate_lawson
 
 CSV_COLUMNS = {name: tuple(cols) for name, cols in json.loads(
@@ -61,22 +61,11 @@ def _sample_grid(horizon, per_unit):
     return np.linspace(0.0, horizon, max(1, round(horizon * per_unit)) + 1)
 
 
-def _fit(times, values, abscissa="t", window=None):
-    """rate_fit, or a fit of NaNs over no samples when the window holds too
-    few samples, or a value that is zero, negative or not finite.  The
-    solver has run, so the report is still written, and a check built on
-    the fit reads NaN and fails as not evaluable."""
-    try:
-        return rate_fit(times, values, abscissa=abscissa, window=window)
-    except UnfittableSeries:
-        return RateFit(math.nan, math.nan, math.nan, 0, abscissa)
-
-
 @dataclass
 class ExperimentReport:
     name: str
     config: dict
-    table: list
+    table: dict  # each of ``columns``, in order, to its 1-D values
     checks: list
     rates: dict
     plots: dict
@@ -114,35 +103,30 @@ def _run_product_ode(cfg, rng):
     fiber_grid = GridSpec(1, (m["fiber_resolution"],))
     unit_diam = fiber_diameter(HermitianField.scaled_identity(fiber_grid, 1.0))
 
-    rows = []
-    closed_defect = 0.0
-    ratio_defect = 0.0
-    curv_defect = 0.0
-    for t, modes in zip(samples.tolist(), res.sample_modes):
-        a_num, b_num = modes[0].real, modes[1].real
-        a_ref, b_ref = model.closed_form(t)
-        ra, rb = abs(a_num / a_ref - 1.0), abs(b_num / b_ref - 1.0)
-        curv = math.sqrt(model.base_dim) / a_num
-        rows.append({
-            "t": t,
-            "base_numeric": a_num,
-            "base_closed": a_ref,
-            "fiber_numeric": b_num,
-            "fiber_closed": b_ref,
-            "base_ratio_defect": ra,
-            "fiber_ratio_defect": rb,
-            "curvature_sup": curv,
-            "diameter": math.sqrt(b_num) * unit_diam,
-        })
-        closed_defect = max(closed_defect, abs(a_num - a_ref),
-                            abs(b_num - b_ref))
-        ratio_defect = max(ratio_defect, ra, rb)
-        curv_defect = max(curv_defect,
-                          abs(curv / model.base_curvature_norm(t) - 1.0))
+    a_num, b_num = np.array(res.sample_modes).real.T
+    # the closed forms per sample, from math as the model states them
+    a_ref, b_ref = np.array([model.closed_form(t) for t in samples]).T
+    curv_ref = np.array([model.base_curvature_norm(t) for t in samples])
+    ra, rb = np.abs(a_num / a_ref - 1.0), np.abs(b_num / b_ref - 1.0)
+    curv = math.sqrt(model.base_dim) / a_num
+    table = {
+        "t": samples,
+        "base_numeric": a_num,
+        "base_closed": a_ref,
+        "fiber_numeric": b_num,
+        "fiber_closed": b_ref,
+        "base_ratio_defect": ra,
+        "fiber_ratio_defect": rb,
+        "curvature_sup": curv,
+        "diameter": np.sqrt(b_num) * unit_diam,
+    }
+    closed_defect = max(np.max(np.abs(a_num - a_ref)),
+                        np.max(np.abs(b_num - b_ref)))
+    ratio_defect = max(np.max(ra), np.max(rb))
+    curv_defect = np.max(np.abs(curv / curv_ref - 1.0))
 
-    times = np.array([r["t"] for r in rows])
-    diam_fit = _fit(times, np.array([r["diameter"] for r in rows]))
-    fiber_fit = _fit(times, np.array([r["fiber_numeric"] for r in rows]))
+    diam_fit = rate_fit(samples, table["diameter"])
+    fiber_fit = rate_fit(samples, b_num)
 
     checks = [
         _le("closed_form_defect", closed_defect, acc["closed_form_tol"]),
@@ -154,10 +138,10 @@ def _run_product_ode(cfg, rng):
     ]
     rates = {"diameter": asdict(diam_fit), "fiber_scale": asdict(fiber_fit)}
     plots = {
-        "scales": np.column_stack([times, [r["fiber_numeric"] for r in rows]]),
-        "diameter": np.column_stack([times, [r["diameter"] for r in rows]]),
+        "scales": np.column_stack([samples, b_num]),
+        "diameter": np.column_stack([samples, table["diameter"]]),
     }
-    return rows, checks, rates, plots
+    return table, checks, rates, plots
 
 
 # -------------------------------------------------------------- fiber flow
@@ -173,16 +157,12 @@ def _flow_spec(model):
                          base_dim=model["base_dim"])
 
 
-def _series(rows, column):
-    return np.array([r[column] for r in rows])
-
-
-def _late_growth(rows, columns):
+def _late_growth(table, columns):
     """Worst tail excess: max over the final half minus max before it."""
-    half = len(rows) // 2
     worst = -math.inf
     for c in columns:
-        v = _series(rows, c)
+        v = table[c]
+        half = v.size // 2
         worst = max(worst, float(np.max(v[half:]) - np.max(v[:half])))
     return worst
 
@@ -199,36 +179,34 @@ def _run_fiber_flow(cfg, rng):
     ts = np.unique(np.concatenate([base,
                                    window[window <= hi + SAMPLE_SPACING]]))
     ts = ts[np.concatenate(([True], np.diff(ts) > SAMPLE_SPACING))]
-    # a Diagnostics holds only floats, so a shallow copy is a full one
-    rows = [dict(vars(d)) for d in evolve(_flow_spec(m), ts, tol=s["tol"],
-                                          with_diameter=s["with_diameter"])]
-    times = _series(rows, "t")
-    curv = _series(rows, "curvature_sup")
+    records = evolve(_flow_spec(m), ts, tol=s["tol"],
+                     with_diameter=s["with_diameter"])
+    table = {c: np.array([getattr(d, c) for d in records])
+             for c in CSV_COLUMNS["fiber-flow"]}
+    times, curv = table["t"], table["curvature_sup"]
     # the base scale at the horizon; the base curvature is sqrt(base_dim)/a
     a_end = _base_scale(m["a0"], horizon)[0]
 
     target = math.pi ** 2 / m["b0"]
-    mode_fit = _fit(times, _series(rows, "mode_low"),
-                    abscissa="exp_t", window=(lo, hi))
-    spread = _series(rows, "volume_ratio_max") - _series(rows,
-                                                         "volume_ratio_min")
-    growth_rows = [dict(r, volume_spread=sp) for r, sp in zip(rows, spread)]
+    mode_fit = rate_fit(times, table["mode_low"], abscissa="exp_t",
+                        window=(lo, hi))
+    spread = table["volume_ratio_max"] - table["volume_ratio_min"]
 
     checks = [
-        _le("phi_sup_max", np.max(_series(rows, "phi_sup")),
-            acc["phi_sup_bound"]),
-        _le("dphi_sup_max", np.max(_series(rows, "dphi_sup")),
+        _le("phi_sup_max", np.max(table["phi_sup"]), acc["phi_sup_bound"]),
+        _le("dphi_sup_max", np.max(table["dphi_sup"]),
             acc["dphi_sup_bound"]),
-        _ge("volume_ratio_min", np.min(_series(rows, "volume_ratio_min")),
+        _ge("volume_ratio_min", np.min(table["volume_ratio_min"]),
             acc["volume_ratio_low"]),
-        _le("volume_ratio_max", np.max(_series(rows, "volume_ratio_max")),
+        _le("volume_ratio_max", np.max(table["volume_ratio_max"]),
             acc["volume_ratio_high"]),
-        _le("vtilde_sup_max", np.max(_series(rows, "vtilde_sup")),
+        _le("vtilde_sup_max", np.max(table["vtilde_sup"]),
             acc["vtilde_bound"]),
-        _le("q_sup_max", np.max(_series(rows, "q_sup")), acc["q_bound"]),
+        _le("q_sup_max", np.max(table["q_sup"]), acc["q_bound"]),
         _le("late_growth",
-            _late_growth(growth_rows, ("phi_sup", "dphi_sup", "vtilde_sup",
-                                       "q_sup", "volume_spread")),
+            _late_growth(dict(table, volume_spread=spread),
+                         ("phi_sup", "dphi_sup", "vtilde_sup", "q_sup",
+                          "volume_spread")),
             acc["no_growth_slack"]),
         _le("mode_slope_rel_defect", abs(mode_fit.slope + target) / target,
             acc["mode_slope_rel_tol"]),
@@ -240,17 +218,15 @@ def _run_fiber_flow(cfg, rng):
             acc["late_match_rel"]),
     ]
     rates = {"mode_low": asdict(mode_fit)}
-    plots = {"mode_low": np.column_stack(
-        [np.exp(times), _series(rows, "mode_low")])}
+    plots = {"mode_low": np.column_stack([np.exp(times), table["mode_low"]])}
     if s["with_diameter"]:
-        diam_fit = _fit(times, _series(rows, "diameter"))
+        diam_fit = rate_fit(times, table["diameter"])
         checks.append(_le("diameter_slope_defect",
                           abs(diam_fit.slope - acc["diameter_slope"]),
                           acc["diameter_slope_tol"]))
         rates["diameter"] = asdict(diam_fit)
-        plots["diameter"] = np.column_stack([times,
-                                             _series(rows, "diameter")])
-    return rows, checks, rates, plots
+        plots["diameter"] = np.column_stack([times, table["diameter"]])
+    return table, checks, rates, plots
 
 
 # ------------------------------------------------------------ gke elliptic
@@ -295,11 +271,10 @@ def _run_gke_elliptic(cfg, rng):
         _le("quadratic_ratio", quad_ratio, acc["quadratic_factor"]),
         _le("twisted_identity", twisted, acc["twisted_tol"]),
     ]
-    rows = [{"iteration": k, "residual": r}
-            for k, r in enumerate(sol.residuals)]
-    plots = {"residual": np.column_stack(
-        [np.arange(len(sol.residuals), dtype=float), sol.residuals])}
-    return rows, checks, {}, plots
+    table = {"iteration": np.arange(len(sol.residuals)),
+             "residual": sol.residuals}
+    plots = {"residual": np.column_stack([table["iteration"], sol.residuals])}
+    return table, checks, {}, plots
 
 
 # ----------------------------------------------------------- gke parabolic
@@ -321,8 +296,8 @@ def _run_gke_parabolic(cfg, rng):
                            tol=s["tol"])
 
     frac = acc["fit_window_fraction"]
-    fit = _fit(result.times, result.gap_max,
-               window=(frac * s["t_end"], s["t_end"]))
+    fit = rate_fit(result.times, result.gap_max,
+                   window=(frac * s["t_end"], s["t_end"]))
 
     checks = [
         _le("envelope_defect", result.envelope_defect,
@@ -333,12 +308,11 @@ def _run_gke_parabolic(cfg, rng):
             acc["constant_max"]),
         _le("gap_slope", fit.slope, acc["slope_max"]),
     ]
-    rows = [{"t": t, "gap_max": gm, "gap_min": gn, "dgap": dg}
-            for t, gm, gn, dg in zip(result.times, result.gap_max,
-                                     result.gap_min, result.dgap)]
+    table = {"t": result.times, "gap_max": result.gap_max,
+             "gap_min": result.gap_min, "dgap": result.dgap}
     rates = {"gap_max": asdict(fit)}
     plots = {"gap": np.column_stack([result.times, result.gap_max])}
-    return rows, checks, rates, plots
+    return table, checks, rates, plots
 
 
 # ----------------------------------------------------- semi-flat identities
@@ -360,8 +334,7 @@ def _run_semiflat(cfg, rng):
     m, s, acc = cfg.model, cfg.solver, cfg.acceptance
     spec = SemiFlatSpec.from_model(m)
     rescale = [rescaling_check(spec, t) for t in s["times"]]
-    rows = [{"check": "rescale_defect", "parameter": t, "value": d}
-            for t, d in zip(s["times"], rescale)]
+    rows = [("rescale_defect", t, d) for t, d in zip(s["times"], rescale)]
 
     # potential scaling at random probes, keeping fiber points off the slice
     # where the potential vanishes
@@ -377,8 +350,7 @@ def _run_semiflat(cfg, rng):
             defect = abs(semiflat_potential(spec, z, lam * xi)
                          - lam ** 2 * psi) / (lam ** 2 * psi)
             probe = max(probe, defect)
-        rows.append({"check": "potential_scaling", "parameter": float(k),
-                     "value": probe})
+        rows.append(("potential_scaling", float(k), probe))
         scaling_worst = max(scaling_worst, probe)
 
     # density splitting: wedge against a fiber-independent base factor
@@ -389,8 +361,7 @@ def _run_semiflat(cfg, rng):
     det = (base_factor + g_zz) * g_xixi - np.abs(g_zxi) ** 2
     dens = density_F(spec, 2.0 * det)
     constancy = fiber_constancy(dens)
-    rows.append({"check": "density_constancy", "parameter": 0.0,
-                 "value": constancy})
+    rows.append(("density_constancy", 0.0, constancy))
 
     # variation form against a divided-difference oracle
     wp = weil_petersson(spec)
@@ -405,8 +376,7 @@ def _run_semiflat(cfg, rng):
         wp_worst = max(wp_worst, abs(_fd_ddbar_scalar(neglog,
                                                       flat_base[pick])
                                      - wp.ravel()[pick]))
-    rows.append({"check": "variation_form_defect", "parameter": 0.0,
-                 "value": wp_worst})
+    rows.append(("variation_form_defect", 0.0, wp_worst))
 
     # curvature identity on a companion solvable testbed
     grid = GridSpec(1, (m["identity_n"],))
@@ -418,8 +388,7 @@ def _run_semiflat(cfg, rng):
     testbed = GkeTestbedSpec(grid, eta=eta, density=density)
     sol = solve_gke(testbed, tol=s["gke_tol"])
     twisted = twisted_einstein_residual(testbed, sol.potential)
-    rows.append({"check": "twisted_identity", "parameter": 0.0,
-                 "value": twisted})
+    rows.append(("twisted_identity", 0.0, twisted))
 
     checks = [
         _le("rescale_defect", max([0.0] + rescale), acc["rescale_tol"]),
@@ -429,7 +398,8 @@ def _run_semiflat(cfg, rng):
         _le("twisted_identity", twisted, acc["twisted_tol"]),
     ]
     plots = {"rescale": np.column_stack([s["times"], rescale])}
-    return rows, checks, {}, plots
+    table = dict(zip(CSV_COLUMNS["semiflat-identities"], zip(*rows)))
+    return table, checks, {}, plots
 
 
 # ----------------------------------------------------------------- registry
@@ -462,8 +432,8 @@ REGISTRY = {
 def run_experiment(cfg):
     """Execute one validated config and return its report."""
     rng = np.random.default_rng(cfg.seed)
-    rows, checks, rates, plots = REGISTRY[cfg.experiment].runner(cfg, rng)
-    return ExperimentReport(cfg.experiment, asdict(cfg), rows, checks, rates,
+    table, checks, rates, plots = REGISTRY[cfg.experiment].runner(cfg, rng)
+    return ExperimentReport(cfg.experiment, asdict(cfg), table, checks, rates,
                             plots)
 
 
@@ -485,7 +455,9 @@ def _dump_json(path, payload):
 
 
 def write_report(report, out_dir):
-    """Serialize a report; returns the list of files written."""
+    """Serialize a report; returns the list of files written.  A column
+    shorter than the others raises ValueError before any file is written."""
+    rows = list(zip(*(report.table[c] for c in report.columns), strict=True))
     out = Path(out_dir)
     (out / "plots").mkdir(parents=True, exist_ok=True)
     written = []
@@ -494,8 +466,8 @@ def write_report(report, out_dir):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(report.columns)
-        for row in report.table:
-            writer.writerow([_fmt(row[c]) for c in report.columns])
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
     written.append(path)
 
     path = out / "acceptance.json"

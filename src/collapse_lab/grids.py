@@ -122,9 +122,6 @@ class HermitianField:
             raise ValueError("coefficients of a real (1,1)-form must be real")
         self.values = _samples(self.grid, self.values)
 
-    def is_positive(self):
-        return bool(np.min(self.values) > 0.0)
-
     def require_positive(self, context=""):
         """Raise PositivityError naming the worst grid point if not positive;
         a NaN sample is the worst point and is not positive."""

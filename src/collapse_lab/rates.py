@@ -3,7 +3,8 @@
 Collapse rates show up as straight lines in log ordinates, either against t
 (plain exponential decay) or against exp(t) (the doubly exponential decay of
 fiber modes).  The fit window defaults to the last half of the series to
-discard transients.
+discard transients.  A window that cannot be fitted gives a fit of NaNs over
+no samples, so a check built on it reads NaN and fails as not evaluable.
 """
 
 from dataclasses import dataclass
@@ -12,11 +13,6 @@ import numpy as np
 
 ABSCISSAE = ("t", "exp_t")
 MIN_SAMPLES = 4
-
-
-class UnfittableSeries(ValueError):
-    """A fit window holds fewer than MIN_SAMPLES samples, or a value that is
-    zero, negative or not finite."""
 
 
 @dataclass(frozen=True)
@@ -32,7 +28,9 @@ def rate_fit(times, values, abscissa="t", window=None):
     """Fit log(values) = slope * x + intercept over a time window.
 
     ``abscissa`` selects x = t or x = exp(t); ``window`` is an inclusive
-    (t_lo, t_hi) pair, defaulting to the last half of the samples.
+    (t_lo, t_hi) pair, defaulting to the last half of the samples.  A
+    window with fewer than MIN_SAMPLES samples, or a value that is zero,
+    negative or not finite, gives a fit of NaNs with count 0.
     """
     if abscissa not in ABSCISSAE:
         raise ValueError(f"unknown abscissa {abscissa!r}, want one of {ABSCISSAE}")
@@ -48,14 +46,8 @@ def rate_fit(times, values, abscissa="t", window=None):
         lo, hi = window
         keep = (t >= lo) & (t <= hi)
     t, y = t[keep], y[keep]
-    if t.size < MIN_SAMPLES:
-        raise UnfittableSeries(f"window holds {t.size} samples, need "
-                               f"{MIN_SAMPLES}")
-    if np.any(~np.isfinite(y)) or np.any(y <= 0.0):
-        bad = int(np.argmax(~(np.isfinite(y) & (y > 0.0))))
-        raise UnfittableSeries(f"values must be finite and positive to fit a "
-                               f"rate; offender at window index {bad} is "
-                               f"{y[bad]!r}")
+    if t.size < MIN_SAMPLES or not np.all(np.isfinite(y) & (y > 0.0)):
+        return RateFit(np.nan, np.nan, np.nan, 0, abscissa)
 
     x = np.exp(t) if abscissa == "exp_t" else t
     logy = np.log(y)

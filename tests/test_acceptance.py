@@ -106,7 +106,7 @@ def test_criterion_5_manufactured_solution_recovery(reports):
     rep = reports["gke_elliptic"]
     err = _check(rep, "error_sup")
     iters = _check(rep, "newton_iterations")
-    residuals = [row["residual"] for row in rep.table]
+    residuals = list(rep.table["residual"])
     monotone = all(b < a for a, b in zip(residuals, residuals[1:]))
     quad = _check(rep, "quadratic_ratio")
     ok = (err.measured <= 1e-7 and iters.measured <= 10
@@ -152,7 +152,7 @@ def test_criterion_8_curvature_stays_bounded(reports):
     for key, rep in reports.items():
         if "curvature_sup" not in rep.columns:
             continue
-        curv = np.array([row["curvature_sup"] for row in rep.table])
+        curv = np.asarray(rep.table["curvature_sup"])
         finite = finite and bool(np.all(np.isfinite(curv)))
     bound_rep = reports["curvature_bound"]
     worst = _check(bound_rep, "curvature_sup_max")

@@ -59,7 +59,7 @@ def test_odd_resolution_rejected():
 
 
 def test_negative_seed_rejected():
-    with pytest.raises(ConfigError, match="seed: must be nonnegative"):
+    with pytest.raises(ConfigError, match="seed: must be >= 0"):
         validate_config({"experiment": "product-ode", "seed": -3})
 
 

@@ -16,8 +16,9 @@ from collapse_lab import cli, geometry, timestep
 from collapse_lab.config import (EXPERIMENTS, SCHEMAS, load_config,
                                  validate_config)
 from collapse_lab.experiments import (CSV_COLUMNS, REGISTRY, Check,
-                                      _late_growth, run_experiment,
-                                      write_error, write_report)
+                                      ExperimentReport, _late_growth,
+                                      run_experiment, write_error,
+                                      write_report)
 from collapse_lab.flow import Diagnostics
 from collapse_lab.grids import GridSpec, HermitianField, PositivityError
 from collapse_lab.timestep import StiffnessError
@@ -92,10 +93,39 @@ def test_shipped_configs_run_every_experiment():
 
 
 def test_late_growth_flags_rising_tail():
-    rows = [{"v": x} for x in (1.0, 2.0, 1.0, 0.5, 3.0, 3.5)]
-    assert _late_growth(rows, ("v",)) == 1.5
-    rows = [{"v": x} for x in (3.0, 2.0, 1.0, 0.8, 0.6, 0.5)]
-    assert _late_growth(rows, ("v",)) < 0
+    table = {"v": np.array([1.0, 2.0, 1.0, 0.5, 3.0, 3.5])}
+    assert _late_growth(table, ("v",)) == 1.5
+    table = {"v": np.array([3.0, 2.0, 1.0, 0.8, 0.6, 0.5])}
+    assert _late_growth(table, ("v",)) < 0
+
+
+# a short run of each experiment, diameter monitor included
+_SHORT_RUNS = {
+    "product-ode": {"solver": {"horizon": 2.0, "samples_per_unit": 4}},
+    "fiber-flow": {"model": {"n": 8}, "solver": {"horizon": 2.0}},
+    "gke-elliptic": {"model": {"n": 16}},
+    "gke-parabolic": {"solver": {"t_end": 2.0}},
+    "semiflat-identities": {"solver": {"probe_points": 2}},
+}
+
+
+@pytest.mark.parametrize("experiment", list(REGISTRY))
+def test_report_table_is_its_csv_columns(experiment):
+    # one 1-D column per CSV column, in order, all of one length
+    report = run_experiment(validate_config(
+        dict(_SHORT_RUNS[experiment], experiment=experiment)))
+    assert tuple(report.table) == CSV_COLUMNS[experiment]
+    lengths = {np.shape(col) for col in report.table.values()}
+    assert len(lengths) == 1 and len(lengths.pop()) == 1
+
+
+def test_a_short_column_raises_and_writes_no_csv(tmp_path):
+    table = {"t": [0.0, 0.5, 1.0], "gap_max": [1.0, 0.5, 0.25],
+             "gap_min": [0.0, 0.0], "dgap": [-1.0, -0.5, -0.25]}
+    report = ExperimentReport("gke-parabolic", {}, table, [], {}, {})
+    with pytest.raises(ValueError):
+        write_report(report, tmp_path)
+    assert not (tmp_path / "diagnostics.csv").exists()
 
 
 # ------------------------------------------------------------------- list
@@ -275,7 +305,7 @@ def test_a_nan_sample_is_not_positive_and_is_written_as_null(tmp_path):
     vals = np.ones(grid.shape)
     vals[2, 5] = math.nan
     metric = HermitianField(grid, vals)
-    assert not metric.is_positive()
+    assert not np.min(metric.values) > 0.0
     with pytest.raises(PositivityError, match="fiber_diameter"):
         geometry.fiber_diameter(metric)
     with pytest.raises(PositivityError) as err:

@@ -4,12 +4,14 @@ Synthetic exact exponentials pin slope and intercept to rounding; window
 handling is checked with data whose early half fits a different law.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from collapse_lab.rates import UnfittableSeries, rate_fit
+from collapse_lab.rates import RateFit, rate_fit
 
 
 def test_plain_exponential_recovered_exactly():
@@ -47,18 +49,30 @@ def test_explicit_window_selects_by_time():
     assert fit.count == int(np.sum((t >= 2.0) & (t <= 6.0)))
 
 
+def _unfitted(fit, abscissa="t"):
+    # NaN != NaN, so a NaN fit is compared field by field
+    return (all(math.isnan(v) for v in (fit.slope, fit.intercept,
+                                        fit.max_abs_residual))
+            and (fit.count, fit.abscissa) == (0, abscissa))
+
+
 def test_rejects_nonpositive_values():
+    # unfittable, not malformed: a fit of NaNs over no samples
     t = np.linspace(0.0, 1.0, 8)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        y = np.exp(-t)
+        y[6] = bad  # inside the default last-half window
+        assert _unfitted(rate_fit(t, y))
     y = np.exp(-t)
-    y[6] = 0.0  # inside the default last-half window
-    with pytest.raises(ValueError, match="positive"):
-        rate_fit(t, y)
+    y[0] = 0.0  # outside it
+    assert rate_fit(t, y).count == 4
 
 
 def test_rejects_short_windows():
     # unfittable, not malformed: an experiment reports it as a NaN fit
-    with pytest.raises(UnfittableSeries, match="samples"):
-        rate_fit(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25]))
+    fit = rate_fit(np.array([0.0, 1.0, 2.0]), np.array([1.0, 0.5, 0.25]),
+                   abscissa="exp_t", window=(0.0, 2.0))
+    assert isinstance(fit, RateFit) and _unfitted(fit, "exp_t")
 
 
 def test_rejects_unknown_abscissa():
