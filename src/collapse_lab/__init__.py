@@ -4,7 +4,7 @@ from .config import ConfigError, EXPERIMENTS, ExperimentConfig, load_config, \
     validate_config
 from .experiments import REGISTRY, ExperimentReport, run_experiment, \
     write_report
-from .flow import Diagnostics, diagnostics_for, evolve, relaxation_potential
+from .flow import diagnostics_for, evolve, relaxation_potential
 from .geometry import ddbar, fiber_diameter, ricci_form, riemann_norm, \
     trace_wrt
 from .gke import GkeSolution, ParabolicResult, gke_residual, parabolic_gke, \
@@ -22,11 +22,10 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError", "EXPERIMENTS", "ExperimentConfig", "load_config",
     "validate_config", "REGISTRY", "ExperimentReport", "run_experiment",
-    "write_report", "Diagnostics", "diagnostics_for",
-    "evolve", "relaxation_potential", "ddbar", "fiber_diameter",
-    "ricci_form", "riemann_norm", "trace_wrt", "GkeSolution",
-    "ParabolicResult", "gke_residual", "parabolic_gke", "solve_gke",
-    "twisted_einstein_residual", "GridSpec", "HermitianField",
+    "write_report", "diagnostics_for", "evolve", "relaxation_potential",
+    "ddbar", "fiber_diameter", "ricci_form", "riemann_norm", "trace_wrt",
+    "GkeSolution", "ParabolicResult", "gke_residual", "parabolic_gke",
+    "solve_gke", "twisted_einstein_residual", "GridSpec", "HermitianField",
     "PositivityError", "ScalarField", "FiberFlowSpec", "GkeTestbedSpec",
     "ProductModelSpec", "SemiFlatSpec", "density_F", "fiber_constancy",
     "rescaling_check", "semiflat_components", "semiflat_potential",

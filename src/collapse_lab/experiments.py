@@ -179,10 +179,8 @@ def _run_fiber_flow(cfg, rng):
     ts = np.unique(np.concatenate([base,
                                    window[window <= hi + SAMPLE_SPACING]]))
     ts = ts[np.concatenate(([True], np.diff(ts) > SAMPLE_SPACING))]
-    records = evolve(_flow_spec(m), ts, tol=s["tol"],
-                     with_diameter=s["with_diameter"])
-    table = {c: np.array([getattr(d, c) for d in records])
-             for c in CSV_COLUMNS["fiber-flow"]}
+    table = evolve(_flow_spec(m), ts, tol=s["tol"],
+                   with_diameter=s["with_diameter"])
     times, curv = table["t"], table["curvature_sup"]
     # the base scale at the horizon; the base curvature is sqrt(base_dim)/a
     a_end = _base_scale(m["a0"], horizon)[0]

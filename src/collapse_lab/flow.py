@@ -16,14 +16,13 @@ diameter of the shrinking fiber.
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import HermitianField, ScalarField
-from .geometry import (MongeAmpereFlow, ddbar_symbol, fiber_diameter,
-                       half_modes, log_volume_ratio, real_samples,
-                       riemann_norm, trace_wrt)
+from .grids import HermitianField, require_positive
+from .geometry import (MongeAmpereFlow, _curvature_norm, ddbar_symbol,
+                       fiber_diameter, half_modes, log_volume_ratio,
+                       real_samples)
 from .models import _base_scale
 from .timestep import integrate_lawson
 
@@ -66,87 +65,75 @@ def spectral_problem(spec):
     return problem, u0
 
 
-def normalized_potential(spec, t, potential):
-    """Blow-up of the potential against its relaxing mean, exp(t)(phi - mean)."""
-    shift = relaxation_potential(spec.a0, t)
-    return ScalarField(spec.grid, math.exp(t) * (potential.values - shift))
+def diagnostics_for(spec, times, modes, with_diameter=True):
+    """Evaluate the full monitor suite at the S sample times of a march,
+    given the (S, n, w) stack of its potential's half-spectrum modes there,
+    at the march's width; return the fiber-flow table, a length-S array per
+    column.  Only the diameter, the curvature's hypot and the lowest mode
+    are read per sample; the rest is elementwise over the stack, with each
+    sample's e^t, e^-t, base scale and relaxation shift from ``math``, so
+    every sample reads bit for bit as it would alone."""
+    g, p = spec.grid, spec.base_dim
+    times = np.array(times, dtype=float)
+    ts = times.tolist()
+    et = [math.exp(t) for t in ts]
+    a_hat, log_a = zip(*(_base_scale(spec.a0, t) for t in ts))
 
+    def per_sample(values):
+        return np.array(values)[:, None, None]
 
-@dataclass(frozen=True)
-class Diagnostics:
-    """Monitor snapshot at one sample time."""
-
-    t: float
-    phi_sup: float
-    dphi_sup: float
-    volume_ratio_min: float
-    volume_ratio_max: float
-    base_trace: float
-    eig_ratio_min: float
-    eig_ratio_max: float
-    vtilde_sup: float
-    q_sup: float
-    curvature_sup: float
-    mode_low: float
-    diameter: float
-
-
-def diagnostics_for(spec, t, modes, with_diameter=True):
-    """Evaluate the full monitor suite for one state of the flow, given the
-    half-spectrum modes of its potential, as the march holds them: a
-    y-profile's monitors are read on the profile."""
-    g = spec.grid
-    p = spec.base_dim
-    et = math.exp(t)
-    a_hat = _base_scale(spec.a0, t)[0]
     lap = ddbar_symbol(g)[:, :modes.shape[-1]]
     phi, hess = real_samples(g, np.stack([modes, lap * modes]))
-    potential = ScalarField(g, phi)
 
-    twisted = HermitianField(g, spec.b0 + et * hess)
-    twisted.require_positive("evolving fiber metric")
-    # the velocity of the potential, from the twisted metric built above
-    dphi = _velocity(spec, t, twisted.values) - potential.values
+    twisted = spec.b0 + per_sample(et) * hess
+    require_positive(twisted, "evolving fiber metric")
+    # the velocity of the potential, _velocity read over the stack
+    dphi = per_sample(log_a) + log_volume_ratio(twisted, spec.b0) - phi
 
-    vol = a_hat ** p * twisted.values / spec.b0
-    eig = twisted.values / spec.b0
-    vt = normalized_potential(spec, t, potential).values
+    vol = per_sample([a ** p for a in a_hat]) * twisted / spec.b0
+    eig = twisted / spec.b0
+    # the potential blown up against its relaxing mean, exp(t)(phi - mean)
+    shift = [relaxation_potential(spec.a0, t) for t in ts]
+    vt = per_sample(et) * (phi - per_sample(shift))
 
     # trace of the initial metric in the evolving one, rescaled to its limit
-    qfield = np.log(math.exp(-t) * p * spec.a0 / a_hat
-                    + trace_wrt(twisted, spec.initial_form()).values) - vt
+    offset = [math.exp(-t) * p * spec.a0 / a for t, a in zip(ts, a_hat)]
+    qfield = np.log(per_sample(offset)
+                    + spec.initial_form().values * (1.0 / twisted)) - vt
 
-    fiber_curv = et * float(np.max(riemann_norm(twisted).values))
-    curvature = math.hypot(math.sqrt(p) / a_hat, fiber_curv)
+    fiber = np.max(_curvature_norm(g, twisted), axis=(1, 2))
+    curvature = [math.hypot(math.sqrt(p) / a, e * float(f))
+                 for a, e, f in zip(a_hat, et, fiber)]
 
     # the relaxation shift of vt moves only the zero mode
-    mode_low = et * abs(modes[1, 0]) / math.prod(g.shape)
+    mode_low = [e * abs(m) / math.prod(g.shape)
+                for e, m in zip(et, modes[:, 1, 0])]
 
-    diam = math.nan
-    if with_diameter:
-        diam = fiber_diameter(HermitianField(g, math.exp(-t) * twisted.values))
+    diameter = [fiber_diameter(HermitianField(g, math.exp(-t) * w))
+                if with_diameter else math.nan
+                for t, w in zip(ts, twisted)]
 
-    return Diagnostics(
-        t=float(t),
-        phi_sup=potential.sup(),
-        dphi_sup=float(np.max(np.abs(dphi))),
-        volume_ratio_min=float(np.min(vol)),
-        volume_ratio_max=float(np.max(vol)),
-        base_trace=1.0 / a_hat,
-        eig_ratio_min=float(np.min(eig)),
-        eig_ratio_max=float(np.max(eig)),
-        vtilde_sup=float(np.max(np.abs(vt))),
-        q_sup=float(np.max(np.abs(qfield))),
-        curvature_sup=curvature,
-        mode_low=float(mode_low),
-        diameter=diam,
-    )
+    return {
+        "t": times,
+        "phi_sup": np.max(np.abs(phi), axis=(1, 2)),
+        "dphi_sup": np.max(np.abs(dphi), axis=(1, 2)),
+        "volume_ratio_min": np.min(vol, axis=(1, 2)),
+        "volume_ratio_max": np.max(vol, axis=(1, 2)),
+        "base_trace": np.array([1.0 / a for a in a_hat]),
+        "eig_ratio_min": np.min(eig, axis=(1, 2)),
+        "eig_ratio_max": np.max(eig, axis=(1, 2)),
+        "vtilde_sup": np.max(np.abs(vt), axis=(1, 2)),
+        "q_sup": np.max(np.abs(qfield), axis=(1, 2)),
+        "curvature_sup": np.array(curvature),
+        "mode_low": np.array(mode_low),
+        "diameter": np.array(diameter),
+    }
 
 
 def evolve(spec, sample_times, tol=1e-8, with_diameter=True):
-    """March the flow from 0 to its last sample time; return the monitors at
-    each sample time."""
+    """March the flow from 0 to its last sample time; return the fiber-flow
+    table of the monitors at the sample times."""
     problem, u0 = spectral_problem(spec)
     res = integrate_lawson(problem, u0, 0.0, sample_times, tol=tol)
-    return [diagnostics_for(spec, s, modes, with_diameter=with_diameter)
-            for s, modes in zip(sample_times, res.sample_modes)]
+    return diagnostics_for(spec, sample_times, np.stack(res.sample_modes),
+                           with_diameter=with_diameter)

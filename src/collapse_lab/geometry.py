@@ -220,13 +220,18 @@ def riemann_norm(omega: HermitianField) -> ScalarField:
     y-profile's y-derivative is exactly zero.
     """
     omega.require_positive("riemann_norm")
-    grid, g = omega.grid, omega.values
+    return ScalarField(omega.grid, _curvature_norm(omega.grid, omega.values))
+
+
+def _curvature_norm(grid, g):
+    """``riemann_norm`` of the positive coefficient samples g over their
+    last two axes, a stack of metrics at once."""
     modes = half_modes(grid, g)
     lap, dx, dy = (sym[:, :modes.shape[-1]] for sym in _symbols(grid))
     gx, gy, hess = real_samples(grid, np.stack([dx * modes, dy * modes,
                                                 lap * modes]))
     curv = 0.25 * (gx * gx + gy * gy) / g - hess
-    return ScalarField(grid, np.abs(curv) / (g * g))
+    return np.abs(curv) / (g * g)
 
 
 def _dijkstra(graph, **kwargs):

@@ -83,6 +83,24 @@ def _samples(grid, values):
     return vals
 
 
+def require_positive(values, context=""):
+    """Raise PositivityError at the worst grid point of the first metric, in
+    a stack of coefficient samples over their last two axes, that is not
+    positive; a NaN sample is the worst point and is not positive."""
+    flat = values.reshape(-1, values.shape[-2] * values.shape[-1])
+    worst = np.argmin(flat, axis=1)
+    lows = flat[np.arange(len(flat)), worst]
+    if np.all(lows > 0.0):
+        return
+    k = int(np.argmin(lows > 0.0))
+    point = tuple(int(i) for i in np.unravel_index(worst[k],
+                                                   values.shape[-2:]))
+    where = " in " + context if context else ""
+    raise PositivityError(
+        f"metric not positive definite{where}: eigenvalue {lows[k]:.6e} "
+        f"at grid point {point}", point=point, value=float(lows[k]))
+
+
 @dataclass
 class ScalarField:
     """Real scalar samples over a grid, or their y-profile."""
@@ -123,16 +141,8 @@ class HermitianField:
         self.values = _samples(self.grid, self.values)
 
     def require_positive(self, context=""):
-        """Raise PositivityError naming the worst grid point if not positive;
-        a NaN sample is the worst point and is not positive."""
-        worst = np.unravel_index(np.argmin(self.values), self.values.shape)
-        val = float(self.values[worst])
-        if not val > 0.0:
-            where = " in " + context if context else ""
-            raise PositivityError(
-                f"metric not positive definite{where}: eigenvalue {val:.6e} "
-                f"at grid point {tuple(int(i) for i in worst)}",
-                point=tuple(int(i) for i in worst), value=val)
+        """``require_positive`` of this field's samples."""
+        require_positive(self.values, context)
 
     def __add__(self, other):
         if isinstance(other, HermitianField):

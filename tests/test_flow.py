@@ -7,25 +7,25 @@ field, which shares no code with the exponential-frame stepper.
 """
 
 import math
-from dataclasses import asdict, astuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from collapse_lab.config import validate_config
-from collapse_lab.experiments import run_experiment
-from collapse_lab.grids import GridSpec, HermitianField, ScalarField
+from collapse_lab.experiments import CSV_COLUMNS, run_experiment
+from collapse_lab.grids import (GridSpec, HermitianField, PositivityError,
+                                ScalarField)
 from collapse_lab import flow, geometry
-from collapse_lab.geometry import (ddbar, fiber_diameter, real_samples,
-                                   riemann_norm, trace_wrt)
+from collapse_lab.geometry import (ddbar, fiber_diameter, half_modes,
+                                   real_samples, riemann_norm, trace_wrt)
 from collapse_lab.models import FiberFlowSpec
 from collapse_lab.timestep import integrate_lawson
 from collapse_lab.flow import (
     _velocity,
     diagnostics_for,
     evolve,
-    normalized_potential,
     relaxation_potential,
     spectral_problem,
 )
@@ -49,6 +49,11 @@ def full_width(grid, modes):
                     dtype=complex)
     full[..., :modes.shape[-1]] = modes
     return full
+
+
+def sample_rows(table):
+    """The rows of a fiber-flow table, each a dict of its columns' floats."""
+    return [dict(zip(table, map(float, row))) for row in zip(*table.values())]
 
 
 # ------------------------------------------------------------- rhs oracles
@@ -193,7 +198,8 @@ def test_two_dimensional_start_marches_full_width(monkeypatch):
         return integrate_lawson(problem, u0, *args, **kwargs)
 
     monkeypatch.setattr(flow, "integrate_lawson", spy)
-    rows = [astuple(d) for d in evolve(spec, (0.0, 1.0, 3.0))]
+    rows = [tuple(row.values())
+            for row in sample_rows(evolve(spec, (0.0, 1.0, 3.0)))]
     assert widths == [(16, 9)]
     # frozen from the full-width march (numpy 2.4.6): a start that varies
     # along y keeps that path, bit for bit; the t = 1 diameter is frozen
@@ -301,6 +307,13 @@ def test_horizon_forty_passes_every_check():
 
 # -------------------------------------------------------------- diagnostics
 
+def normalized_potential(spec, t, potential):
+    """Blow-up of the potential against its relaxing mean, exp(t)(phi - mean),
+    composed on the grid."""
+    shift = relaxation_potential(spec.a0, t)
+    return ScalarField(spec.grid, math.exp(t) * (potential.values - shift))
+
+
 def test_normalized_potential_inverts_the_scaling():
     spec = sine_spec(a0=2.0, amp=0.0)
     t = 1.2
@@ -314,28 +327,32 @@ def test_normalized_potential_inverts_the_scaling():
 
 def test_diagnostics_hand_values_at_start():
     spec = sine_spec(n=16, b0=1.0, a0=2.0, amp=0.01, profile=False)
-    d = diagnostics_for(spec, 0.0, np.fft.rfftn(spec.initial_potential.values))
+    modes = np.fft.rfftn(spec.initial_potential.values)
+    [d] = sample_rows(diagnostics_for(spec, [0.0], modes[None]))
     bump = 0.01 * np.pi**2
-    assert d.phi_sup == pytest.approx(0.01, abs=1e-15)
+    assert d["phi_sup"] == pytest.approx(0.01, abs=1e-15)
     # velocity peaks in the trough of the potential, where density is largest
-    assert d.dphi_sup == pytest.approx(math.log(2.0) + math.log1p(bump) + 0.01,
-                                       abs=1e-12)
-    assert d.base_trace == pytest.approx(0.5, abs=1e-15)
-    assert d.eig_ratio_max == pytest.approx(1.0 + bump, abs=1e-12)
-    assert d.eig_ratio_min == pytest.approx(1.0 - bump, abs=1e-12)
-    assert d.volume_ratio_max == pytest.approx(2.0 * (1.0 + bump), abs=1e-12)
-    assert d.volume_ratio_min == pytest.approx(2.0 * (1.0 - bump), abs=1e-12)
-    assert d.vtilde_sup == pytest.approx(0.01, abs=1e-15)
-    assert d.q_sup == pytest.approx(math.log(2.0) + 0.01, abs=1e-12)
-    assert d.mode_low == pytest.approx(0.005, abs=1e-15)
-    assert 0.6 < d.diameter < 0.8
+    assert d["dphi_sup"] == pytest.approx(
+        math.log(2.0) + math.log1p(bump) + 0.01, abs=1e-12)
+    assert d["base_trace"] == pytest.approx(0.5, abs=1e-15)
+    assert d["eig_ratio_max"] == pytest.approx(1.0 + bump, abs=1e-12)
+    assert d["eig_ratio_min"] == pytest.approx(1.0 - bump, abs=1e-12)
+    assert d["volume_ratio_max"] == pytest.approx(2.0 * (1.0 + bump),
+                                                  abs=1e-12)
+    assert d["volume_ratio_min"] == pytest.approx(2.0 * (1.0 - bump),
+                                                  abs=1e-12)
+    assert d["vtilde_sup"] == pytest.approx(0.01, abs=1e-15)
+    assert d["q_sup"] == pytest.approx(math.log(2.0) + 0.01, abs=1e-12)
+    assert d["mode_low"] == pytest.approx(0.005, abs=1e-15)
+    assert 0.6 < d["diameter"] < 0.8
 
     # curvature splits into the rigid base part and the fiber part
     twisted = (HermitianField.scaled_identity(spec.grid, 1.0)
                + ddbar(spec.initial_potential))
     fiber = float(np.max(riemann_norm(twisted).values))
-    assert d.curvature_sup == pytest.approx(math.hypot(0.5, fiber), rel=1e-12)
-    assert 1.0 < d.curvature_sup < 1.4
+    assert d["curvature_sup"] == pytest.approx(math.hypot(0.5, fiber),
+                                               rel=1e-12)
+    assert 1.0 < d["curvature_sup"] < 1.4
 
 
 def field_space_diagnostics(spec, t, potential):
@@ -370,15 +387,21 @@ def field_space_diagnostics(spec, t, potential):
     }
 
 
+def sample_stack(spec, times):
+    """The (S, n, w) stack of the march's modes at the sample times."""
+    res = integrate_lawson(*spectral_problem(spec), 0.0, times)
+    return np.stack(res.sample_modes)
+
+
 def test_diagnostics_from_modes_match_the_field_space_reference():
     # the monitors read the profile modes the march holds; the reference
     # reads the whole grid
     spec = sine_spec(n=16, b0=1.0, a0=2.0, amp=0.01)
     times = (0.5, 1.5, 3.0)
-    res = integrate_lawson(*spectral_problem(spec), 0.0, times)
-    for t, modes in zip(times, res.sample_modes):
-        assert modes.shape == (16, 1)
-        got = asdict(diagnostics_for(spec, t, modes))
+    stack = sample_stack(spec, times)
+    assert stack.shape == (3, 16, 1)
+    rows = sample_rows(diagnostics_for(spec, times, stack))
+    for t, modes, got in zip(times, stack, rows):
         samples = real_samples(spec.grid, full_width(spec.grid, modes))
         want = field_space_diagnostics(spec, t,
                                        ScalarField(spec.grid, samples))
@@ -394,33 +417,114 @@ def test_diagnostics_of_profile_modes_are_those_of_widened_ones(n):
     # width; the diameter is left out, its sources depend on exact symmetry
     spec = sine_spec(n=n, b0=1.0, a0=2.0, amp=0.01)
     times = (0.5, 1.5, 3.0)
-    res = integrate_lawson(*spectral_problem(spec), 0.0, times)
-    for t, modes in zip(times, res.sample_modes):
-        assert modes.shape == (n, 1)
-        got, want = (asdict(diagnostics_for(spec, t, m, with_diameter=False))
-                     for m in (modes, full_width(spec.grid, modes)))
-        del got["diameter"], want["diameter"]
-        assert np.array(list(got.values())).tobytes() \
-            == np.array(list(want.values())).tobytes()
+    stack = sample_stack(spec, times)
+    assert stack.shape == (3, n, 1)
+    got, want = (diagnostics_for(spec, times, m, with_diameter=False)
+                 for m in (stack, full_width(spec.grid, stack)))
+    del got["diameter"], want["diameter"]
+    assert tuple(got) == tuple(want)
+    for col in got:
+        assert got[col].tobytes() == want[col].tobytes(), col
+
+
+@settings(max_examples=25, deadline=None)
+@given(samples=st.integers(1, 5), half_n=st.integers(4, 8),
+       profile=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_monitors_are_those_of_each_sample_alone(samples, half_n,
+                                                          profile, seed):
+    # every column of one call over the stack, bit for bit that of the same
+    # call on each sample as a one-sample stack
+    rng = np.random.default_rng(seed)
+    n = 2 * half_n
+    spec = sine_spec(n=n, b0=rng.uniform(0.5, 2.0), a0=rng.uniform(0.5, 3.0),
+                     amp=0.01 / n, profile=profile)
+    width = 1 if profile else n
+    times = np.sort(rng.uniform(0.0, 3.0, samples))
+    # small enough that b0 + e^t ddbar(phi) stays positive up to t = 3
+    phi = rng.uniform(-1e-5, 1e-5, (samples, n, width)) * 64 / n ** 2
+    stack = half_modes(spec.grid, phi)
+    table = diagnostics_for(spec, times, stack)
+    for k, (t, modes) in enumerate(zip(times, stack)):
+        alone = diagnostics_for(spec, [t], modes[None])
+        for col, values in table.items():
+            assert values[k:k + 1].tobytes() == alone[col].tobytes(), col
+
+
+def cone_stack(spec, times, amps):
+    """The modes of sin(2 pi x) cos(2 pi y) at the given amplitudes, stacked,
+    and the twisted metric b0 + e^t ddbar(phi) of each on the grid."""
+    g = spec.grid
+    wave = (np.sin(2 * np.pi * g.axis_coordinates(0))
+            * np.cos(2 * np.pi * g.axis_coordinates(1)))
+    phis = [a * wave for a in amps]
+    metrics = [spec.b0 + math.exp(t) * ddbar(ScalarField(g, phi)).values
+               for t, phi in zip(times, phis)]
+    return half_modes(g, np.stack(phis)), metrics
+
+
+def test_stack_raises_at_the_first_sample_that_leaves_the_cone():
+    # the 2nd and 3rd samples leave the cone; the error is the 2nd's, as a
+    # check of that sample alone gives it
+    spec = sine_spec(n=16, profile=False)
+    times = (0.0, 0.5, 1.0)
+    stack, metrics = cone_stack(spec, times, (0.01, 0.2, -0.3))
+    assert np.min(metrics[0]) > 0.0 > np.min(metrics[1])
+    with pytest.raises(PositivityError) as want:
+        HermitianField(spec.grid, metrics[1]).require_positive(
+            "evolving fiber metric")
+    with pytest.raises(PositivityError) as got:
+        diagnostics_for(spec, times, stack)
+    assert "in evolving fiber metric" in str(got.value)
+    assert str(got.value) == str(want.value)
+    assert got.value.point == want.value.point
+    assert len(got.value.point) == 2
+    assert got.value.value == want.value.value < 0.0
+
+
+def test_stack_with_a_nan_sample_raises_at_its_first_nan():
+    spec = sine_spec(n=16, profile=False)
+    times = (0.0, 0.5, 1.0)
+    stack, _ = cone_stack(spec, times, (0.01, 0.01, 0.01))
+    stack[1, 2, 3] = math.nan
+    with pytest.raises(PositivityError, match="evolving fiber metric") as err:
+        diagnostics_for(spec, times, stack)
+    # a NaN mode makes every sample of its metric NaN; the first is the worst
+    assert err.value.point == (0, 0)
+    assert math.isnan(err.value.value)
+
+
+def test_evolve_reads_its_monitors_in_one_call(monkeypatch):
+    spec = sine_spec(n=16, b0=1.0, a0=2.0, amp=0.01)
+    calls = []
+
+    def spy(spec, times, modes, **kwargs):
+        calls.append(modes.shape)
+        return diagnostics_for(spec, times, modes, **kwargs)
+
+    monkeypatch.setattr(flow, "diagnostics_for", spy)
+    table = evolve(spec, tuple(np.linspace(0.0, 3.0, 7)), with_diameter=False)
+    assert calls == [(7, 16, 1)]
+    assert tuple(table) == CSV_COLUMNS["fiber-flow"]
 
 
 def test_evolve_samples_align_and_monitors_settle():
     spec = sine_spec(n=16, b0=1.0, a0=2.0, amp=0.01)
     times = tuple(np.linspace(0.0, 3.0, 7))
-    diags = evolve(spec, times)
-    assert tuple(d.t for d in diags) == times
+    table = evolve(spec, times)
+    assert tuple(table["t"]) == times
+    diags = sample_rows(table)
 
     first, last = diags[0], diags[-1]
-    assert last.vtilde_sup < first.vtilde_sup
+    assert last["vtilde_sup"] < first["vtilde_sup"]
     a3 = 1.0 + math.exp(-3.0)
-    assert abs(last.curvature_sup - 1.0 / a3) < 1e-8
-    assert abs(last.eig_ratio_max - 1.0) < 1e-8
-    assert abs(last.eig_ratio_min - 1.0) < 1e-8
-    assert abs(last.volume_ratio_max - a3) < 1e-7
-    assert all(np.isfinite(d.q_sup) for d in diags)
+    assert abs(last["curvature_sup"] - 1.0 / a3) < 1e-8
+    assert abs(last["eig_ratio_max"] - 1.0) < 1e-8
+    assert abs(last["eig_ratio_min"] - 1.0) < 1e-8
+    assert abs(last["volume_ratio_max"] - a3) < 1e-7
+    assert all(np.isfinite(d["q_sup"]) for d in diags)
     # trace defect settles onto its hand-computable tail: the decaying base
     # term plus the frozen initial fiber bump
     q_tail = math.log(math.exp(-3.0) * 2.0 / a3 + 1.0 + 0.01 * np.pi**2)
-    assert abs(last.q_sup - q_tail) < 1e-3
+    assert abs(last["q_sup"] - q_tail) < 1e-3
     # collapsing diameter: ratio over e^{3/2} below its flat start
-    assert last.diameter < first.diameter
+    assert last["diameter"] < first["diameter"]

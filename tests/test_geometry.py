@@ -8,6 +8,7 @@ other way around.
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from collapse_lab import geometry
+from collapse_lab import geometry, grids
 
 from collapse_lab.grids import GridSpec, HermitianField, PositivityError, ScalarField
 from collapse_lab.geometry import (
@@ -292,6 +293,28 @@ def test_ricci_scale_invariance():
     assert np.max(np.abs(r1 - r2)) < 1e-12
 
 
+def test_positivity_of_a_stack_names_its_first_failing_metric():
+    # the 2nd and 3rd metrics leave the cone; the error is the 2nd's, at its
+    # worst point, as the check of that metric alone gives it
+    g = grid1(8)
+    stack = np.ones((3,) + g.shape)
+    stack[1, 3, 4], stack[1, 6, 1] = -2.0, -0.5
+    stack[2, 0, 0] = -9.0
+    with pytest.raises(PositivityError) as alone:
+        HermitianField(g, stack[1]).require_positive("stack")
+    with pytest.raises(PositivityError) as err:
+        grids.require_positive(stack, "stack")
+    assert err.value.point == alone.value.point == (3, 4)
+    assert err.value.value == alone.value.value == -2.0
+    assert str(err.value) == str(alone.value)
+    # a NaN sample is the worst point of its metric and is not positive
+    stack[1, 5, 2] = math.nan
+    with pytest.raises(PositivityError) as err:
+        grids.require_positive(stack, "stack")
+    assert err.value.point == (5, 2) and math.isnan(err.value.value)
+    grids.require_positive(stack[:1], "stack")
+
+
 def test_ricci_rejects_nonpositive_density():
     g = grid1(16)
     vals = np.ones(g.shape)
@@ -306,6 +329,18 @@ def test_riemann_flat_is_zero():
     g = grid1(32)
     out = riemann_norm(HermitianField.scaled_identity(g, 3.0)).values
     assert np.max(np.abs(out)) < 1e-12
+
+
+@pytest.mark.parametrize("width", [1, 16])
+def test_curvature_norm_of_a_stack_is_riemann_norm_of_each(width):
+    # the monitors read the norm over a stack of metrics, bit for bit
+    g = grid1(16)
+    rng = np.random.default_rng(3)
+    stack = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, (3, 16, width))
+    got = geometry._curvature_norm(g, stack)
+    for metric, norm in zip(stack, got):
+        want = riemann_norm(HermitianField(g, metric)).values
+        assert norm.tobytes() == want.tobytes()
 
 
 def test_riemann_conformal_analytic_oracle():

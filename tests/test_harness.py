@@ -5,7 +5,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from importlib import resources
 from pathlib import Path
 
@@ -19,8 +19,10 @@ from collapse_lab.experiments import (CSV_COLUMNS, REGISTRY, Check,
                                       ExperimentReport, _late_growth,
                                       run_experiment, write_error,
                                       write_report)
-from collapse_lab.flow import Diagnostics
-from collapse_lab.grids import GridSpec, HermitianField, PositivityError
+from collapse_lab.flow import diagnostics_for
+from collapse_lab.grids import (GridSpec, HermitianField, PositivityError,
+                                ScalarField)
+from collapse_lab.models import FiberFlowSpec
 from collapse_lab.timestep import StiffnessError
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -67,15 +69,20 @@ def test_registry_lists_five_experiments():
 
 
 def test_schema_file_matches_runtime_columns():
-    # the writer reads its column sets from the packaged schema, and a flow
-    # row is a Diagnostics record, so its fields are the flow columns
+    # the writer reads its column sets from the packaged schema, and the
+    # flow monitors hand over their table as it is, so its keys are the flow
+    # columns
     raw = (resources.files("collapse_lab") / "data" / "csv_schema.json")
     schema = json.loads(raw.read_text(encoding="utf-8"))
     assert set(schema["columns"]) == set(CSV_COLUMNS)
     for name, cols in CSV_COLUMNS.items():
         assert tuple(schema["columns"][name]) == cols
-    flow_fields = tuple(f.name for f in fields(Diagnostics))
-    assert CSV_COLUMNS["fiber-flow"] == flow_fields
+    grid = GridSpec(1, (8,))
+    spec = FiberFlowSpec(grid=grid, b0=1.0,
+                         initial_potential=ScalarField.constant(grid, 0.0))
+    table = diagnostics_for(spec, [0.0], np.zeros((1, 8, 1), complex),
+                            with_diameter=False)
+    assert tuple(table) == CSV_COLUMNS["fiber-flow"]
 
 
 def test_shipped_configs_validate():
