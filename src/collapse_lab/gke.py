@@ -6,9 +6,9 @@ The elliptic problem asks for a potential u with
 
 whose linearization at u is the metric Laplacian of the current form minus
 the identity: strictly negative, hence the unique solvability the Newton
-iteration leans on.  Linear systems are solved matrix-free with a stabilized
-Krylov method preconditioned by the flat-background symbol, and every trial
-update is damped back into the positive cone if it has to be.
+iteration leans on.  Times the metric coefficient g it is ddbar - g, so
+each Newton step is one symmetric conjugate-gradient solve, and every
+trial update is damped back into the positive cone if it has to be.
 
 The parabolic variant relaxes the same equation along a decaying transient
 background, from zero to the last of its fixed sample times, and reads at
@@ -60,26 +60,27 @@ def krylov_matvec(omega, v):
     return (trace_wrt(omega, ddbar(f)).values - f.values).ravel()
 
 
-def _linear_step(grid, omega, rhs_field, forcing, flat_scale):
-    """Solve (laplacian_omega - 1) v = rhs to the requested relative
-    tolerance, at the width of rhs."""
-    from scipy.sparse.linalg import LinearOperator, bicgstab
-    shape, size = rhs_field.shape, rhs_field.size
-    symbol = ddbar_symbol(grid)[:, :shape[-1]] / flat_scale
+def _linear_step(omega, rhs, forcing):
+    """Solve (laplacian_omega - 1) v = rhs at the width of rhs: conjugate
+    gradients on it times -g, the positive definite g - ddbar, to relative
+    tolerance ``forcing``, preconditioned by (mean g - ddbar)^-1."""
+    from scipy.sparse.linalg import LinearOperator, cg
+    grid, shape, size = omega.grid, rhs.shape, rhs.size
+    g = np.broadcast_to(omega.values, shape).ravel()
+    symbol = np.mean(g) - ddbar_symbol(grid)[:, :shape[-1]]
 
     def matvec(v):
-        return krylov_matvec(omega, v)
+        return -g * krylov_matvec(omega, v)
 
     def precond(v):
         spec = half_modes(grid, v.reshape(shape))
-        return real_samples(grid, spec / (symbol - 1.0)).ravel()
+        return real_samples(grid, spec / symbol).ravel()
 
     op = LinearOperator((size, size), matvec=matvec, dtype=float)
     pre = LinearOperator((size, size), matvec=precond, dtype=float)
-    v, info = bicgstab(op, rhs_field.ravel(), rtol=forcing, atol=0.0,
-                       M=pre, maxiter=500)
+    v, info = cg(op, -g * rhs.ravel(), rtol=forcing, M=pre, maxiter=500)
     if info != 0:
-        raise RuntimeError(f"linearized solve stalled (bicgstab info {info})")
+        raise RuntimeError(f"linearized solve stalled (cg info {info})")
     return v.reshape(shape)
 
 
@@ -100,8 +101,7 @@ def solve_gke(testbed, tol=1e-11, max_iter=20, start=None):
         # Krylov tolerance is relative to the shrinking right-hand side, so
         # a fixed floor still leaves the overall contraction quadratic
         forcing = max(NEWTON_FORCING_FLOOR, min(NEWTON_FORCING_CAP, sup))
-        v = _linear_step(grid, omega, -res.values, forcing,
-                         flat_scale=testbed.flat_scale)
+        v = _linear_step(omega, -res.values, forcing)
         alpha = 1.0
         while True:
             trial = ScalarField(grid, u.values + alpha * v)

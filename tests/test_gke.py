@@ -6,10 +6,14 @@ is checked through two independently computed curvature forms.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from collapse_lab import gke
+from collapse_lab.config import load_config
+from collapse_lab.experiments import run_experiment
 from collapse_lab.grids import GridSpec, HermitianField, ScalarField
 from collapse_lab.geometry import ddbar, ricci_form
 from collapse_lab.models import GkeTestbedSpec
@@ -122,7 +126,8 @@ def test_newton_on_profiles_is_the_full_width_solve(n, amp):
 
 def test_krylov_matvec_times_metric_is_symmetric_negative_definite():
     # g (laplacian_omega - 1) = ddbar - g: a real even symbol plus a negative
-    # diagonal, the property a conjugate-gradient solve would lean on
+    # diagonal, the property the Newton step's conjugate-gradient solve
+    # leans on
     g = GridSpec(1, (16,))
     x, _ = coords(g)
     omega = (HermitianField.scaled_identity(g)
@@ -142,6 +147,36 @@ def test_krylov_matvec_times_metric_is_symmetric_negative_definite():
         scale = np.linalg.norm(gv) * np.linalg.norm(w)
         assert abs(gv @ w - v @ gw) <= 1e-12 * scale
         assert gv @ v < 0.0
+
+
+@pytest.mark.parametrize("amp", [0.19, 0.195, -0.19])
+def test_manufactured_near_the_edge_of_the_cone(amp):
+    # the metric 4 - 2 pi^2 amp sin cos dips to 0.15 at amp 0.195; the
+    # solve's residual floor at n=128 is near 1e-11 there
+    g = GridSpec(1, (128,))
+    x, y = coords(g)
+    ustar = ScalarField(g, amp * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
+    tb = GkeTestbedSpec(grid=g, manufactured=ustar, flat_scale=4.0)
+    sol = solve_gke(tb, tol=1e-11)
+    assert sol.residuals[-1] <= 1e-11
+    assert np.max(np.abs(sol.potential.values - ustar.values)) <= 1e-13
+
+
+@pytest.mark.parametrize("stem", ["gke_elliptic", "semiflat_identities"])
+def test_shipped_newton_solves_take_one_matvec_per_krylov_step(
+        stem, monkeypatch):
+    # CG applies the operator once per iteration (13 and 12 calls); a
+    # two-matvec method such as bicgstab took 30 and 38
+    calls = []
+
+    def spy(omega, v):
+        calls.append(v.size)
+        return krylov_matvec(omega, v)
+
+    monkeypatch.setattr(gke, "krylov_matvec", spy)
+    config = Path(__file__).resolve().parent.parent / "configs" / f"{stem}.json"
+    assert run_experiment(load_config(config)).passed
+    assert 0 < len(calls) <= 15
 
 
 # -------------------------------------------------------- twisted identity
