@@ -22,7 +22,7 @@ from .config import SAMPLE_SPACING
 from .flow import evolve
 from .geometry import ddbar, fiber_diameter
 from .gke import parabolic_gke, solve_gke, twisted_einstein_residual
-from .grids import GridSpec, HermitianField, PositivityError, ScalarField
+from .grids import GridSpec, PositivityError, ScalarField
 from .models import (FiberFlowSpec, GkeTestbedSpec, ProductModelSpec,
                      SemiFlatSpec, _base_scale, density_F, fiber_constancy,
                      rescaling_check, semiflat_components,
@@ -101,7 +101,7 @@ def _run_product_ode(cfg, rng):
                            0.0, samples, tol=s["ode_tol"])
 
     fiber_grid = GridSpec(1, (m["fiber_resolution"],))
-    unit_diam = fiber_diameter(HermitianField.scaled_identity(fiber_grid, 1.0))
+    unit_diam = fiber_diameter(fiber_grid, np.ones((fiber_grid.shape[0], 1)))
 
     a_num, b_num = np.array(res.sample_modes).real.T
     # the closed forms per sample, from math as the model states them
@@ -260,7 +260,7 @@ def _run_gke_elliptic(cfg, rng):
     for r0, r1 in zip(sol.residuals, sol.residuals[1:]):
         if acc["quadratic_lo"] <= r1 and r0 <= acc["quadratic_hi"]:
             quad_ratio = max(quad_ratio, r1 / r0 ** 2)
-    twisted = twisted_einstein_residual(testbed, sol.potential)
+    twisted = twisted_einstein_residual(testbed, sol.potential.values)
 
     checks = [
         _le("residual_final", sol.residuals[-1], s["tol"]),
@@ -284,11 +284,10 @@ def _run_gke_parabolic(cfg, rng):
         grid, density=ScalarField.constant(grid, m["density_const"]),
         flat_scale=m["flat_scale"])
     # the bump is constant along y: its profile keeps rho a profile
-    bump = ScalarField(grid, m["transient_cos"]
-                       * np.cos(2 * np.pi * grid.axis_coordinates(0)))
-    rho = m["transient_scale"] + ddbar(bump).values
+    bump = m["transient_cos"] * np.cos(2 * np.pi * grid.axis_coordinates(0))
+    rho = m["transient_scale"] + ddbar(grid, bump)
 
-    limit = solve_gke(testbed, tol=s["limit_tol"]).potential
+    limit = solve_gke(testbed, tol=s["limit_tol"]).potential.values
     result = parabolic_gke(testbed, rho, limit,
                            _sample_grid(s["t_end"], GKE_SAMPLES_PER_UNIT),
                            tol=s["tol"])
@@ -385,7 +384,7 @@ def _run_semiflat(cfg, rng):
                           * np.cos(2 * np.pi * gx) * np.cos(2 * np.pi * gy))
     testbed = GkeTestbedSpec(grid, eta=eta, density=density)
     sol = solve_gke(testbed, tol=s["gke_tol"])
-    twisted = twisted_einstein_residual(testbed, sol.potential)
+    twisted = twisted_einstein_residual(testbed, sol.potential.values)
     rows.append(("twisted_identity", 0.0, twisted))
 
     checks = [

@@ -19,10 +19,10 @@ import math
 
 import numpy as np
 
-from .grids import HermitianField, require_positive
-from .geometry import (MongeAmpereFlow, _curvature_norm, ddbar_symbol,
-                       fiber_diameter, half_modes, log_volume_ratio,
-                       real_samples)
+from .grids import require_positive
+from .geometry import (MongeAmpereFlow, ddbar_symbol, fiber_diameter,
+                       half_modes, log_volume_ratio, real_samples,
+                       riemann_norm)
 from .models import _base_scale
 from .timestep import integrate_lawson
 
@@ -99,9 +99,9 @@ def diagnostics_for(spec, times, modes, with_diameter=True):
     # trace of the initial metric in the evolving one, rescaled to its limit
     offset = [math.exp(-t) * p * spec.a0 / a for t, a in zip(ts, a_hat)]
     qfield = np.log(per_sample(offset)
-                    + spec.initial_form().values * (1.0 / twisted)) - vt
+                    + spec.initial_form() * (1.0 / twisted)) - vt
 
-    fiber = np.max(_curvature_norm(g, twisted), axis=(1, 2))
+    fiber = np.max(riemann_norm(g, twisted), axis=(1, 2))
     curvature = [math.hypot(math.sqrt(p) / a, e * float(f))
                  for a, e, f in zip(a_hat, et, fiber)]
 
@@ -109,7 +109,7 @@ def diagnostics_for(spec, times, modes, with_diameter=True):
     mode_low = [e * abs(m) / math.prod(g.shape)
                 for e, m in zip(et, modes[:, 1, 0])]
 
-    diameter = [fiber_diameter(HermitianField(g, math.exp(-t) * w))
+    diameter = [fiber_diameter(g, math.exp(-t) * w)
                 if with_diameter else math.nan
                 for t, w in zip(ts, twisted)]
 

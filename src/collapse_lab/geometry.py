@@ -5,16 +5,18 @@ second derivative d/dz d/dzbar of z = x + iy is one quarter of the real
 Laplacian; on the unit torus the lowest cosine mode maps to minus pi^2 times
 itself, which pins every sign convention used here.  A metric is the positive
 coefficient g of i g dz ^ dzbar (see :mod:`collapse_lab.grids`), so its
-determinant, inverse and traces are pointwise scalar arithmetic.
+determinant, inverse and traces are pointwise scalar arithmetic, which
+callers write inline.
 
 A field that is constant along y may be held as its y-profile: the (n, 1)
 column of its samples at y = 0, whose modes are the (n, 1) ky = 0 column of
 the half spectrum.  The transform pair and every operator here work at the
 width of the data they are given, so a march whose data are all profiles
-runs on profiles, and its monitors read them as they are.
+runs on profiles, and its monitors read them as they are.  Every operator
+takes bare sample arrays, with the grid wherever it differentiates, and a
+transform takes a stack of fields at once; the two metric operators,
+``riemann_norm`` and ``fiber_diameter``, check positivity once on entry.
 """
-
-from __future__ import annotations
 
 import functools
 import itertools
@@ -22,7 +24,7 @@ import math
 
 import numpy as np
 
-from .grids import HermitianField, ScalarField
+from .grids import require_positive
 
 
 def _nyquist_zeroed(k):
@@ -106,8 +108,7 @@ def ddbar_modes(grid, modes):
     """Coefficient samples of i*ddbar(f) from the half-spectrum modes of f.
 
     One inverse real transform, at the width of ``modes``; the result is
-    real by construction, so it is returned bare, without the validation of
-    a HermitianField.
+    real by construction.
     """
     return real_samples(grid, _symbols(grid)[0][:, :modes.shape[-1]] * modes)
 
@@ -117,14 +118,14 @@ def ddbar_symbol(grid):
     return _symbols(grid)[0]
 
 
-def ddbar(f: ScalarField) -> HermitianField:
-    """Mixed complex Hessian of a real potential, computed spectrally.
+def ddbar(grid, values):
+    """Mixed complex Hessian of real potential samples, computed spectrally.
 
-    Returns the coefficient field of i*ddbar(f).  It is grid-mean-free
-    because the zero mode carries no derivative.
+    Returns the coefficient samples of i*ddbar(f), at the width of
+    ``values``, a stack at once.  They are grid-mean-free because the zero
+    mode carries no derivative.
     """
-    modes = half_modes(f.grid, f.values)
-    return HermitianField(f.grid, ddbar_modes(f.grid, modes))
+    return ddbar_modes(grid, half_modes(grid, values))
 
 
 def log_volume_ratio(values, reference):
@@ -195,37 +196,20 @@ class MongeAmpereFlow:
         return float(np.min(self._form(t, u)[2])) / self.scale
 
 
-def trace_wrt(omega: HermitianField, eta: HermitianField) -> ScalarField:
-    """Trace of eta against the metric omega: the inverse metric 1/g
-    contracted with eta, pointwise."""
-    omega.require_positive("trace_wrt")
-    return ScalarField(omega.grid, eta.values * (1.0 / omega.values))
-
-
-def ricci_form(omega: HermitianField) -> HermitianField:
-    """Ricci form -ddbar log g, spectral, scale invariant."""
-    omega.require_positive("ricci_form")
-    return ddbar(ScalarField(omega.grid, -np.log(omega.values)))
-
-
-def riemann_norm(omega: HermitianField) -> ScalarField:
+def riemann_norm(grid, g):
     """Pointwise norm of the curvature tensor of a Kaehler metric.
 
-    Its one component is R = -ddbar g + |dg|^2 / g, with
-    |dg|^2 = (g_x^2 + g_y^2) / 4, and its norm in a unit frame is |R| / g^2,
-    so scaling the metric by c scales the result by 1/c.  Every derivative
-    is taken of g itself: R / g is also -ddbar log g, but log g carries
-    modes that g does not, and at n = 16 their truncation moves the norm by
-    1e-2 relative.  The symbols are cut to the width of the modes of g, so a
-    y-profile's y-derivative is exactly zero.
+    ``g`` holds the coefficient samples of the metric over its last two
+    axes, a stack of metrics at once.  The one component is
+    R = -ddbar g + |dg|^2 / g, with |dg|^2 = (g_x^2 + g_y^2) / 4, and its
+    norm in a unit frame is |R| / g^2, so scaling the metric by c scales the
+    result by 1/c.  Every derivative is taken of g itself: R / g is also
+    -ddbar log g, but log g carries modes that g does not, and at n = 16
+    their truncation moves the norm by 1e-2 relative.  The symbols are cut
+    to the width of the modes of g, so a y-profile's y-derivative is
+    exactly zero.
     """
-    omega.require_positive("riemann_norm")
-    return ScalarField(omega.grid, _curvature_norm(omega.grid, omega.values))
-
-
-def _curvature_norm(grid, g):
-    """``riemann_norm`` of the positive coefficient samples g over their
-    last two axes, a stack of metrics at once."""
+    require_positive(g, "riemann_norm")
     modes = half_modes(grid, g)
     lap, dx, dy = (sym[:, :modes.shape[-1]] for sym in _symbols(grid))
     gx, gy, hess = real_samples(grid, np.stack([dx * modes, dy * modes,
@@ -241,8 +225,8 @@ def _dijkstra(graph, **kwargs):
     return dijkstra(graph, **kwargs)
 
 
-def fiber_diameter(omega: HermitianField) -> float:
-    """Graph-metric diameter of the torus under the given metric field.
+def fiber_diameter(grid, g):
+    """Graph-metric diameter of the torus under the metric samples g.
 
     Edges are king moves, each as long as the mean of g |dz|^2 at its
     endpoints, over the whole grid, a y-profile broadcast to it.  An axis
@@ -253,10 +237,10 @@ def fiber_diameter(omega: HermitianField) -> float:
     sqrt(c) exactly.
     """
     from scipy.sparse import csr_matrix
-    omega.require_positive("fiber_diameter")
-    g = np.broadcast_to(omega.values, omega.grid.shape)
-    hx, hy = omega.grid.spacings
-    offsets, idx, rows, cols = _lattice(omega.grid)
+    require_positive(g, "fiber_diameter")
+    g = np.broadcast_to(g, grid.shape)
+    hx, hy = grid.spacings
+    offsets, idx, rows, cols = _lattice(grid)
     weights = []
     for off in offsets:
         q = g * ((off[0] * hx) ** 2 + (off[1] * hy) ** 2)

@@ -8,7 +8,10 @@ whose linearization at u is the metric Laplacian of the current form minus
 the identity: strictly negative, hence the unique solvability the Newton
 iteration leans on.  Times the metric coefficient g it is ddbar - g, so
 each Newton step is one symmetric conjugate-gradient solve, and every
-trial update is damped back into the positive cone if it has to be.
+trial update is damped back into the positive cone if it has to be.  The
+solver works on bare sample arrays, sigma, the density and the potential
+at their width; the start's metric is checked positive once, and each
+later one is positive by the damping.
 
 The parabolic variant relaxes the same equation along a decaying transient
 background, from zero to the last of its fixed sample times, and reads at
@@ -25,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import ScalarField
+from .grids import ScalarField, require_positive
 from .geometry import (MongeAmpereFlow, ddbar, ddbar_symbol, half_modes,
-                       log_volume_ratio, real_samples, ricci_form, trace_wrt)
+                       log_volume_ratio, real_samples)
 from .timestep import integrate_lawson
 
 NEWTON_FORCING_CAP = 1e-3
@@ -36,12 +39,12 @@ PSD_SLACK = 1e-12
 
 
 def gke_residual(testbed, u):
-    """Scalar defect of the volume equation at the potential u, NaN
-    wherever sigma + ddbar(u) has left the positive cone."""
+    """Scalar defect of the volume equation at the potential samples u,
+    NaN wherever sigma + ddbar(u) has left the positive cone."""
     sigma = testbed.sigma_form()
-    defect = (log_volume_ratio((sigma + ddbar(u)).values, sigma.values)
-              - np.log(testbed.density_field().values))
-    return ScalarField(testbed.grid, defect - u.values)
+    defect = (log_volume_ratio(sigma + ddbar(testbed.grid, u), sigma)
+              - np.log(testbed.density_field()))
+    return defect - u
 
 
 @dataclass
@@ -51,26 +54,27 @@ class GkeSolution:
     residuals: list
 
 
-def krylov_matvec(omega, v):
+def krylov_matvec(grid, omega, v):
     """The Newton linearisation (laplacian_omega - 1) applied to the flat
     samples v, at their width: the grid's n*n, or a y-profile's n, which a
-    profile omega broadcasts against.  Every Krylov iteration of the solve
-    passes through here."""
-    f = ScalarField(omega.grid, v.reshape(omega.grid.shape[0], -1))
-    return (trace_wrt(omega, ddbar(f)).values - f.values).ravel()
+    profile omega broadcasts against.  The metric Laplacian is the trace
+    of ddbar(v) against omega, its product with the inverse metric 1/g.
+    Every Krylov iteration of the solve passes through here."""
+    f = v.reshape(grid.shape[0], -1)
+    return (ddbar(grid, f) * (1.0 / omega) - f).ravel()
 
 
-def _linear_step(omega, rhs, forcing):
+def _linear_step(grid, omega, rhs, forcing):
     """Solve (laplacian_omega - 1) v = rhs at the width of rhs: conjugate
     gradients on it times -g, the positive definite g - ddbar, to relative
     tolerance ``forcing``, preconditioned by (mean g - ddbar)^-1."""
     from scipy.sparse.linalg import LinearOperator, cg
-    grid, shape, size = omega.grid, rhs.shape, rhs.size
-    g = np.broadcast_to(omega.values, shape).ravel()
+    shape, size = rhs.shape, rhs.size
+    g = np.broadcast_to(omega, shape).ravel()
     symbol = np.mean(g) - ddbar_symbol(grid)[:, :shape[-1]]
 
     def matvec(v):
-        return -g * krylov_matvec(omega, v)
+        return -g * krylov_matvec(grid, omega, v)
 
     def precond(v):
         spec = half_modes(grid, v.reshape(shape))
@@ -84,56 +88,63 @@ def _linear_step(omega, rhs, forcing):
     return v.reshape(shape)
 
 
+def _sup(values):
+    return float(np.max(np.abs(values)))
+
+
 def solve_gke(testbed, tol=1e-11, max_iter=20, start=None):
-    """Damped inexact Newton iteration from zero (or a supplied start)."""
+    """Damped inexact Newton iteration from zero (or from the potential
+    samples ``start``); the solution is a ``ScalarField``."""
     grid = testbed.grid
     sigma = testbed.sigma_form()
-    u = ScalarField.constant(grid, 0.0) if start is None \
-        else ScalarField(grid, np.array(start.values))
-    (sigma + ddbar(u)).require_positive("newton start")
+    u = np.zeros((grid.shape[0], 1)) if start is None else np.array(start)
+    require_positive(sigma + ddbar(grid, u), "newton start")
 
     res = gke_residual(testbed, u)
-    sup = res.sup()
+    sup = _sup(res)
     history = [sup]
     iterations = 0
     while sup > tol and iterations < max_iter:
-        omega = sigma + ddbar(u)
+        omega = sigma + ddbar(grid, u)
         # Krylov tolerance is relative to the shrinking right-hand side, so
         # a fixed floor still leaves the overall contraction quadratic
         forcing = max(NEWTON_FORCING_FLOOR, min(NEWTON_FORCING_CAP, sup))
-        v = _linear_step(omega, -res.values, forcing)
+        v = _linear_step(grid, omega, -res, forcing)
         alpha = 1.0
         while True:
-            trial = ScalarField(grid, u.values + alpha * v)
+            trial = u + alpha * v
             # the residual is NaN outside the cone and infinite at its edge,
             # so the comparison rejects a trial that leaves the cone
             trial_res = gke_residual(testbed, trial)
-            if trial_res.sup() < sup:
+            trial_sup = _sup(trial_res)
+            if trial_sup < sup:
                 break
             alpha *= 0.5
             if alpha < 2.0 ** -30:
                 raise RuntimeError("newton damping failed to find a decrease")
-        u, res, sup = trial, trial_res, trial_res.sup()
+        u, res, sup = trial, trial_res, trial_sup
         history.append(sup)
         iterations += 1
-    return GkeSolution(potential=u, iterations=iterations, residuals=history)
+    return GkeSolution(potential=ScalarField(grid, u), iterations=iterations,
+                       residuals=history)
 
 
 def twisted_einstein_residual(testbed, u):
     """Sup defect of the curvature identity satisfied by the solved metric.
 
-    The solved form must pull the twisted combination Ric + omega onto the
-    background value corrected by the density; the defect is measured on
-    coefficient fields.
+    The solved form omega = sigma + ddbar(u), for potential samples u, must
+    pull the twisted combination Ric + omega onto the background value
+    corrected by the density, Ric(sigma) + sigma - ddbar log F; each Ricci
+    form is -ddbar log g, scale invariant, and the defect is measured on
+    coefficient samples.
     """
-    sigma = testbed.sigma_form()
-    omega = sigma + ddbar(u)
-    omega.require_positive("twisted identity")
-    logf = ScalarField(testbed.grid,
-                       np.log(testbed.density_field().values))
-    lhs = ricci_form(omega) + omega
-    rhs = ricci_form(sigma) + sigma - ddbar(logf)
-    return float(np.max(np.abs((lhs - rhs).values)))
+    grid, sigma = testbed.grid, testbed.sigma_form()
+    omega = sigma + ddbar(grid, u)
+    require_positive(omega, "twisted identity")
+    lhs = ddbar(grid, -np.log(omega)) + omega
+    rhs = (ddbar(grid, -np.log(sigma)) + sigma
+           - ddbar(grid, np.log(testbed.density_field())))
+    return _sup(lhs - rhs)
 
 
 # ------------------------------------------------------------ parabolic run
@@ -155,8 +166,7 @@ def parabolic_problem(testbed, rho):
     width sigma, rho and the density broadcast to: y-profiles when all three
     are profiles."""
     sigma, rho, log_f = np.broadcast_arrays(
-        testbed.sigma_form().values, rho,
-        np.log(testbed.density_field().values))
+        testbed.sigma_form(), rho, np.log(testbed.density_field()))
     u0 = half_modes(testbed.grid, np.zeros(sigma.shape))
     problem = MongeAmpereFlow(
         testbed.grid, testbed.flat_scale,
@@ -194,12 +204,13 @@ def parabolic_gke(testbed, rho, limit, sample_times, tol=1e-8):
 
     ``rho`` (coefficient samples, or a constant, of the decaying background
     excess) must be nonnegative so the background only ever shrinks toward
-    its limit; ``limit`` is the solved elliptic potential.  Returns the gap
+    its limit; a NaN sample is not.  ``limit`` holds the samples of the
+    solved elliptic potential.  Returns the gap
     and its right derivative at each of the sorted ``sample_times`` (the
     march ends at the last), and their envelope fit.
     """
     grid = testbed.grid
-    if float(np.min(rho)) < -PSD_SLACK:
+    if not float(np.min(rho)) >= -PSD_SLACK:
         raise ValueError("transient excess must be positive semidefinite")
 
     problem, u0 = parabolic_problem(testbed, rho)
@@ -210,7 +221,7 @@ def parabolic_gke(testbed, rho, limit, sample_times, tol=1e-8):
         # read at the march's width, widened to the limit's if that is wider
         phi, hess = real_samples(grid, np.stack([modes, lap * modes]))
         omega = problem.background(t) + hess
-        gap, speed = np.broadcast_arrays(phi - limit.values,
+        gap, speed = np.broadcast_arrays(phi - limit,
                                          problem.velocity(t, omega) - phi)
         peak = np.max(gap)
         rows.append((peak, np.min(gap), np.max(speed[gap == peak])))

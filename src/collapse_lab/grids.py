@@ -1,13 +1,15 @@
-"""Periodic sample grids and the field containers every other module shares.
+"""Periodic sample grids, the positivity check of metric samples, and the
+validated sample container of the specs' inputs.
 
 A grid covers the unit torus of complex dimension one, the fiber of the
 elliptic fibrations the lab models: period 1 along both real directions of
 z = x + iy, with the same even number of uniform samples along each.  Field
 arrays have axis 0 along x and axis 1 along y.  A field constant along y
-may be held as its y-profile, the (n, 1) column of its samples at y = 0;
-the field containers take samples of the grid's shape or of that one, and
-numpy broadcasting widens a profile where it meets a full field.  The
-width is fixed where the samples are built: a constant is a profile.
+may be held as its y-profile, the (n, 1) column of its samples at y = 0,
+and numpy broadcasting widens a profile where it meets a full field.  The
+width is fixed where the samples are built: a constant is a profile.  The
+geometry operators take bare sample arrays; ``ScalarField`` validates the
+real samples a spec is given and a solve returns.
 """
 
 from __future__ import annotations
@@ -75,7 +77,10 @@ class GridSpec:
 
 
 def _samples(grid, values):
-    """``values`` as float samples over the grid or a y-profile of them."""
+    """``values`` as float samples over the grid or a y-profile of them;
+    complex samples raise ``ValueError``, their imaginary part unread."""
+    if np.iscomplexobj(values):
+        raise ValueError("samples must be real, got complex values")
     vals = np.asarray(values, dtype=np.float64)
     if vals.shape not in (grid.shape, (grid.shape[0], 1)):
         raise ValueError(f"samples must have shape {grid.shape} or "
@@ -124,36 +129,13 @@ class ScalarField:
 
 @dataclass
 class HermitianField:
-    """A real (1,1)-form i g dz ^ dzbar, held as its coefficient samples g.
-
-    In one complex dimension the Hermitian coefficient matrix is the single
-    real number g, so a metric is a positive scalar field and g is its only
-    eigenvalue.  Realness and shape are validated on entry; positivity is
-    deliberately not, callers query it.
-    """
+    """A real (1,1)-form i g dz ^ dzbar, held as its coefficient samples g:
+    in one complex dimension a metric is a positive scalar field.  Realness
+    and shape are validated on entry; the package's operators take the bare
+    samples and check positivity where a metric is formed."""
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        if np.iscomplexobj(self.values):
-            raise ValueError("coefficients of a real (1,1)-form must be real")
         self.values = _samples(self.grid, self.values)
-
-    def require_positive(self, context=""):
-        """``require_positive`` of this field's samples."""
-        require_positive(self.values, context)
-
-    def __add__(self, other):
-        if isinstance(other, HermitianField):
-            return HermitianField(self.grid, self.values + other.values)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, HermitianField):
-            return HermitianField(self.grid, self.values - other.values)
-        return NotImplemented
-
-    @classmethod
-    def scaled_identity(cls, grid, scale=1.0):
-        return cls(grid, np.full((grid.shape[0], 1), float(scale)))

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .grids import GridSpec, HermitianField, ScalarField
+from .grids import GridSpec, ScalarField, require_positive
 from .geometry import ddbar
 
 MEAN_FREE_TOL = 1e-12
@@ -108,11 +108,11 @@ class FiberFlowSpec:
             raise ValueError(
                 f"initial potential must be mean-free, got mean "
                 f"{pot.mean():.3e}")
-        self._initial_form = (HermitianField.scaled_identity(self.grid, self.b0)
-                              + ddbar(pot))
-        self._initial_form.require_positive("initial fiber metric")
+        self._initial_form = self.b0 + ddbar(self.grid, pot.values)
+        require_positive(self._initial_form, "initial fiber metric")
 
     def initial_form(self):
+        """Coefficient samples of the start metric b0 + ddbar(potential)."""
         return self._initial_form
 
 
@@ -124,8 +124,10 @@ class GkeTestbedSpec:
 
     Takes exactly one of ``density`` (the positive right-hand density) or
     ``manufactured`` (a potential whose induced density makes it the exact
-    solution), and raises ``ValueError`` otherwise.  ``eta`` (default 0)
-    bends the background ``flat_scale + ddbar(eta)``.
+    solution), and raises ``ValueError`` otherwise; a density with a
+    sample that is not positive, NaN included, raises too.  ``eta``
+    (default 0) bends the background ``flat_scale + ddbar(eta)``.  The
+    forms and the density are kept as bare sample arrays.
     """
 
     grid: GridSpec
@@ -142,26 +144,26 @@ class GkeTestbedSpec:
             raise ValueError("flat_scale must be positive")
         if self.eta is None:
             self.eta = ScalarField.constant(self.grid, 0.0)
-        self._sigma = (HermitianField.scaled_identity(self.grid, self.flat_scale)
-                       + ddbar(self.eta))
-        self._sigma.require_positive("background metric")
+        self._sigma = self.flat_scale + ddbar(self.grid, self.eta.values)
+        require_positive(self._sigma, "background metric")
         if self.density is not None:
-            if np.min(self.density.values) <= 0.0:
-                raise ValueError(f"density must be positive, "
-                                 f"min {np.min(self.density.values):.3e}")
-            self._density = self.density
+            low = np.min(self.density.values)
+            if not low > 0.0:
+                raise ValueError(f"density must be positive, min {low:.3e}")
+            self._density = self.density.values
         else:
-            solved = self._sigma + ddbar(self.manufactured)
-            solved.require_positive("manufactured metric")
-            ratio = solved.values / self._sigma.values
-            self._density = ScalarField(
-                self.grid, ratio * np.exp(-self.manufactured.values))
+            u = self.manufactured.values
+            solved = self._sigma + ddbar(self.grid, u)
+            require_positive(solved, "manufactured metric")
+            self._density = solved / self._sigma * np.exp(-u)
 
     def sigma_form(self):
+        """Coefficient samples of the background metric."""
         return self._sigma
 
     def density_field(self):
-        """The density the solver sees; induced from u* in manufactured mode."""
+        """Samples of the density the solver sees; induced from u* in
+        manufactured mode."""
         return self._density
 
 

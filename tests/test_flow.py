@@ -15,11 +15,11 @@ from scipy.integrate import quad, solve_ivp
 
 from collapse_lab.config import validate_config
 from collapse_lab.experiments import CSV_COLUMNS, run_experiment
-from collapse_lab.grids import (GridSpec, HermitianField, PositivityError,
-                                ScalarField)
+from collapse_lab.grids import (GridSpec, PositivityError, ScalarField,
+                                require_positive)
 from collapse_lab import flow, geometry
 from collapse_lab.geometry import (ddbar, fiber_diameter, half_modes,
-                                   real_samples, riemann_norm, trace_wrt)
+                                   real_samples, riemann_norm)
 from collapse_lab.models import FiberFlowSpec
 from collapse_lab.timestep import integrate_lawson
 from collapse_lab.flow import (
@@ -65,7 +65,7 @@ def map_rhs(spec, t, potential):
     Entries are NaN wherever the twisted fiber metric has left the positive
     cone, which the adaptive stepper treats as a rejected step.
     """
-    twisted = spec.b0 + math.exp(t) * ddbar(potential).values
+    twisted = spec.b0 + math.exp(t) * ddbar(spec.grid, potential.values)
     return ScalarField(spec.grid,
                        _velocity(spec, t, twisted) - potential.values)
 
@@ -347,9 +347,8 @@ def test_diagnostics_hand_values_at_start():
     assert 0.6 < d["diameter"] < 0.8
 
     # curvature splits into the rigid base part and the fiber part
-    twisted = (HermitianField.scaled_identity(spec.grid, 1.0)
-               + ddbar(spec.initial_potential))
-    fiber = float(np.max(riemann_norm(twisted).values))
+    twisted = 1.0 + ddbar(spec.grid, spec.initial_potential.values)
+    fiber = float(np.max(riemann_norm(spec.grid, twisted)))
     assert d["curvature_sup"] == pytest.approx(math.hypot(0.5, fiber),
                                                rel=1e-12)
     assert 1.0 < d["curvature_sup"] < 1.4
@@ -362,28 +361,27 @@ def field_space_diagnostics(spec, t, potential):
     g, p = spec.grid, spec.base_dim
     et = math.exp(t)
     a_hat = 1.0 + (spec.a0 - 1.0) * math.exp(-t)
-    twisted = (HermitianField.scaled_identity(g, spec.b0)
-               + HermitianField(g, et * ddbar(potential).values))
-    dphi = _velocity(spec, t, twisted.values) - potential.values
-    vol = a_hat ** p * twisted.values / spec.b0
+    twisted = spec.b0 + et * ddbar(g, potential.values)
+    dphi = _velocity(spec, t, twisted) - potential.values
+    vol = a_hat ** p * twisted / spec.b0
     vt = normalized_potential(spec, t, potential).values
+    # the trace of the initial metric in the twisted one, 1/g contracted
     qfield = np.log(math.exp(-t) * p * spec.a0 / a_hat
-                    + trace_wrt(twisted, spec.initial_form()).values) - vt
-    fiber = et * float(np.max(riemann_norm(twisted).values))
+                    + spec.initial_form() / twisted) - vt
+    fiber = et * float(np.max(riemann_norm(g, twisted)))
     return {
         "phi_sup": potential.sup(),
         "dphi_sup": np.max(np.abs(dphi)),
         "volume_ratio_min": np.min(vol),
         "volume_ratio_max": np.max(vol),
         "base_trace": 1.0 / a_hat,
-        "eig_ratio_min": np.min(twisted.values) / spec.b0,
-        "eig_ratio_max": np.max(twisted.values) / spec.b0,
+        "eig_ratio_min": np.min(twisted) / spec.b0,
+        "eig_ratio_max": np.max(twisted) / spec.b0,
         "vtilde_sup": np.max(np.abs(vt)),
         "q_sup": np.max(np.abs(qfield)),
         "curvature_sup": math.hypot(math.sqrt(p) / a_hat, fiber),
         "mode_low": abs(np.fft.rfftn(vt)[1, 0]) / vt.size,
-        "diameter": fiber_diameter(
-            HermitianField(g, math.exp(-t) * twisted.values)),
+        "diameter": fiber_diameter(g, math.exp(-t) * twisted),
     }
 
 
@@ -457,7 +455,7 @@ def cone_stack(spec, times, amps):
     wave = (np.sin(2 * np.pi * g.axis_coordinates(0))
             * np.cos(2 * np.pi * g.axis_coordinates(1)))
     phis = [a * wave for a in amps]
-    metrics = [spec.b0 + math.exp(t) * ddbar(ScalarField(g, phi)).values
+    metrics = [spec.b0 + math.exp(t) * ddbar(g, phi)
                for t, phi in zip(times, phis)]
     return half_modes(g, np.stack(phis)), metrics
 
@@ -470,8 +468,7 @@ def test_stack_raises_at_the_first_sample_that_leaves_the_cone():
     stack, metrics = cone_stack(spec, times, (0.01, 0.2, -0.3))
     assert np.min(metrics[0]) > 0.0 > np.min(metrics[1])
     with pytest.raises(PositivityError) as want:
-        HermitianField(spec.grid, metrics[1]).require_positive(
-            "evolving fiber metric")
+        require_positive(metrics[1], "evolving fiber metric")
     with pytest.raises(PositivityError) as got:
         diagnostics_for(spec, times, stack)
     assert "in evolving fiber metric" in str(got.value)

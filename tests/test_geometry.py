@@ -4,7 +4,9 @@ Expected values are frozen from independent routes: trigonometric identities,
 finite-difference stencils on the sampled data, closed-form curvatures,
 lattice shortest-path reasoning, and an all-sources Dijkstra on a graph built
 edge by edge.  The module under test must reproduce them, not the
-other way around.
+other way around.  The operators take bare sample arrays; the trace and
+Ricci arithmetic their callers write inline is tested where it runs, in the
+Newton linearisation, the fiber-flow monitors and the twisted identity.
 """
 
 import itertools
@@ -18,16 +20,22 @@ from scipy.sparse.csgraph import dijkstra
 
 from collapse_lab import geometry, grids
 
+from collapse_lab.flow import diagnostics_for
 from collapse_lab.grids import GridSpec, HermitianField, PositivityError, ScalarField
 from collapse_lab.geometry import (
     ddbar,
     fiber_diameter,
     half_modes,
     real_samples,
-    ricci_form,
     riemann_norm,
-    trace_wrt,
 )
+from collapse_lab.gke import (
+    gke_residual,
+    krylov_matvec,
+    solve_gke,
+    twisted_einstein_residual,
+)
+from collapse_lab.models import FiberFlowSpec, GkeTestbedSpec
 
 
 def grid1(n=64):
@@ -59,26 +67,40 @@ def test_grid_and_metric_have_one_complex_dimension():
         ScalarField(g, 2.0)
 
 
+def test_scalar_samples_must_be_real():
+    # casting would drop the imaginary part, with at most a warning
+    g = grid1(8)
+    for values in (np.ones(g.shape) + 1e-3j, [[1.0 + 0.0j]] * 8):
+        with pytest.raises(ValueError, match="real"):
+            ScalarField(g, values)
+
+
 def test_a_constant_is_a_y_profile():
     g = grid1(8)
-    for field in (ScalarField.constant(g, 2.5),
-                  HermitianField.scaled_identity(g, 2.5)):
-        assert field.values.shape == (8, 1)
-        assert np.all(field.values == 2.5)
+    field = ScalarField.constant(g, 2.5)
+    assert field.values.shape == (8, 1)
+    assert np.all(field.values == 2.5)
+    # so is the flat background metric a testbed builds without eta
+    sigma = GkeTestbedSpec(g, density=field, flat_scale=2.5).sigma_form()
+    assert sigma.shape == (8, 1)
+    assert np.all(sigma == 2.5)
 
 
 def test_a_profile_plus_a_full_field_is_the_widened_sum():
+    # profile data (background and density) meeting a full-width potential
+    # in the residual's sums read as their widened copies, bit for bit
     g = grid1(8)
     x, y = coords(g)
-    profile = HermitianField(g, 1.0 + 0.1 * np.cos(2 * np.pi * x[:, :1]))
-    full = HermitianField(g, 0.2 * np.sin(2 * np.pi * (x + y)))
-    widened = HermitianField(g, np.broadcast_to(profile.values, g.shape))
-    for got, want in ((profile + full, widened + full),
-                      (full + profile, full + widened),
-                      (profile - full, widened - full),
-                      (full - profile, full - widened)):
-        assert got.values.shape == g.shape
-        assert got.values.tobytes() == want.values.tobytes()
+    dens = 1.0 + 0.1 * np.cos(2 * np.pi * x[:, :1])
+    u = 0.002 * np.sin(2 * np.pi * (x + y))
+    profile = GkeTestbedSpec(g, density=ScalarField(g, dens))
+    widened = GkeTestbedSpec(g, eta=ScalarField(g, np.zeros(g.shape)),
+                             density=ScalarField(g, dens * np.ones(g.shape)))
+    assert profile.sigma_form().shape == (8, 1)
+    assert widened.sigma_form().shape == g.shape
+    got, want = (gke_residual(tb, u) for tb in (profile, widened))
+    assert got.shape == g.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- FD oracles
@@ -106,8 +128,7 @@ def fd_ddbar(vals, grid):
 def test_ddbar_single_cosine_frozen_value():
     g = grid1(64)
     x, _ = coords(g)
-    f = ScalarField(g, np.cos(2 * np.pi * x))
-    out = ddbar(f).values
+    out = ddbar(g, np.cos(2 * np.pi * x))
     expected = -np.pi**2 * np.cos(2 * np.pi * x)  # (1/4)(fxx+fyy) of cos(2 pi x)
     assert np.max(np.abs(out - np.broadcast_to(expected, g.shape))) < 1e-12 * np.pi**2
 
@@ -116,7 +137,7 @@ def test_ddbar_product_mode_frozen_value_and_fd():
     g = grid1(256)
     x, y = coords(g)
     vals = np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y)
-    out = ddbar(ScalarField(g, vals)).values
+    out = ddbar(g, vals)
     expected = -2.0 * np.pi**2 * vals  # symbolic: (1/4)(-4pi^2 - 4pi^2) f
     assert np.max(np.abs(out - expected)) < 1e-10
     fd = fd_ddbar(vals, g)
@@ -128,11 +149,10 @@ def test_ddbar_product_mode_frozen_value_and_fd():
 
 def test_ddbar_constant_is_zero_and_mean_free():
     g = grid1(32)
-    out = ddbar(ScalarField.constant(g, 4.2)).values
+    out = ddbar(g, np.full((32, 1), 4.2))
     assert np.max(np.abs(out)) == 0.0
     rng = np.random.default_rng(3)
-    f = ScalarField(g, rng.standard_normal(g.shape))
-    assert abs(np.mean(ddbar(f).values)) < 1e-13
+    assert abs(np.mean(ddbar(g, rng.standard_normal(g.shape)))) < 1e-13
 
 
 def full_spectrum_ddbar(grid, vals):
@@ -148,7 +168,7 @@ def test_ddbar_half_spectrum_matches_full_spectrum_with_nyquist():
     grid = GridSpec(1, (16,))
     vals = np.random.default_rng(11).standard_normal(grid.shape)
     want = full_spectrum_ddbar(grid, vals)
-    got = ddbar(ScalarField(grid, vals)).values
+    got = ddbar(grid, vals)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -212,63 +232,89 @@ def test_profile_pair_is_the_ky0_column_to_roundoff_at_other_n(n):
         assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-# ---------------------------------------------------------------- trace_wrt
+# -------------------------------------------------------------------- trace
+# The trace of a form against a metric, its product with the inverse metric
+# 1/g, runs inline: in the q monitor and in the Newton linearisation
+# krylov_matvec, the trace of ddbar(v) less v.
 
 def positive_field(g, seed, lo=0.5, hi=2.0):
-    return HermitianField(
-        g, np.random.default_rng(seed).uniform(lo, hi, g.shape))
+    return np.random.default_rng(seed).uniform(lo, hi, g.shape)
 
 
 def test_trace_of_metric_against_itself_is_dimension():
-    fld = positive_field(grid1(16), 2)
-    assert np.max(np.abs(trace_wrt(fld, fld).values - 1.0)) < 1e-15
+    # at t = 0 the evolving fiber metric is the initial one, so the q
+    # monitor's trace of one in the other is 1 and, with a0 = 1 (no base
+    # relaxation, no mean shift), q = log(1 + 1) - phi
+    g = grid1(16)
+    x, _ = coords(g)
+    phi = 0.01 * np.sin(2 * np.pi * x)
+    spec = FiberFlowSpec(grid=g, b0=1.5, initial_potential=ScalarField(g, phi))
+    table = diagnostics_for(spec, [0.0], half_modes(g, phi)[None],
+                            with_diameter=False)
+    want = np.max(np.abs(math.log(2.0) - phi))
+    assert abs(table["q_sup"][0] - want) < 1e-15
 
 
 def test_trace_diagonal_frozen_value():
+    # ddbar cos(2 pi x) = -pi^2 cos(2 pi x), traced against g = 2
     g = grid1(8)
-    om = HermitianField.scaled_identity(g, 2.0)
-    eta = HermitianField.scaled_identity(g)
-    assert np.all(trace_wrt(om, eta).values == 0.5)
+    c = np.cos(2 * np.pi * g.axis_coordinates(0))
+    got = krylov_matvec(g, np.full((8, 1), 2.0), c.ravel())
+    want = (-0.5 * np.pi**2 - 1.0) * c.ravel()
+    assert np.max(np.abs(got - want)) < 1e-12 * np.pi**2
 
 
 def test_trace_matches_explicit_inverse_oracle():
     # oracle: divide by the metric coefficient, the inverse of a 1x1 matrix
     g = grid1(8)
     om = positive_field(g, 9)
-    eta = HermitianField(g, np.random.default_rng(10).standard_normal(g.shape))
-    want = eta.values / om.values
-    got = trace_wrt(om, eta).values
+    v = np.random.default_rng(10).standard_normal(g.shape)
+    want = ddbar(g, v) / om - v
+    got = krylov_matvec(g, om, v.ravel()).reshape(g.shape)
     assert np.max(np.abs(got - want)) < 1e-15 * np.max(np.abs(want))
 
 
 def test_trace_linearity_in_second_argument():
     g = grid1(16)
     rng = np.random.default_rng(4)
-    h = HermitianField(g, 1.0 + 0.2 * rng.random(g.shape))
-    e1 = HermitianField(g, rng.standard_normal(g.shape))
-    e2 = HermitianField(g, rng.standard_normal(g.shape))
-    lhs = trace_wrt(h, HermitianField(g, 2.0 * e1.values + 3.0 * e2.values)).values
-    rhs = 2.0 * trace_wrt(h, e1).values + 3.0 * trace_wrt(h, e2).values
+    h = 1.0 + 0.2 * rng.random(g.shape)
+    e1, e2 = rng.standard_normal((2, g.shape[0] * g.shape[1]))
+    lhs = krylov_matvec(g, h, 2.0 * e1 + 3.0 * e2)
+    rhs = 2.0 * krylov_matvec(g, h, e1) + 3.0 * krylov_matvec(g, h, e2)
     assert np.max(np.abs(lhs - rhs)) < 1e-12 * (1 + np.max(np.abs(rhs)))
 
 
+def spike(g, point, height):
+    """Samples zero but at one grid point: their ddbar dips most there."""
+    vals = np.zeros(g.shape)
+    vals[point] = height
+    return vals
+
+
 def test_trace_rejects_nonpositive_metric_naming_the_point():
+    # the linearisation's metric is checked where it is formed: at the
+    # Newton start, and positive after it by the damping
     g = grid1(16)
-    vals = np.ones(g.shape)
-    vals[3, 5] = -2.0
-    om = HermitianField(g, vals)
+    tb = GkeTestbedSpec(g, density=ScalarField.constant(g, 1.0))
     with pytest.raises(PositivityError) as err:
-        trace_wrt(om, HermitianField.scaled_identity(g))
+        solve_gke(tb, start=spike(g, (3, 5), 0.01))
+    assert "in newton start" in str(err.value)
     assert "(3, 5)" in str(err.value)
     assert err.value.point == (3, 5)
 
 
-# --------------------------------------------------------------- ricci_form
+# -------------------------------------------------------------------- ricci
+# The Ricci form -ddbar log g runs inline in the twisted identity.
 
 def test_ricci_of_flat_metric_vanishes():
+    # flat data solved by a constant: every Ricci form of the identity
+    # vanishes and its defect with them
     g = grid1(32)
-    out = ricci_form(HermitianField.scaled_identity(g, 2.5)).values
-    assert np.max(np.abs(out)) < 1e-12
+    tb = GkeTestbedSpec(g, density=ScalarField.constant(g, 2.0),
+                        flat_scale=2.5)
+    assert np.max(np.abs(ddbar(g, -np.log(tb.sigma_form())))) < 1e-12
+    u = np.full((32, 1), -math.log(2.0))
+    assert twisted_einstein_residual(tb, u) < 1e-12
 
 
 def test_ricci_conformal_oracle():
@@ -277,19 +323,17 @@ def test_ricci_conformal_oracle():
     g = grid1(64)
     x, y = coords(g)
     f = 0.1 * np.cos(2 * np.pi * x) + 0.07 * np.sin(2 * np.pi * y)
-    om = HermitianField(g, np.exp(f))
-    ric = ricci_form(om).values
-    expected = -ddbar(ScalarField(g, f)).values
+    ric = ddbar(g, -np.log(np.exp(f)))
+    expected = -ddbar(g, f)
     assert np.max(np.abs(ric - expected)) < 1e-8
 
 
 def test_ricci_scale_invariance():
     g = grid1(32)
     x, _ = coords(g)
-    f = np.exp(0.05 * np.cos(2 * np.pi * x)) * np.ones(g.shape)
-    om = HermitianField(g, f)
-    r1 = ricci_form(om).values
-    r2 = ricci_form(HermitianField(g, 7.0 * om.values)).values
+    om = np.exp(0.05 * np.cos(2 * np.pi * x)) * np.ones(g.shape)
+    r1 = ddbar(g, -np.log(om))
+    r2 = ddbar(g, -np.log(7.0 * om))
     assert np.max(np.abs(r1 - r2)) < 1e-12
 
 
@@ -301,7 +345,7 @@ def test_positivity_of_a_stack_names_its_first_failing_metric():
     stack[1, 3, 4], stack[1, 6, 1] = -2.0, -0.5
     stack[2, 0, 0] = -9.0
     with pytest.raises(PositivityError) as alone:
-        HermitianField(g, stack[1]).require_positive("stack")
+        grids.require_positive(stack[1], "stack")
     with pytest.raises(PositivityError) as err:
         grids.require_positive(stack, "stack")
     assert err.value.point == alone.value.point == (3, 4)
@@ -316,18 +360,20 @@ def test_positivity_of_a_stack_names_its_first_failing_metric():
 
 
 def test_ricci_rejects_nonpositive_density():
+    # a potential whose metric leaves the cone has no Ricci form
     g = grid1(16)
-    vals = np.ones(g.shape)
-    vals[0, 0] = -1.0
-    with pytest.raises(PositivityError):
-        ricci_form(HermitianField(g, vals))
+    tb = GkeTestbedSpec(g, density=ScalarField.constant(g, 1.0))
+    with pytest.raises(PositivityError) as err:
+        twisted_einstein_residual(tb, spike(g, (0, 0), 0.01))
+    assert "in twisted identity" in str(err.value)
+    assert err.value.point == (0, 0)
 
 
 # ------------------------------------------------------------- riemann_norm
 
 def test_riemann_flat_is_zero():
     g = grid1(32)
-    out = riemann_norm(HermitianField.scaled_identity(g, 3.0)).values
+    out = riemann_norm(g, np.full((32, 1), 3.0))
     assert np.max(np.abs(out)) < 1e-12
 
 
@@ -337,9 +383,9 @@ def test_curvature_norm_of_a_stack_is_riemann_norm_of_each(width):
     g = grid1(16)
     rng = np.random.default_rng(3)
     stack = 1.0 + 0.1 * rng.uniform(-1.0, 1.0, (3, 16, width))
-    got = geometry._curvature_norm(g, stack)
+    got = riemann_norm(g, stack)
     for metric, norm in zip(stack, got):
-        want = riemann_norm(HermitianField(g, metric)).values
+        want = riemann_norm(g, metric)
         assert norm.tobytes() == want.tobytes()
 
 
@@ -350,8 +396,7 @@ def test_riemann_conformal_analytic_oracle():
     x, _ = coords(g)
     a = 0.1
     f = a * np.cos(2 * np.pi * x) * np.ones(g.shape)
-    om = HermitianField(g, np.exp(f))
-    got = riemann_norm(om).values
+    got = riemann_norm(g, np.exp(f))
     expected = np.pi**2 * a * np.abs(np.cos(2 * np.pi * x)) * np.exp(-f) * np.ones(g.shape)
     assert np.max(np.abs(got - expected)) < 1e-9
 
@@ -362,7 +407,7 @@ def test_riemann_matches_fd4_oracle_on_perturbed_flat():
     gv = 1.0 + 0.05 * np.cos(2 * np.pi * x) + 0.03 * np.sin(2 * np.pi * y) \
         + 0.02 * np.cos(2 * np.pi * (x + y))
     gv = gv * np.ones(g.shape)
-    got = riemann_norm(HermitianField(g, gv)).values
+    got = riemann_norm(g, gv)
     hx, hy = g.spacings
     dg = (fd4_d1(gv, 0, hx) - 1j * fd4_d1(gv, 1, hy)) / 2.0
     dbg = (fd4_d1(gv, 0, hx) + 1j * fd4_d1(gv, 1, hy)) / 2.0
@@ -384,9 +429,9 @@ def test_riemann_single_mode_closed_form(b0):
     gv = b0 * (1.0 - np.pi**2 * eps * s) * np.ones(g.shape)
     r = -b0 * np.pi**4 * eps * s + (b0 * np.pi**3 * eps * c) ** 2 / gv
     want = np.abs(r) / gv**2
-    got = riemann_norm(HermitianField(g, gv)).values
+    got = riemann_norm(g, gv)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
-    log_route = np.abs(ddbar(ScalarField(g, np.log(gv))).values) / gv
+    log_route = np.abs(ddbar(g, np.log(gv))) / gv
     assert np.max(np.abs(log_route - want)) > 1e-3 * np.max(want)
 
 
@@ -395,10 +440,9 @@ def test_riemann_single_mode_closed_form(b0):
 def test_riemann_inverse_scaling_law(c):
     g = grid1(32)
     x, _ = coords(g)
-    f = np.exp(0.1 * np.cos(2 * np.pi * x)) * np.ones(g.shape)
-    om = HermitianField(g, f)
-    base = riemann_norm(om).values
-    scaled = riemann_norm(HermitianField(g, c * om.values)).values
+    om = np.exp(0.1 * np.cos(2 * np.pi * x)) * np.ones(g.shape)
+    base = riemann_norm(g, om)
+    scaled = riemann_norm(g, c * om)
     assert np.max(np.abs(scaled - base / c)) < 1e-10 * np.max(base / c)
 
 
@@ -406,7 +450,7 @@ def test_riemann_inverse_scaling_law(c):
 
 def test_diameter_flat_unit_torus():
     g = grid1(32)
-    d = fiber_diameter(HermitianField.scaled_identity(g))
+    d = fiber_diameter(g, np.ones((32, 1)))
     assert abs(d - np.sqrt(2.0) / 2.0) < 1e-9          # lattice-exact here
     assert abs(d - np.sqrt(2.0) / 2.0) < 0.05 * d      # contract tolerance
 
@@ -417,30 +461,29 @@ def test_diameter_sqrt_scaling(c):
     g = grid1(16)
     x, _ = np.broadcast_arrays(g.axis_coordinates(0), g.axis_coordinates(1))
     gv = (1.0 + 0.3 * np.cos(2 * np.pi * x)) * np.ones(g.shape)
-    om = HermitianField(g, gv)
-    d1 = fiber_diameter(om)
-    d2 = fiber_diameter(HermitianField(g, c * om.values))
+    d1 = fiber_diameter(g, gv)
+    d2 = fiber_diameter(g, c * gv)
     assert abs(d2 - np.sqrt(c) * d1) < 1e-12 * max(1.0, d2)
 
 
 def test_diameter_large_grid_is_exact():
     g = grid1(128)
-    d = fiber_diameter(HermitianField.scaled_identity(g, 4.0))
+    d = fiber_diameter(g, np.full((128, 1), 4.0))
     assert abs(d - np.sqrt(2.0)) < 1e-12
 
 
 def test_diameter_fiber_flow_initial_form_at_n128():
     # a 16-source farthest-point sample gave 0.7473278517029077 here
-    d = fiber_diameter(sine_metric(grid1(128)))
+    g = grid1(128)
+    d = fiber_diameter(g, sine_metric(g))
     assert abs(d - 0.7474029912114724) < 1e-12 * d
 
 
-def all_sources_diameter(omega):
+def all_sources_diameter(grid, omega):
     """Exhaustive oracle: the king-move graph built edge by edge, every node
     a Dijkstra source."""
-    grid = omega.grid
     shape, (hx, hy) = grid.shape, grid.spacings
-    values = np.broadcast_to(omega.values, shape)
+    values = np.broadcast_to(omega, shape)
     nodes = list(np.ndindex(*shape))
     index = {p: k for k, p in enumerate(nodes)}
     rows, cols, data = [], [], []
@@ -462,13 +505,12 @@ def sine_metric(g, amp=0.05, profile=False):
     """The fiber-flow initial form: flat plus ddbar of a sine along x, over
     the grid or as its y-profile."""
     x = g.axis_coordinates(0) if profile else coords(g)[0]
-    hess = ddbar(ScalarField(g, amp * np.sin(2 * np.pi * x)))
-    return HermitianField(g, 1.0 + hess.values)
+    return 1.0 + ddbar(g, amp * np.sin(2 * np.pi * x))
 
 
 def perturbed(omega, delta, seed=0):
-    noise = np.random.default_rng(seed).uniform(-1.0, 1.0, omega.grid.shape)
-    return HermitianField(omega.grid, omega.values * (1.0 + delta * noise))
+    noise = np.random.default_rng(seed).uniform(-1.0, 1.0, omega.shape)
+    return omega * (1.0 + delta * noise)
 
 
 @pytest.fixture
@@ -485,19 +527,21 @@ def source_counts(monkeypatch):
 
 
 def test_diameter_invariant_metric_matches_all_sources(source_counts):
-    om = sine_metric(grid1(16))
-    want = all_sources_diameter(om)
-    assert abs(fiber_diameter(om) - want) < 1e-12 * want
+    g = grid1(16)
+    om = sine_metric(g)
+    want = all_sources_diameter(g, om)
+    assert abs(fiber_diameter(g, om) - want) < 1e-12 * want
     assert source_counts == [16]
 
 
 def test_diameter_perturbed_metric_takes_every_source(source_counts):
     # an axis is free only under an exact symmetry, so relative noise as
     # small as 1e-13 leaves none
+    g = grid1(16)
     for delta in (1e-13, 1e-6):
-        om = perturbed(sine_metric(grid1(16)), delta)
-        want = all_sources_diameter(om)
-        assert abs(fiber_diameter(om) - want) < 1e-12 * want
+        om = perturbed(sine_metric(g), delta)
+        want = all_sources_diameter(g, om)
+        assert abs(fiber_diameter(g, om) - want) < 1e-12 * want
     assert source_counts == [16 * 16] * 2
 
 
@@ -506,13 +550,13 @@ def test_diameter_perturbed_metric_takes_every_source(source_counts):
 def test_diameter_random_metric_matches_all_sources(n, seed):
     g = grid1(n)
     rng = np.random.default_rng(seed)
-    om = HermitianField(g, np.exp(rng.uniform(-1.0, 1.0, g.shape)))
-    want = all_sources_diameter(om)
-    assert abs(fiber_diameter(om) - want) < 1e-12 * want
+    om = np.exp(rng.uniform(-1.0, 1.0, g.shape))
+    want = all_sources_diameter(g, om)
+    assert abs(fiber_diameter(g, om) - want) < 1e-12 * want
 
 
 def test_diameter_flat_torus_takes_one_source(source_counts):
-    fiber_diameter(HermitianField.scaled_identity(grid1(32), 2.0))
+    fiber_diameter(grid1(32), np.full((32, 1), 2.0))
     assert source_counts == [1]
 
 
@@ -520,20 +564,33 @@ def test_diameter_flat_torus_takes_one_source(source_counts):
 def test_diameter_fiber_flow_metric_takes_one_source_per_row(n, source_counts):
     # a profile is free along y by construction; on the whole grid the sine
     # metric at n=66 is y-invariant only to about 1e-13 relative
-    fiber_diameter(sine_metric(grid1(n), profile=True))
+    g = grid1(n)
+    fiber_diameter(g, sine_metric(g, profile=True))
     assert source_counts == [n]
 
 
 @pytest.mark.parametrize("n", [16, 66])
 def test_diameter_of_a_profile_is_that_of_its_broadcast_copy(n):
-    om = sine_metric(grid1(n), profile=True)
-    wide = HermitianField(om.grid, np.broadcast_to(om.values, om.grid.shape))
-    assert fiber_diameter(om) == fiber_diameter(wide)
+    g = grid1(n)
+    om = sine_metric(g, profile=True)
+    wide = np.broadcast_to(om, g.shape)
+    assert fiber_diameter(g, om) == fiber_diameter(g, wide)
 
 
-def test_diameter_rejects_nonpositive_metric():
+def nonpositive_metric_error(operator):
     g = grid1(16)
     vals = np.ones(g.shape)
     vals[1, 1] = 0.0
-    with pytest.raises(PositivityError):
-        fiber_diameter(HermitianField(g, vals))
+    with pytest.raises(PositivityError) as err:
+        operator(g, vals)
+    assert err.value.point == (1, 1) and err.value.value == 0.0
+    return str(err.value)
+
+
+def test_diameter_rejects_nonpositive_metric():
+    assert "in fiber_diameter" in nonpositive_metric_error(fiber_diameter)
+
+
+def test_riemann_rejects_nonpositive_metric():
+    # the two metric operators check their samples once, on entry
+    assert "in riemann_norm" in nonpositive_metric_error(riemann_norm)

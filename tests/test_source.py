@@ -9,6 +9,8 @@ module imports scipy at its top level, so importing the package loads numpy
 and nothing heavier) and its one real transform pair: no module calls a
 ``numpy.fft`` transform outside ``geometry.half_modes`` and
 ``geometry.real_samples``, so the transform convention lives in one place.
+The geometry operators and the flow take bare sample arrays, so neither
+module reaches for a field container of ``grids``.
 """
 
 import ast
@@ -185,6 +187,44 @@ def test_checker_sees_a_transform_outside_the_helpers():
 def test_transforms_only_in_the_transform_pair(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert fft_transforms(tree, TRANSFORM_HELPERS.get(path.name, ())) == []
+
+
+# the modules whose operators take bare sample arrays
+ARRAY_MODULES = ("geometry.py", "flow.py")
+FIELD_CONTAINERS = {"ScalarField", "HermitianField"}
+
+
+def field_container_uses(tree):
+    """(line, name) of each field container a module takes from ``grids``:
+    imported by name or by ``*``, or read as an attribute of the module."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module is not None \
+                and node.module.split(".")[-1] == "grids":
+            hits.extend((node.lineno, alias.name) for alias in node.names
+                        if alias.name in FIELD_CONTAINERS | {"*"})
+        elif isinstance(node, ast.Attribute) \
+                and node.attr in FIELD_CONTAINERS:
+            hits.append((node.lineno, node.attr))
+    return sorted(hits)
+
+
+def test_checker_sees_a_field_container():
+    tree = ast.parse("from .grids import GridSpec, ScalarField\n"
+                     "from collapse_lab.grids import *\n"
+                     "from . import grids\n"
+                     "from .grids import require_positive\n"
+                     "def f(g, v):\n"
+                     "    return grids.HermitianField(g, v)\n")
+    assert field_container_uses(tree) == [(1, "ScalarField"), (2, "*"),
+                                          (6, "HermitianField")]
+
+
+@pytest.mark.parametrize("name", ARRAY_MODULES)
+def test_array_operators_take_no_field_container(name):
+    path = SRC / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert field_container_uses(tree) == []
 
 
 def test_package_exports_are_bound_unique_and_complete():
