@@ -69,10 +69,10 @@ def diagnostics_for(spec, times, modes, with_diameter=True):
     """Evaluate the full monitor suite at the S sample times of a march,
     given the (S, n, w) stack of its potential's half-spectrum modes there,
     at the march's width; return the fiber-flow table, a length-S array per
-    column.  Only the diameter, the curvature's hypot and the lowest mode
-    are read per sample; the rest is elementwise over the stack, with each
-    sample's e^t, e^-t, base scale and relaxation shift from ``math``, so
-    every sample reads bit for bit as it would alone."""
+    column.  Only the curvature's hypot and the lowest mode are read per
+    sample; the rest, the diameter included, is one call over the stack,
+    with each sample's e^t, e^-t, base scale and relaxation shift from
+    ``math``, so every sample reads bit for bit as it would alone."""
     g, p = spec.grid, spec.base_dim
     times = np.array(times, dtype=float)
     ts = times.tolist()
@@ -109,9 +109,9 @@ def diagnostics_for(spec, times, modes, with_diameter=True):
     mode_low = [e * abs(m) / math.prod(g.shape)
                 for e, m in zip(et, modes[:, 1, 0])]
 
-    diameter = [fiber_diameter(g, math.exp(-t) * w)
-                if with_diameter else math.nan
-                for t, w in zip(ts, twisted)]
+    diameter = (fiber_diameter(g, per_sample([math.exp(-t) for t in ts])
+                               * twisted)
+                if with_diameter else np.full(len(ts), math.nan))
 
     return {
         "t": times,
@@ -126,7 +126,7 @@ def diagnostics_for(spec, times, modes, with_diameter=True):
         "q_sup": np.max(np.abs(qfield), axis=(1, 2)),
         "curvature_sup": np.array(curvature),
         "mode_low": np.array(mode_low),
-        "diameter": np.array(diameter),
+        "diameter": diameter,
     }
 
 

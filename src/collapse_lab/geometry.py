@@ -15,7 +15,13 @@ width of the data they are given, so a march whose data are all profiles
 runs on profiles, and its monitors read them as they are.  Every operator
 takes bare sample arrays, with the grid wherever it differentiates, and a
 transform takes a stack of fields at once; the two metric operators,
-``riemann_norm`` and ``fiber_diameter``, check positivity once on entry.
+``riemann_norm`` and ``fiber_diameter``, take a stack of metrics and check
+positivity once on entry.
+
+``fiber_diameter`` measures the king-move lattice graph of a metric.  On a
+y-profile it runs an exact layered sweep by net y-offset, in numpy alone
+and for a whole stack at once, whose distances match Dijkstra's bit for
+bit; a full-width metric keeps scipy's Dijkstra, imported on first use.
 """
 
 import functools
@@ -218,6 +224,14 @@ def riemann_norm(grid, g):
     return np.abs(curv) / (g * g)
 
 
+def _edge_lengths(g, g_nb, off, spacings):
+    """Lengths of the king move ``off`` between samples g and g_nb at its
+    ends: the square root of the mean of g |dz|^2 there.  Both paths of
+    ``fiber_diameter`` take every length from this one expression."""
+    step = (off[0] * spacings[0]) ** 2 + (off[1] * spacings[1]) ** 2
+    return np.sqrt(0.5 * (g * step + g_nb * step))
+
+
 def _dijkstra(graph, **kwargs):
     """scipy's shortest paths, imported on first use so that importing the
     package loads numpy and nothing heavier."""
@@ -225,31 +239,99 @@ def _dijkstra(graph, **kwargs):
     return dijkstra(graph, **kwargs)
 
 
-def fiber_diameter(grid, g):
-    """Graph-metric diameter of the torus under the metric samples g.
-
-    Edges are king moves, each as long as the mean of g |dz|^2 at its
-    endpoints, over the whole grid, a y-profile broadcast to it.  An axis
-    is free when every edge length is exactly equal along it, as y is for
-    a profile; Dijkstra runs from one source per orbit of the translations
-    along free axes, from every node if none is, so the result is the
-    exact graph diameter.  Scaling the metric by c scales the result by
-    sqrt(c) exactly.
-    """
+def _dijkstra_diameter(grid, g):
+    """Diameter of one full-width metric: Dijkstra from one source per
+    orbit of the translations along the free axes."""
     from scipy.sparse import csr_matrix
-    require_positive(g, "fiber_diameter")
-    g = np.broadcast_to(g, grid.shape)
-    hx, hy = grid.spacings
     offsets, idx, rows, cols = _lattice(grid)
-    weights = []
-    for off in offsets:
-        q = g * ((off[0] * hx) ** 2 + (off[1] * hy) ** 2)
-        q_nb = np.roll(q, shift=(-off[0], -off[1]), axis=(0, 1))
-        weights.append(np.sqrt(0.5 * (q + q_nb)))
-    weights = np.stack(weights)
+    weights = np.stack([
+        _edge_lengths(g, np.roll(g, shift=(-off[0], -off[1]), axis=(0, 1)),
+                      off, grid.spacings)
+        for off in offsets])
     free = [np.all(weights.max(axis=a + 1) == weights.min(axis=a + 1))
             for a in (0, 1)]
     sources = idx[tuple(slice(0, 1) if f else slice(None) for f in free)]
     graph = csr_matrix((weights.ravel(), (rows, cols)), shape=(idx.size,) * 2)
-    return float(np.max(_dijkstra(graph, directed=True,
-                                  indices=sources.ravel())))
+    return np.max(_dijkstra(graph, directed=True, indices=sources.ravel()))
+
+
+def _profile_diameters(grid, g):
+    """Diameters of a stack of y-profiles, from the (S, n) array of their
+    samples along x, by the layered sweep of ``fiber_diameter``.  A layer
+    is laid out (row, sample, source row), so that one row is one block.
+    Within a layer a shortest path runs along x one way only, as one that
+    turns back repeats a node, so the closure runs forward on one copy and
+    backward on a copy with its rows reversed, each twice around the
+    circle, and keeps the smaller."""
+    n, width = grid.shape
+    up = np.roll(g, -1, axis=-1)
+
+    def lengths(g_nb, off):
+        return _edge_lengths(g, g_nb, off, grid.spacings).T[:, :, None]
+
+    along_y, along_x, diagonal = (lengths(g, (0, 1)), lengths(up, (1, 0)),
+                                  lengths(up, (1, 1)))
+    # the x-move into row i from row i - 1, forward and on the reversed copy
+    into = np.stack([np.roll(along_x, 1, axis=0), along_x[::-1]], axis=1)
+    layer = np.full((n, len(g), n), np.inf)
+    layer[np.arange(n), :, np.arange(n)] = 0.0
+    sweep = np.empty((n, 2) + layer.shape[1:])
+    step = np.empty(sweep.shape[1:])
+    diameter = np.zeros(len(g))
+    for k in range(width // 2 + 1):
+        if k:
+            entered = layer + along_y
+            np.minimum(entered, np.roll(layer + diagonal, 1, axis=0),
+                       out=entered)
+            np.minimum(entered, np.roll(layer, -1, axis=0) + diagonal,
+                       out=entered)
+            layer = entered
+        sweep[:, 0], sweep[:, 1] = layer, layer[::-1]
+        for i in itertools.chain(range(n), range(n)):
+            np.add(sweep[i - 1], into[i], out=step)
+            np.minimum(sweep[i], step, out=sweep[i])
+        layer = np.minimum(sweep[:, 0], sweep[::-1, 1])
+        np.maximum(diameter, np.max(layer, axis=(0, 2)), out=diameter)
+    return diameter
+
+
+def fiber_diameter(grid, g):
+    """Graph-metric diameter of the torus under the metric samples g.
+
+    Edges are king moves, each as long as the mean of g |dz|^2 at its
+    endpoints.  ``g`` holds the samples over its last two axes, a stack of
+    metrics at once: one metric gives a float, a stack an array of the
+    diameters.  Scaling the metric by c scales the result by sqrt(c).
+
+    A y-profile is swept in layers, in numpy alone.  Every edge length
+    depends only on the rows it joins, so a shortest path never moves both
+    up and down in y: taking the y-part out of one move each way keeps its
+    end and shortens it, a y-move vanishing and a diagonal becoming an
+    x-move.  A net y-offset k beyond n/2 has a shorter twin of offset
+    k - n, which turns n - k of the y-parts round and takes the others
+    out.  So layer k, the distances at offset k from every source row, is
+    entered from layer k - 1 by a y-move or a diagonal and closed under
+    x-moves around the x circle, for k = 0 ... n/2, and the diameter is
+    the max over the layers.  The removals only drop or shorten terms of a
+    left-to-right sum, which rounding keeps monotone, so this holds in
+    floating point too.  Each relaxation is min(d[v], d[u] + w(u, v)) with
+    the lengths of ``_edge_lengths``, so every distance is the one
+    floating-point fixpoint d[v] = min over u of d[u] + w(u, v), which
+    scipy's Dijkstra reaches too: the result is the same bit for bit.  A
+    stack costs about (n/2 + 1) 4n small numpy calls, whatever its size.
+
+    A full-width metric keeps scipy's Dijkstra, metric by metric.  An axis
+    is free when every edge length is exactly equal along it, and Dijkstra
+    runs from one source per orbit of the translations along free axes,
+    from every node if none is, so that result is the exact graph diameter
+    too.
+    """
+    require_positive(g, "fiber_diameter")
+    stack = g.reshape((-1,) + g.shape[-2:])
+    if g.shape[-1] == 1:
+        diameters = _profile_diameters(grid, stack[:, :, 0])
+    else:
+        diameters = np.array([_dijkstra_diameter(grid, metric)
+                              for metric in stack])
+    return float(diameters[0]) if g.ndim == 2 else \
+        diameters.reshape(g.shape[:-2])

@@ -479,6 +479,13 @@ def test_diameter_fiber_flow_initial_form_at_n128():
     assert abs(d - 0.7474029912114724) < 1e-12 * d
 
 
+def test_diameter_fiber_flow_initial_profile_at_n128():
+    # the layered sweep of the profile reads what Dijkstra reads on the grid
+    g = grid1(128)
+    d = fiber_diameter(g, sine_metric(g, profile=True))
+    assert abs(d - 0.7474029912114724) < 1e-12 * d
+
+
 def all_sources_diameter(grid, omega):
     """Exhaustive oracle: the king-move graph built edge by edge, every node
     a Dijkstra source."""
@@ -555,18 +562,52 @@ def test_diameter_random_metric_matches_all_sources(n, seed):
     assert abs(fiber_diameter(g, om) - want) < 1e-12 * want
 
 
-def test_diameter_flat_torus_takes_one_source(source_counts):
-    fiber_diameter(grid1(32), np.full((32, 1), 2.0))
-    assert source_counts == [1]
+def test_diameter_flat_torus_profile_runs_no_dijkstra(source_counts):
+    g, om = grid1(32), np.full((32, 1), 2.0)
+    d = fiber_diameter(g, om)
+    assert source_counts == []
+    want = all_sources_diameter(g, om)
+    assert abs(d - want) < 1e-12 * want
 
 
 @pytest.mark.parametrize("n", [16, 66])
-def test_diameter_fiber_flow_metric_takes_one_source_per_row(n, source_counts):
-    # a profile is free along y by construction; on the whole grid the sine
-    # metric at n=66 is y-invariant only to about 1e-13 relative
+def test_diameter_fiber_flow_profile_runs_no_dijkstra(n, source_counts):
+    # a profile is swept in layers; its broadcast copy is free along y, so
+    # Dijkstra runs from one source per row, and the two agree bit for bit
     g = grid1(n)
-    fiber_diameter(g, sine_metric(g, profile=True))
+    om = sine_metric(g, profile=True)
+    d = fiber_diameter(g, om)
+    assert source_counts == []
+    assert d == fiber_diameter(g, np.broadcast_to(om, g.shape))
     assert source_counts == [n]
+    if n <= 16:
+        want = all_sources_diameter(g, om)
+        assert abs(d - want) < 1e-12 * want
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from((8, 10, 12, 16, 24)), st.integers(1, 3),
+       st.floats(-8.0, 4.0), st.integers(0, 2**32 - 1))
+def test_diameter_of_a_profile_stack_is_dijkstras_bit_for_bit(n, size, decade,
+                                                              seed):
+    g = grid1(n)
+    rng = np.random.default_rng(seed)
+    stack = 10.0 ** decade * np.exp(rng.uniform(-3.0, 3.0, (size, n, 1)))
+    got = fiber_diameter(g, stack)
+    assert got.shape == (size,)
+    for metric, d in zip(stack, got):
+        assert d == fiber_diameter(g, np.broadcast_to(metric, g.shape))
+        want = all_sources_diameter(g, metric)
+        assert abs(d - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("width", [1, 16])
+def test_diameter_of_a_stack_is_that_of_each_metric(width):
+    g = grid1(16)
+    rng = np.random.default_rng(5)
+    stack = np.exp(rng.uniform(-1.0, 1.0, (3, 16, width)))
+    got = fiber_diameter(g, stack)
+    assert [float(d) for d in got] == [fiber_diameter(g, m) for m in stack]
 
 
 @pytest.mark.parametrize("n", [16, 66])
@@ -589,6 +630,15 @@ def nonpositive_metric_error(operator):
 
 def test_diameter_rejects_nonpositive_metric():
     assert "in fiber_diameter" in nonpositive_metric_error(fiber_diameter)
+
+
+def test_diameter_of_a_profile_stack_names_its_first_nonpositive_metric():
+    stack = np.ones((3, 16, 1))
+    stack[1, 5, 0] = 0.0
+    stack[2, 3, 0] = -1.0
+    with pytest.raises(PositivityError, match="in fiber_diameter") as err:
+        fiber_diameter(grid1(16), stack)
+    assert err.value.point == (5, 0) and err.value.value == 0.0
 
 
 def test_riemann_rejects_nonpositive_metric():

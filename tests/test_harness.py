@@ -206,21 +206,26 @@ def _fresh_cli(argv):
 
 
 def test_scipy_is_imported_only_by_the_runs_that_use_it(tmp_path):
-    # validate, list and a march without the diameter monitor never reach
-    # fiber_diameter or the Newton solve, so they never pay for scipy;
-    # product-ode measures the diameter, so its run does
+    # validate, list and the marches never reach the Newton solve, and the
+    # diameter of a y-profile is swept in numpy, so fiber-flow with or
+    # without the diameter and product-ode never pay for scipy; the
+    # elliptic Newton solve does, which shows the probe can see it
     shipped = [str(p) for p in sorted(CONFIG_DIR.glob("*.json"))]
-    flow = _write(tmp_path, "flow.json",
-                  {"experiment": "fiber-flow", "model": {"n": 8},
-                   "solver": {"with_diameter": False}})
     out = str(tmp_path / "out")
     validate = ["validate"] + [a for p in shipped for a in ("--config", p)]
     assert _fresh_cli(validate) == (0, False)
     assert _fresh_cli(["list"]) == (0, False)
-    assert _fresh_cli(["run", "--config", str(flow), "--out", out]) \
-        == (0, False)
+    for diameter in (False, True):
+        flow = _write(tmp_path, "flow.json",
+                      {"experiment": "fiber-flow", "model": {"n": 8},
+                       "solver": {"with_diameter": diameter}})
+        assert _fresh_cli(["run", "--config", str(flow), "--out", out]) \
+            == (0, False)
     product = _fast_product(tmp_path)
     assert _fresh_cli(["run", "--config", str(product), "--out", out]) \
+        == (0, False)
+    elliptic = str(CONFIG_DIR / "gke_elliptic.json")
+    assert _fresh_cli(["run", "--config", elliptic, "--out", out]) \
         == (0, True)
 
 
