@@ -6,8 +6,8 @@ from .experiments import REGISTRY, ExperimentReport, run_experiment, \
     write_report
 from .flow import diagnostics_for, evolve, relaxation_potential
 from .geometry import ddbar, fiber_diameter, riemann_norm
-from .gke import GkeSolution, ParabolicResult, gke_residual, parabolic_gke, \
-    solve_gke, twisted_einstein_residual
+from .gke import GkeSolution, gke_residual, parabolic_gke, solve_gke, \
+    twisted_einstein_residual
 from .grids import GridSpec, PositivityError, ScalarField
 from .models import (FiberFlowSpec, GkeTestbedSpec, ProductModelSpec,
                      SemiFlatSpec, density_F, fiber_constancy,
@@ -23,7 +23,7 @@ __all__ = [
     "validate_config", "REGISTRY", "ExperimentReport", "run_experiment",
     "write_report", "diagnostics_for", "evolve", "relaxation_potential",
     "ddbar", "fiber_diameter", "riemann_norm", "GkeSolution",
-    "ParabolicResult", "gke_residual", "parabolic_gke", "solve_gke",
+    "gke_residual", "parabolic_gke", "solve_gke",
     "twisted_einstein_residual", "GridSpec", "PositivityError",
     "ScalarField", "FiberFlowSpec", "GkeTestbedSpec", "ProductModelSpec",
     "SemiFlatSpec", "density_F", "fiber_constancy", "rescaling_check",

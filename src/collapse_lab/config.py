@@ -200,7 +200,6 @@ SCHEMAS = {
         "solver": {
             "t_end": Field(6.0, positive=True, hi=40.0),
             "tol": Field(1e-8, positive=True, hi=1e-4),
-            "limit_tol": Field(1e-11, positive=True),
         },
         "acceptance": {
             "slope_max": Field(-0.5),

@@ -103,7 +103,7 @@ def _run_product_ode(cfg, rng):
     fiber_grid = GridSpec(1, (m["fiber_resolution"],))
     unit_diam = fiber_diameter(fiber_grid, np.ones((fiber_grid.shape[0], 1)))
 
-    a_num, b_num = np.array(res.sample_modes).real.T
+    a_num, b_num = res.sample_modes.real.T
     # the closed forms per sample, from math as the model states them
     a_ref, b_ref = np.array([model.closed_form(t) for t in samples]).T
     curv_ref = np.array([model.base_curvature_norm(t) for t in samples])
@@ -277,38 +277,58 @@ def _run_gke_elliptic(cfg, rng):
 
 # ----------------------------------------------------------- gke parabolic
 
+def _envelope(times, gaps, dgaps):
+    """Fit the envelope d(gap)/dt <= C exp(-t) - gap at the samples.
+
+    Returns the smallest such C >= 0, the largest defect
+    dgap - (C exp(-t) - gap) left at the samples with it, and the hold-out
+    defect: the largest defect at the later half of the samples against the
+    C fitted on the earlier half.  The first defect is <= 0 up to rounding;
+    the hold-out one is positive when the gap rises late.
+    """
+    samples = list(zip(times, gaps, dgaps))
+
+    def fit(part):
+        return max([0.0] + [math.exp(t) * (dg + g) for t, g, dg in part])
+
+    def worst(c, part):
+        return max([-math.inf] + [dg - (c * math.exp(-t) - g)
+                                  for t, g, dg in part])
+
+    constant, half = fit(samples), len(samples) // 2
+    return (constant, worst(constant, samples),
+            worst(fit(samples[:half]), samples[half:]))
+
+
 def _run_gke_parabolic(cfg, rng):
     m, s, acc = cfg.model, cfg.solver, cfg.acceptance
     grid = GridSpec(1, (m["n"],))
     testbed = GkeTestbedSpec(
         grid, density=ScalarField.constant(grid, m["density_const"]),
         flat_scale=m["flat_scale"])
+    # sigma is flat and the density a constant F, so the limit is -log F
+    limit = -np.log(testbed.density_field())
     # the bump is constant along y: its profile keeps rho a profile
     bump = m["transient_cos"] * np.cos(2 * np.pi * grid.axis_coordinates(0))
     rho = m["transient_scale"] + ddbar(grid, bump)
 
-    limit = solve_gke(testbed, tol=s["limit_tol"]).potential.values
-    result = parabolic_gke(testbed, rho, limit,
-                           _sample_grid(s["t_end"], GKE_SAMPLES_PER_UNIT),
-                           tol=s["tol"])
+    table = parabolic_gke(testbed, rho, limit,
+                          _sample_grid(s["t_end"], GKE_SAMPLES_PER_UNIT),
+                          tol=s["tol"])
+    times, gap_max = table["t"], table["gap_max"]
+    constant, defect, holdout = _envelope(times, gap_max, table["dgap"])
 
     frac = acc["fit_window_fraction"]
-    fit = rate_fit(result.times, result.gap_max,
-                   window=(frac * s["t_end"], s["t_end"]))
+    fit = rate_fit(times, gap_max, window=(frac * s["t_end"], s["t_end"]))
 
     checks = [
-        _le("envelope_defect", result.envelope_defect,
-            acc["envelope_slack"]),
-        _le("envelope_holdout_defect", result.holdout_defect,
-            acc["envelope_slack"]),
-        _le("envelope_constant", result.empirical_constant,
-            acc["constant_max"]),
+        _le("envelope_defect", defect, acc["envelope_slack"]),
+        _le("envelope_holdout_defect", holdout, acc["envelope_slack"]),
+        _le("envelope_constant", constant, acc["constant_max"]),
         _le("gap_slope", fit.slope, acc["slope_max"]),
     ]
-    table = {"t": result.times, "gap_max": result.gap_max,
-             "gap_min": result.gap_min, "dgap": result.dgap}
     rates = {"gap_max": asdict(fit)}
-    plots = {"gap": np.column_stack([result.times, result.gap_max])}
+    plots = {"gap": np.column_stack([times, gap_max])}
     return table, checks, rates, plots
 
 

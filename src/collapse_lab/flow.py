@@ -135,5 +135,5 @@ def evolve(spec, sample_times, tol=1e-8, with_diameter=True):
     table of the monitors at the sample times."""
     problem, u0 = spectral_problem(spec)
     res = integrate_lawson(problem, u0, 0.0, sample_times, tol=tol)
-    return diagnostics_for(spec, sample_times, np.stack(res.sample_modes),
+    return diagnostics_for(spec, sample_times, res.sample_modes,
                            with_diameter=with_diameter)

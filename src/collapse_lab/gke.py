@@ -10,17 +10,17 @@ iteration leans on.  Times the metric coefficient g it is ddbar - g, so
 each Newton step is one symmetric conjugate-gradient solve, and every
 trial update is damped back into the positive cone if it has to be.  The
 solver works on bare sample arrays, sigma, the density and the potential
-at their width; the start's metric is checked positive once, and each
-later one is positive by the damping.
+at their width.  It starts from zero, whose metric is sigma, checked
+positive where the testbed forms it; the damping keeps each later metric
+positive.
 
 The parabolic variant relaxes the same equation along a decaying transient
 background, from zero to the last of its fixed sample times, and reads at
 each sample the sup gap A to the elliptic limit and its right derivative:
 the largest velocity V - phi over the points where the max is attained
 (Danskin, SIAM J. Appl. Math. 14, 1966), exact and blind to the steps the
-march took.  The largest rescaled envelope slack at the samples gives the
-reported constant, and the constant fitted on the first half of the
-samples is held out against the second.
+march took.  The read-out takes the march's whole sample stack in one
+transform pair and hands back gke-parabolic's table.
 """
 
 import math
@@ -92,13 +92,12 @@ def _sup(values):
     return float(np.max(np.abs(values)))
 
 
-def solve_gke(testbed, tol=1e-11, max_iter=20, start=None):
-    """Damped inexact Newton iteration from zero (or from the potential
-    samples ``start``); the solution is a ``ScalarField``."""
+def solve_gke(testbed, tol=1e-11, max_iter=20):
+    """Damped inexact Newton iteration from zero; the solution is a
+    ``ScalarField``."""
     grid = testbed.grid
     sigma = testbed.sigma_form()
-    u = np.zeros((grid.shape[0], 1)) if start is None else np.array(start)
-    require_positive(sigma + ddbar(grid, u), "newton start")
+    u = np.zeros((grid.shape[0], 1))
 
     res = gke_residual(testbed, u)
     sup = _sup(res)
@@ -149,17 +148,6 @@ def twisted_einstein_residual(testbed, u):
 
 # ------------------------------------------------------------ parabolic run
 
-@dataclass
-class ParabolicResult:
-    times: np.ndarray
-    gap_max: np.ndarray
-    gap_min: np.ndarray
-    dgap: np.ndarray
-    empirical_constant: float
-    envelope_defect: float
-    holdout_defect: float
-
-
 def parabolic_problem(testbed, rho):
     """The relaxation in mode space: omega = sigma + exp(-t) rho + ddbar(u),
     from u = 0.  Returns the problem and the modes of that start, at the
@@ -176,56 +164,40 @@ def parabolic_problem(testbed, rho):
     return problem, u0
 
 
-def _envelope(times, gaps, dgaps):
-    """Fit the envelope d(gap)/dt <= C exp(-t) - gap at the samples.
-
-    Returns the smallest such C >= 0, the largest defect
-    dgap - (C exp(-t) - gap) left at the samples with it, and the hold-out
-    defect: the largest defect at the later half of the samples against the
-    C fitted on the earlier half.  The first defect is <= 0 up to rounding;
-    the hold-out one is positive when the gap rises late.
-    """
-    samples = list(zip(times, gaps, dgaps))
-
-    def fit(part):
-        return max([0.0] + [math.exp(t) * (dg + g) for t, g, dg in part])
-
-    def worst(c, part):
-        return max([-math.inf] + [dg - (c * math.exp(-t) - g)
-                                  for t, g, dg in part])
-
-    constant, half = fit(samples), len(samples) // 2
-    return (constant, worst(constant, samples),
-            worst(fit(samples[:half]), samples[half:]))
-
-
 def parabolic_gke(testbed, rho, limit, sample_times, tol=1e-8):
     """Run the transient relaxation from zero and track the gap to the limit.
 
     ``rho`` (coefficient samples, or a constant, of the decaying background
     excess) must be nonnegative so the background only ever shrinks toward
     its limit; a NaN sample is not.  ``limit`` holds the samples of the
-    solved elliptic potential.  Returns the gap
-    and its right derivative at each of the sorted ``sample_times`` (the
-    march ends at the last), and their envelope fit.
+    elliptic limit, or a constant: -log F for a flat sigma and a constant
+    density F.  Returns gke-parabolic's table, a length-S array per column:
+    the sorted ``sample_times`` (the march ends at the last), and the gap's
+    max, min and right derivative there.  One transform pair reads the
+    march's (S, n, w) sample stack, widened to the limit's width if that is
+    wider; each e^-t is from ``math``, so every sample reads bit for bit as
+    it would alone.
     """
     grid = testbed.grid
     if not float(np.min(rho)) >= -PSD_SLACK:
         raise ValueError("transient excess must be positive semidefinite")
 
     problem, u0 = parabolic_problem(testbed, rho)
-    march = integrate_lawson(problem, u0, 0.0, sample_times, tol=tol)
+    times = np.array(sample_times, dtype=float)
+    modes = integrate_lawson(problem, u0, 0.0, times, tol=tol).sample_modes
     lap = ddbar_symbol(grid)[:, :u0.shape[-1]]
-    rows = []
-    for t, modes in zip(sample_times, march.sample_modes):
-        # read at the march's width, widened to the limit's if that is wider
-        phi, hess = real_samples(grid, np.stack([modes, lap * modes]))
-        omega = problem.background(t) + hess
-        gap, speed = np.broadcast_arrays(phi - limit,
-                                         problem.velocity(t, omega) - phi)
-        peak = np.max(gap)
-        rows.append((peak, np.min(gap), np.max(speed[gap == peak])))
-    times = np.asarray(sample_times, dtype=float)
-    gap_max, gap_min, dgap = np.array(rows).T
-    return ParabolicResult(times, gap_max, gap_min, dgap,
-                           *_envelope(times, gap_max, dgap))
+    phi, hess = real_samples(grid, np.stack([modes, lap * modes]))
+    decay = np.array([math.exp(-t) for t in times.tolist()])[:, None, None]
+    # the background and velocity of parabolic_problem, over the stack
+    sigma = testbed.sigma_form()
+    omega = sigma + decay * rho + hess
+    speed = (log_volume_ratio(omega, sigma)
+             - np.log(testbed.density_field()) - phi)
+    gap, speed = np.broadcast_arrays(phi - limit, speed)
+    peak = np.max(gap, axis=(1, 2), keepdims=True)
+    return {
+        "t": times,
+        "gap_max": peak[:, 0, 0],
+        "gap_min": np.min(gap, axis=(1, 2)),
+        "dgap": np.max(np.where(gap == peak, speed, -np.inf), axis=(1, 2)),
+    }

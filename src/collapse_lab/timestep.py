@@ -84,7 +84,7 @@ class StiffnessError(RuntimeError):
 
 @dataclass
 class IntegrationResult:
-    sample_modes: list
+    sample_modes: np.ndarray  # (S, *shape): the state at each sample time
     accepted: int
     rejected: int
 
@@ -148,8 +148,9 @@ def _step_factor(err, tol):
 
 
 def integrate_lawson(problem, u0, t0, sample_times, tol=1e-8):
-    """March modes from t0 through the sorted sample times; return the state
-    at each.  The march ends at the last sample time.
+    """March modes from t0 through the sorted sample times; return the
+    (S, *shape) stack of the states there.  The march ends at the last
+    sample time.
 
     Each attempt costs 6 remainder evaluations and 5 propagators; the first
     stage is the last stage of the step before, and a rejected attempt
@@ -176,8 +177,8 @@ def integrate_lawson(problem, u0, t0, sample_times, tol=1e-8):
     accepted = rejected = 0
     n1 = problem.nonlinear_modes(t, u)
 
-    out = []
-    for target in req:
+    out = np.empty((len(req),) + u.shape, dtype=complex)
+    for i, target in enumerate(req):
         while t < target:
             short = target - t < dt
             end = target if dt >= target - t - DT_MIN else t + dt
@@ -204,7 +205,7 @@ def integrate_lawson(problem, u0, t0, sample_times, tol=1e-8):
             prev_margin = new_margin
             # a step cut short to land on a sample does not shrink the next
             dt = max(dt, h * fac) if short else h * fac
-        out.append(u.copy())
+        out[i] = u
 
     return IntegrationResult(sample_modes=out, accepted=accepted,
                              rejected=rejected)

@@ -110,6 +110,16 @@ def test_dt_policy_choices():
                          "solver": {"dt_policy": "adaptive"}})
 
 
+def test_limit_tol_is_no_longer_a_key(tmp_path, capsys):
+    # gke-parabolic's limit is the closed form -log F: no solve to tune
+    path = tmp_path / "parabolic.json"
+    path.write_text(json.dumps({"experiment": "gke-parabolic",
+                                "solver": {"limit_tol": 1e-11}}),
+                    encoding="utf-8")
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert "solver.limit_tol: unknown key" in capsys.readouterr().err
+
+
 def _leaves(schema):
     for spec in schema.values():
         if isinstance(spec, dict):

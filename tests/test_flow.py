@@ -387,8 +387,7 @@ def field_space_diagnostics(spec, t, potential):
 
 def sample_stack(spec, times):
     """The (S, n, w) stack of the march's modes at the sample times."""
-    res = integrate_lawson(*spectral_problem(spec), 0.0, times)
-    return np.stack(res.sample_modes)
+    return integrate_lawson(*spectral_problem(spec), 0.0, times).sample_modes
 
 
 def test_diagnostics_from_modes_match_the_field_space_reference():

@@ -32,7 +32,6 @@ from collapse_lab.geometry import (
 from collapse_lab.gke import (
     gke_residual,
     krylov_matvec,
-    solve_gke,
     twisted_einstein_residual,
 )
 from collapse_lab.models import FiberFlowSpec, GkeTestbedSpec
@@ -291,16 +290,21 @@ def spike(g, point, height):
     return vals
 
 
-def test_trace_rejects_nonpositive_metric_naming_the_point():
-    # the linearisation's metric is checked where it is formed: at the
-    # Newton start, and positive after it by the damping
+def test_background_rejects_nonpositive_metric_naming_the_point():
+    # the Newton solve starts from zero, on the background 1 + ddbar(eta),
+    # which is checked where the testbed forms it.  At its own point the
+    # ddbar of a spike of height h is h times the mean of the symbol
+    # -(kx^2 + ky^2)/4 over the grid
     g = grid1(16)
-    tb = GkeTestbedSpec(g, density=ScalarField.constant(g, 1.0))
+    k = 2 * np.pi * np.fft.fftfreq(16, d=1.0 / 16)
+    want = 1.0 - 0.01 * np.mean(k ** 2) / 2.0
     with pytest.raises(PositivityError) as err:
-        solve_gke(tb, start=spike(g, (3, 5), 0.01))
-    assert "in newton start" in str(err.value)
+        GkeTestbedSpec(g, eta=ScalarField(g, spike(g, (3, 5), 0.01)),
+                       density=ScalarField.constant(g, 1.0))
+    assert "in background metric" in str(err.value)
     assert "(3, 5)" in str(err.value)
     assert err.value.point == (3, 5)
+    assert err.value.value == pytest.approx(want, rel=1e-12)
 
 
 # -------------------------------------------------------------------- ricci

@@ -10,15 +10,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from collapse_lab import gke
 from collapse_lab.config import load_config
-from collapse_lab.experiments import run_experiment
+from collapse_lab.experiments import _envelope, run_experiment
 from collapse_lab.grids import GridSpec, ScalarField
-from collapse_lab.geometry import ddbar
+from collapse_lab.geometry import ddbar, ddbar_symbol, real_samples
 from collapse_lab.models import GkeTestbedSpec
+from collapse_lab.timestep import integrate_lawson
 from collapse_lab.gke import (
-    _envelope,
     gke_residual,
     krylov_matvec,
     parabolic_gke,
@@ -63,6 +64,27 @@ def test_constant_density_solved_in_one_step():
     assert np.max(np.abs(sol.potential.values + math.log(2.0))) < 1e-11
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.sampled_from([8, 10, 16, 32, 64]),
+       log_density=st.floats(-3.0, 3.0), log_scale=st.floats(-2.0, 2.0))
+@example(n=8, log_density=4e-13, log_scale=0.0)
+def test_closed_form_limit_is_the_newton_solution(n, log_density,
+                                                  log_scale):
+    # gke-parabolic's limit is -log F, not a Newton solve: on flat sigma a
+    # constant density F is solved by that constant, at any flat scale.
+    # At a constant u the residual is -log F - u, so the solve lies within
+    # its own final residual of -log F: the iteration stops at zero when
+    # |log F| is already below tol
+    g = GridSpec(1, (n,))
+    tb = GkeTestbedSpec(grid=g, flat_scale=10.0 ** log_scale,
+                        density=ScalarField.constant(g, 10.0 ** log_density))
+    limit = -np.log(tb.density_field())
+    sol = solve_gke(tb, tol=1e-11)
+    assert (np.max(np.abs(sol.potential.values - limit))
+            <= sol.residuals[-1] + 1e-14)
+    assert np.max(np.abs(gke_residual(tb, limit))) <= 1e-11
+
+
 def test_manufactured_solution_recovered_quadratically():
     g = GridSpec(1, (64,))
     x, y = coords(g)
@@ -92,18 +114,6 @@ def test_manufactured_at_reference_scale_four():
     assert sol.residuals[-1] <= 1e-11
     assert sol.iterations <= 10
     assert np.max(np.abs(sol.potential.values - ustar.values)) <= 1e-7
-
-
-def test_solution_independent_of_start():
-    g = GridSpec(1, (32,))
-    x, y = coords(g)
-    ustar = ScalarField(g, 0.04 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
-    tb = GkeTestbedSpec(grid=g, manufactured=ustar)
-    a = solve_gke(tb, tol=1e-12)
-    start = ustar.values + 0.03 * np.cos(2 * np.pi * x)
-    b = solve_gke(tb, tol=1e-12, start=start)
-    assert a.residuals[-1] <= 1e-12 and b.residuals[-1] <= 1e-12
-    assert np.max(np.abs(a.potential.values - b.potential.values)) < 1e-9
 
 
 @pytest.mark.parametrize("amp", [0.0, 0.3], ids=["constant", "along_x"])
@@ -213,14 +223,15 @@ def test_parabolic_static_gap_decays_exactly():
     tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 2.0))
     limit = np.full((16, 1), -math.log(2.0))
     res = parabolic_gke(tb, 0.0, limit, np.linspace(0.0, 3.0, 13))
-    assert res.times[0] == 0.0
-    assert res.times[-1] == 3.0
-    want = math.log(2.0) * np.exp(-res.times)
-    assert np.max(np.abs(res.gap_max - want)) < 1e-7
-    slope = np.polyfit(res.times, np.log(res.gap_max), 1)[0]
+    times, gap_max = res["t"], res["gap_max"]
+    assert times[0] == 0.0
+    assert times[-1] == 3.0
+    want = math.log(2.0) * np.exp(-times)
+    assert np.max(np.abs(gap_max - want)) < 1e-7
+    slope = np.polyfit(times, np.log(gap_max), 1)[0]
     assert abs(slope + 1.0) < 1e-4
     # the gap is constant in space, so its derivative is -gap everywhere
-    assert np.max(np.abs(res.dgap + res.gap_max)) < 1e-12
+    assert np.max(np.abs(res["dgap"] + gap_max)) < 1e-12
 
 
 def _transient_case():
@@ -235,9 +246,11 @@ def _transient_case():
 def test_parabolic_transient_settles_onto_limit():
     tb, rho, limit = _transient_case()
     res = parabolic_gke(tb, rho, limit, np.linspace(0.0, 6.0, 13))
-    assert np.max(res.gap_max) > 1e-3
-    assert res.gap_max[-1] < 0.05 * np.max(res.gap_max)
-    assert 0.0 <= res.empirical_constant < 20.0
+    gap_max = res["gap_max"]
+    assert np.max(gap_max) > 1e-3
+    assert gap_max[-1] < 0.05 * np.max(gap_max)
+    constant = _envelope(res["t"], gap_max, res["dgap"])[0]
+    assert 0.0 <= constant < 20.0
 
 
 def test_parabolic_problem_marches_profiles_only_when_all_data_are():
@@ -258,7 +271,7 @@ def test_parabolic_profile_march_matches_the_full_width_one():
     assert parabolic_problem(tb, wide)[1].shape == (16, 9)
     full = parabolic_gke(tb, wide, limit, times)
     for name in ("gap_max", "gap_min", "dgap"):
-        assert getattr(prof, name).tobytes() == getattr(full, name).tobytes()
+        assert prof[name].tobytes() == full[name].tobytes()
 
 
 def test_profile_march_reads_a_full_width_limit_at_full_width():
@@ -271,9 +284,50 @@ def test_profile_march_reads_a_full_width_limit_at_full_width():
     prof = parabolic_gke(tb, rho, wavy, times)
     full = parabolic_gke(tb, rho * np.ones(tb.grid.shape), wavy, times)
     for name in ("gap_max", "gap_min", "dgap"):
-        assert getattr(prof, name).tobytes() == getattr(full, name).tobytes()
+        assert prof[name].tobytes() == full[name].tobytes()
     column = parabolic_gke(tb, rho, wavy[:, :1], times)
-    assert np.all(prof.gap_max > column.gap_max)
+    assert np.all(prof["gap_max"] > column["gap_max"])
+
+
+def _read_each_sample(tb, rho, limit, times):
+    """The gap read-out one sample at a time, through the problem's own
+    background and velocity: the reference the stacked read must equal."""
+    problem, u0 = parabolic_problem(tb, rho)
+    march = integrate_lawson(problem, u0, 0.0, times)
+    lap = ddbar_symbol(tb.grid)[:, :u0.shape[-1]]
+    rows = []
+    for t, modes in zip(times, march.sample_modes):
+        phi, hess = real_samples(tb.grid, np.stack([modes, lap * modes]))
+        omega = problem.background(t) + hess
+        gap, speed = np.broadcast_arrays(phi - limit,
+                                         problem.velocity(t, omega) - phi)
+        peak = np.max(gap)
+        rows.append((peak, np.min(gap), np.max(speed[gap == peak])))
+    return dict(zip(("gap_max", "gap_min", "dgap"), np.array(rows).T))
+
+
+@pytest.mark.parametrize("case", ["profile", "full_width", "wider_limit",
+                                  "curved", "constant_limit"])
+def test_stacked_gap_read_is_that_of_each_sample_alone(case):
+    # bit for bit, the Danskin read included: the constant-limit case ties
+    # the max at every grid point
+    tb, rho, limit = _transient_case()
+    times = np.linspace(0.0, 4.0, 9)
+    if case == "full_width":
+        rho = rho * np.ones(tb.grid.shape)
+    elif case == "wider_limit":
+        limit = limit + 0.01 * np.cos(2 * np.pi * coords(tb.grid)[1])
+    elif case == "curved":
+        tb, rho, limit = _parabolic_case()
+    elif case == "constant_limit":
+        g = tb.grid
+        tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 2.0))
+        rho, limit = 0.0, -math.log(2.0)
+    table = parabolic_gke(tb, rho, limit, times)
+    assert list(table) == ["t", "gap_max", "gap_min", "dgap"]
+    assert table["t"].tobytes() == times.tobytes()
+    for name, want in _read_each_sample(tb, rho, limit, times).items():
+        assert table[name].tobytes() == want.tobytes(), name
 
 
 def test_envelope_constant_and_defect_by_hand():
@@ -313,8 +367,8 @@ def test_gap_derivative_matches_a_centred_difference():
     h = 1e-4
     for t in (0.5, 3.0):
         res = parabolic_gke(tb, rho, limit, (t - h, t, t + h))
-        centred = (res.gap_max[2] - res.gap_max[0]) / (2.0 * h)
-        assert res.dgap[1] == pytest.approx(centred, rel=1e-5)
+        centred = (res["gap_max"][2] - res["gap_max"][0]) / (2.0 * h)
+        assert res["dgap"][1] == pytest.approx(centred, rel=1e-5)
 
 
 @pytest.mark.parametrize("datum", ["density", "transient"])

@@ -208,8 +208,8 @@ def _fresh_cli(argv):
 def test_scipy_is_imported_only_by_the_runs_that_use_it(tmp_path):
     # validate, list and the marches never reach the Newton solve, and the
     # diameter of a y-profile is swept in numpy, so fiber-flow with or
-    # without the diameter and product-ode never pay for scipy; the
-    # elliptic Newton solve does, which shows the probe can see it
+    # without the diameter, product-ode and gke-parabolic never pay for
+    # scipy; the elliptic Newton solve does, so the probe can see it
     shipped = [str(p) for p in sorted(CONFIG_DIR.glob("*.json"))]
     out = str(tmp_path / "out")
     validate = ["validate"] + [a for p in shipped for a in ("--config", p)]
@@ -223,6 +223,12 @@ def test_scipy_is_imported_only_by_the_runs_that_use_it(tmp_path):
             == (0, False)
     product = _fast_product(tmp_path)
     assert _fresh_cli(["run", "--config", str(product), "--out", out]) \
+        == (0, False)
+    # gke-parabolic's limit is the closed form -log F, with no Newton solve
+    parabolic = _write(tmp_path, "parabolic.json",
+                       {"experiment": "gke-parabolic",
+                        "model": {"density_const": 2.0}})
+    assert _fresh_cli(["run", "--config", str(parabolic), "--out", out]) \
         == (0, False)
     elliptic = str(CONFIG_DIR / "gke_elliptic.json")
     assert _fresh_cli(["run", "--config", elliptic, "--out", out]) \

@@ -337,7 +337,9 @@ def test_tolerance_trades_steps_for_error(monkeypatch):
 def test_sample_times_are_hit_exactly():
     req = (0.0, 0.3, 0.7, 1.0)
     res = integrate_lawson(SweepProblem(), np.array([1.0 + 0j]), 0.0, req)
-    assert len(res.sample_modes) == len(req)
+    # one (S, *shape) stack of the states, not a list of copies
+    assert res.sample_modes.shape == (len(req), 1)
+    assert res.sample_modes.dtype == complex
     for s, u in zip(req, res.sample_modes):
         want = np.exp(-(np.exp(s) - 1.0))
         assert abs(u[0] - want) < 1e-12 * want
