@@ -10,9 +10,10 @@ iteration leans on.  Times the metric coefficient g it is ddbar - g, so
 each Newton step is one symmetric conjugate-gradient solve, and every
 trial update is damped back into the positive cone if it has to be.  The
 solver works on bare sample arrays, sigma, the density and the potential
-at their width.  It starts from zero, whose metric is sigma, checked
-positive where the testbed forms it; the damping keeps each later metric
-positive.
+at their width; each inner product is numpy's pairwise sum, which calls no
+BLAS, so the iterates do not depend on the thread count.  It starts from
+zero, whose metric is sigma, checked positive where the testbed forms it;
+the damping keeps each later metric positive.
 
 The parabolic variant relaxes the same equation along a decaying transient
 background, from zero to the last of its fixed sample times, and reads at
@@ -55,37 +56,35 @@ class GkeSolution:
 
 
 def krylov_matvec(grid, omega, v):
-    """The Newton linearisation (laplacian_omega - 1) applied to the flat
-    samples v, at their width: the grid's n*n, or a y-profile's n, which a
-    profile omega broadcasts against.  The metric Laplacian is the trace
-    of ddbar(v) against omega, its product with the inverse metric 1/g.
-    Every Krylov iteration of the solve passes through here."""
-    f = v.reshape(grid.shape[0], -1)
-    return (ddbar(grid, f) * (1.0 / omega) - f).ravel()
+    """The Newton linearisation (laplacian_omega - 1) applied to the
+    samples v at their width, the grid's or a y-profile's, which a profile
+    omega broadcasts against: the trace of ddbar(v) against omega, its
+    product with the inverse metric 1/g, less v.  Every conjugate-gradient
+    iteration of the solve passes through here."""
+    return ddbar(grid, v) * (1.0 / omega) - v
 
 
 def _linear_step(grid, omega, rhs, forcing):
     """Solve (laplacian_omega - 1) v = rhs at the width of rhs: conjugate
-    gradients on it times -g, the positive definite g - ddbar, to relative
-    tolerance ``forcing``, preconditioned by (mean g - ddbar)^-1."""
-    from scipy.sparse.linalg import LinearOperator, cg
-    shape, size = rhs.shape, rhs.size
-    g = np.broadcast_to(omega, shape).ravel()
-    symbol = np.mean(g) - ddbar_symbol(grid)[:, :shape[-1]]
-
-    def matvec(v):
-        return -g * krylov_matvec(grid, omega, v)
-
-    def precond(v):
-        spec = half_modes(grid, v.reshape(shape))
-        return real_samples(grid, spec / symbol).ravel()
-
-    op = LinearOperator((size, size), matvec=matvec, dtype=float)
-    pre = LinearOperator((size, size), matvec=precond, dtype=float)
-    v, info = cg(op, -g * rhs.ravel(), rtol=forcing, M=pre, maxiter=500)
-    if info != 0:
-        raise RuntimeError(f"linearized solve stalled (cg info {info})")
-    return v.reshape(shape)
+    gradients (Hestenes & Stiefel, J. Res. NBS 49, 1952) on it times -g,
+    the positive definite g - ddbar, preconditioned by (mean g - ddbar)^-1,
+    until the residual's norm is at most ``forcing`` times the right-hand
+    side's; it gives up after 500 iterations."""
+    g = np.broadcast_to(omega, rhs.shape)
+    symbol = np.mean(g) - ddbar_symbol(grid)[:, :rhs.shape[-1]]
+    v, r = np.zeros(rhs.shape), -g * rhs
+    stop = forcing * np.sqrt(np.sum(r * r))
+    p = rho = None
+    for _ in range(500):
+        if np.sqrt(np.sum(r * r)) <= stop:
+            return v
+        z = real_samples(grid, half_modes(grid, r) / symbol)
+        rho, last = np.sum(r * z), rho
+        p = z if p is None else z + (rho / last) * p
+        q = -g * krylov_matvec(grid, omega, p)
+        alpha = rho / np.sum(p * q)
+        v, r = v + alpha * p, r - alpha * q
+    raise RuntimeError("linearized solve stalled (500 cg iterations)")
 
 
 def _sup(values):

@@ -6,6 +6,9 @@ is checked through two independently computed curvature forms.
 """
 
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +19,8 @@ from collapse_lab import gke
 from collapse_lab.config import load_config
 from collapse_lab.experiments import _envelope, run_experiment
 from collapse_lab.grids import GridSpec, ScalarField
-from collapse_lab.geometry import ddbar, ddbar_symbol, real_samples
+from collapse_lab.geometry import (ddbar, ddbar_symbol, half_modes,
+                                   real_samples)
 from collapse_lab.models import GkeTestbedSpec
 from collapse_lab.timestep import integrate_lawson
 from collapse_lab.gke import (
@@ -142,20 +146,20 @@ def test_krylov_matvec_times_metric_is_symmetric_negative_definite():
     x, _ = coords(g)
     omega = 1.0 + ddbar(g, 0.04 * np.sin(2 * np.pi * x))
     assert np.min(omega) > 0.0
-    ones = np.ones(g.shape).ravel()
+    ones = np.ones(g.shape)
     np.testing.assert_allclose(krylov_matvec(g, omega, 3.0 * ones),
                                -3.0 * ones, rtol=0.0, atol=1e-15)
 
     def metric_times(v):
-        return omega.ravel() * krylov_matvec(g, omega, v)
+        return omega * krylov_matvec(g, omega, v)
 
     rng = np.random.default_rng(0)
     for _ in range(5):
-        v, w = rng.standard_normal((2, ones.size))
+        v, w = rng.standard_normal((2, *g.shape))
         gv, gw = metric_times(v), metric_times(w)
         scale = np.linalg.norm(gv) * np.linalg.norm(w)
-        assert abs(gv @ w - v @ gw) <= 1e-12 * scale
-        assert gv @ v < 0.0
+        assert abs(np.sum(gv * w) - np.sum(v * gw)) <= 1e-12 * scale
+        assert np.sum(gv * v) < 0.0
 
 
 @pytest.mark.parametrize("amp", [0.19, 0.195, -0.19])
@@ -169,6 +173,74 @@ def test_manufactured_near_the_edge_of_the_cone(amp):
     sol = solve_gke(tb, tol=1e-11)
     assert sol.residuals[-1] <= 1e-11
     assert np.max(np.abs(sol.potential.values - ustar.values)) <= 1e-13
+
+
+@pytest.mark.parametrize("width", [16, 1])
+def test_linear_step_is_scipy_cg_on_the_same_system(width, monkeypatch):
+    # the reference is scipy's preconditioned cg on the flat vectors: the
+    # same Krylov iterates summed in another order, so as many operator
+    # applications and the same solution to a few hundred ulps
+    from scipy.sparse.linalg import LinearOperator, cg
+    g = GridSpec(1, (16,))
+    x, _ = coords(g)
+    omega = (1.5 + ddbar(g, 0.05 * np.sin(2 * np.pi * x)))[:, :width]
+    rhs = np.random.default_rng(3).standard_normal((16, width))
+    forcing = 1e-10
+    calls = []
+
+    def spy(grid, om, v):
+        calls.append(v.size)
+        return krylov_matvec(grid, om, v)
+
+    monkeypatch.setattr(gke, "krylov_matvec", spy)
+    got = gke._linear_step(g, omega, rhs, forcing)
+    b = -omega * rhs
+    resid = -omega * krylov_matvec(g, omega, got) - b
+    assert np.linalg.norm(resid) <= forcing * np.linalg.norm(b)
+
+    symbol = np.mean(omega) - ddbar_symbol(g)[:, :width]
+    size = rhs.size
+    op = LinearOperator((size, size), dtype=float, matvec=lambda v: (
+        -omega * spy(g, omega, v.reshape(rhs.shape))).ravel())
+    pre = LinearOperator((size, size), dtype=float, matvec=lambda v: (
+        real_samples(g, half_modes(g, v.reshape(rhs.shape)) / symbol)
+        .ravel()))
+    ours = len(calls)
+    want, info = cg(op, b.ravel(), rtol=forcing, M=pre, maxiter=500)
+    assert info == 0
+    assert len(calls) == 2 * ours and ours > 1
+    assert np.max(np.abs(got.ravel() - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+EDGE_SOLVE = """
+import hashlib
+import numpy as np
+from collapse_lab.grids import GridSpec, ScalarField
+from collapse_lab.gke import solve_gke
+from collapse_lab.models import GkeTestbedSpec
+g = GridSpec(1, (128,))
+x = g.axis_coordinates(0) * np.ones(g.shape)
+y = g.axis_coordinates(1) * np.ones(g.shape)
+ustar = ScalarField(g, 0.195 * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y))
+tb = GkeTestbedSpec(grid=g, manufactured=ustar, flat_scale=4.0)
+sol = solve_gke(tb, tol=1e-11)
+print(repr(sol.residuals))
+print(hashlib.sha256(sol.potential.values.tobytes()).hexdigest())
+"""
+
+
+def test_newton_iterates_do_not_depend_on_the_blas_thread_count():
+    # the cone-edge solve ends at the residual's roundoff floor, so a sum
+    # whose order follows the thread count would decide whether it converges
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
+    runs = [subprocess.run([sys.executable, "-c", EDGE_SOLVE],
+                           capture_output=True, text=True, check=True,
+                           env=dict(os.environ, PYTHONPATH=path,
+                                    OPENBLAS_NUM_THREADS=threads)).stdout
+            for threads in ("1", "2")]
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("stem", ["gke_elliptic", "semiflat_identities"])

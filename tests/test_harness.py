@@ -190,26 +190,32 @@ def test_no_subcommand_is_usage_error():
 
 # ---------------------------------------------------------- lazy scipy
 
-def _fresh_cli(argv):
-    """Exit code of ``cli.main(argv)`` in a fresh interpreter, and whether
-    scipy was imported by the end of it."""
-    probe = ("import sys\nfrom collapse_lab import cli\n"
-             f"code = cli.main({argv!r})\n"
-             "print(code, 'scipy' in sys.modules)\n")
+def _fresh(code):
+    """What ``code`` binds to ``result``, printed in a fresh interpreter,
+    and whether scipy was imported by the end of it."""
+    probe = f"import sys\n{code}\nprint(result, 'scipy' in sys.modules)\n"
     path = os.pathsep.join(filter(None, [str(SRC),
                                          os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True,
                           text=True, check=True,
                           env=dict(os.environ, PYTHONPATH=path))
-    code, loaded = done.stdout.splitlines()[-1].split()
-    return int(code), loaded == "True"
+    result, loaded = done.stdout.splitlines()[-1].split()
+    return result, loaded == "True"
+
+
+def _fresh_cli(argv):
+    """Exit code of ``cli.main(argv)`` in a fresh interpreter, and whether
+    scipy was imported by the end of it."""
+    code, loaded = _fresh(
+        f"from collapse_lab import cli\nresult = cli.main({argv!r})")
+    return int(code), loaded
 
 
 def test_scipy_is_imported_only_by_the_runs_that_use_it(tmp_path):
-    # validate, list and the marches never reach the Newton solve, and the
-    # diameter of a y-profile is swept in numpy, so fiber-flow with or
-    # without the diameter, product-ode and gke-parabolic never pay for
-    # scipy; the elliptic Newton solve does, so the probe can see it
+    # validate, list and the marches never reach a diameter of full width,
+    # the one caller of scipy: the diameter of a y-profile is swept in
+    # numpy and the Newton solve runs its conjugate gradients in numpy, so
+    # no CLI run pays for scipy
     shipped = [str(p) for p in sorted(CONFIG_DIR.glob("*.json"))]
     out = str(tmp_path / "out")
     validate = ["validate"] + [a for p in shipped for a in ("--config", p)]
@@ -232,7 +238,15 @@ def test_scipy_is_imported_only_by_the_runs_that_use_it(tmp_path):
         == (0, False)
     elliptic = str(CONFIG_DIR / "gke_elliptic.json")
     assert _fresh_cli(["run", "--config", elliptic, "--out", out]) \
-        == (0, True)
+        == (0, False)
+    # the positive control: a full-width diameter through the Python API
+    # still takes scipy's Dijkstra, so the probe can see a load
+    full_width = ("import numpy as np\n"
+                  "from collapse_lab.geometry import fiber_diameter\n"
+                  "from collapse_lab.grids import GridSpec\n"
+                  "result = fiber_diameter(GridSpec(1, (8,)), "
+                  "np.ones((8, 8))) > 0")
+    assert _fresh(full_width) == ("True", True)
 
 
 # -------------------------------------------------------------------- run

@@ -9,6 +9,9 @@ module imports scipy at its top level, so importing the package loads numpy
 and nothing heavier) and its one real transform pair: no module calls a
 ``numpy.fft`` transform outside ``geometry.half_modes`` and
 ``geometry.real_samples``, so the transform convention lives in one place.
+No module calls a BLAS-backed product (``np.dot``, ``@`` and the like),
+whose sums OpenBLAS orders by its thread count, so every result is the same
+at any thread count.
 The geometry operators and the flow take bare sample arrays, so neither
 module reaches for a field container of ``grids``.
 """
@@ -134,6 +137,54 @@ def test_checker_sees_a_top_level_scipy_import():
 def test_no_top_level_scipy_import(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert top_level_scipy_imports(tree) == []
+
+
+# numpy's products that OpenBLAS threads above a size, summing in an order
+# set by the thread count
+BLAS_PRODUCTS = {"dot", "vdot", "inner", "matmul"}
+
+
+def blas_products(tree):
+    """(line, name) of each BLAS-backed product a module reaches: numpy's
+    ``dot``, ``vdot``, ``inner`` or ``matmul``, through an attribute or an
+    import, any ``.dot`` method and the ``@`` operator.  An inner product
+    is ``np.sum(a * b)`` instead, numpy's pairwise sum, which calls no
+    BLAS, so every result is the same at any thread count.
+    ``rates.rate_fit``'s ``np.polyfit`` stays: a LAPACK least-squares
+    solve on two columns, far below any size OpenBLAS threads."""
+    hits = []
+    for node in ast.walk(tree):
+        if (isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)):
+            hits.append((node.lineno, "@"))
+        elif isinstance(node, ast.Attribute) and (node.attr == "dot" or (
+                node.attr in BLAS_PRODUCTS
+                and isinstance(node.value, ast.Name)
+                and node.value.id in ("np", "numpy"))):
+            hits.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            hits.extend((node.lineno, alias.name) for alias in node.names
+                        if alias.name in BLAS_PRODUCTS)
+    return sorted(hits)
+
+
+def test_checker_sees_a_blas_product():
+    tree = ast.parse("import numpy as np\nfrom numpy import vdot\n"
+                     "def f(a, b):\n    c = np.dot(a, b) + a.dot(b)\n"
+                     "    c @= a\n    d = np.sum(a * b) + np.linalg.norm(a)\n"
+                     "    return a @ b, np.inner(a, b), numpy.matmul(a, b)\n"
+                     "@staticmethod\ndef g(a):\n"
+                     "    return np.einsum('i,i', a, a), a.dotted\n")
+    assert blas_products(tree) == [(2, "vdot"), (4, "dot"), (4, "dot"),
+                                   (5, "@"), (7, "@"), (7, "inner"),
+                                   (7, "matmul")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_blas_product(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert blas_products(tree) == []
 
 
 # the functions that may call numpy's transforms; fftfreq is no transform
