@@ -129,7 +129,6 @@ SCHEMAS = {
         "acceptance": {
             "closed_form_tol": Field(1e-8, positive=True),
             "eig_ratio_tol": Field(1e-10, positive=True),
-            "diameter_slope": Field(-0.5),
             "diameter_slope_tol": Field(0.01, positive=True),
             "curvature_rel_tol": Field(0.01, positive=True),
         },
@@ -161,7 +160,6 @@ SCHEMAS = {
             "q_bound": Field(1.20, positive=True),
             "no_growth_slack": Field(1e-9, positive=True),
             "mode_slope_rel_tol": Field(0.02, positive=True),
-            "diameter_slope": Field(-0.5),
             "diameter_slope_tol": Field(0.01, positive=True),
             "curvature_cap": Field(1e6, positive=True),
             "late_match_rel": Field(0.01, positive=True),

@@ -14,14 +14,12 @@ the initial metric, the curvature norm of the product, and the graph
 diameter of the shrinking fiber.
 """
 
-import functools
 import math
 
 import numpy as np
 
 from .grids import require_positive
-from .geometry import (MongeAmpereFlow, ddbar_symbol, fiber_diameter,
-                       half_modes, log_volume_ratio, real_samples,
+from .geometry import (MongeAmpereFlow, fiber_diameter, half_modes,
                        riemann_norm)
 from .models import _base_scale
 from .timestep import integrate_lawson
@@ -48,47 +46,37 @@ def relaxation_potential(a0, t):
     return math.exp(-t) * (upper - lower)
 
 
-def _velocity(spec, t, twisted):
-    """Pointwise velocity of the potential, less the potential itself."""
-    return _base_scale(spec.a0, t)[1] + log_volume_ratio(twisted, spec.b0)
-
-
 def spectral_problem(spec):
-    """The flow in mode space: omega = b0 + exp(t) ddbar(phi), scale b0.
-    Returns the problem and the modes of the start potential at its width:
-    a y-profile start marches on profiles, which the flow keeps constant
-    along y; a start over the whole grid marches at full width."""
+    """The flow in mode space: omega = b0 + exp(t) ddbar(phi) and
+    V = log(omega / b0) + log a(t).  Returns the problem and the start's
+    modes at its width: a y-profile start marches on profiles, which the
+    flow keeps constant along y, and a full-grid one at full width."""
     u0 = half_modes(spec.grid, spec.initial_potential.values)
-    problem = MongeAmpereFlow(spec.grid, spec.b0, lambda t: spec.b0,
-                              functools.partial(_velocity, spec),
+    problem = MongeAmpereFlow(spec.grid, spec.b0, 0.0,
+                              lambda t: _base_scale(spec.a0, t)[1],
                               stiffening=True, width=u0.shape[-1])
     return problem, u0
 
 
-def diagnostics_for(spec, times, modes, with_diameter=True):
-    """Evaluate the full monitor suite at the S sample times of a march,
-    given the (S, n, w) stack of its potential's half-spectrum modes there,
-    at the march's width; return the fiber-flow table, a length-S array per
-    column.  Only the curvature's hypot and the lowest mode are read per
-    sample; the rest, the diameter included, is one call over the stack,
-    with each sample's e^t, e^-t, base scale and relaxation shift from
-    ``math``, so every sample reads bit for bit as it would alone."""
+def diagnostics_for(spec, problem, times, modes, with_diameter=True):
+    """The fiber-flow table, a length-S array per column, at the S sample
+    times of a march, from its problem and the (S, n, w) stack of its
+    potential's modes there: phi, the twisted metric and the velocity are
+    the problem's ``read``, and the rest is one call over the stack, the
+    diameter included, but the curvature's hypot and the lowest mode.  Each
+    sample's e^t, e^-t, base scale and relaxation shift are from ``math``,
+    so every sample reads bit for bit as it would alone."""
     g, p = spec.grid, spec.base_dim
     times = np.array(times, dtype=float)
     ts = times.tolist()
     et = [math.exp(t) for t in ts]
-    a_hat, log_a = zip(*(_base_scale(spec.a0, t) for t in ts))
+    a_hat = [_base_scale(spec.a0, t)[0] for t in ts]
 
     def per_sample(values):
         return np.array(values)[:, None, None]
 
-    lap = ddbar_symbol(g)[:, :modes.shape[-1]]
-    phi, hess = real_samples(g, np.stack([modes, lap * modes]))
-
-    twisted = spec.b0 + per_sample(et) * hess
+    phi, twisted, dphi = problem.read(times, modes)
     require_positive(twisted, "evolving fiber metric")
-    # the velocity of the potential, _velocity read over the stack
-    dphi = per_sample(log_a) + log_volume_ratio(twisted, spec.b0) - phi
 
     vol = per_sample([a ** p for a in a_hat]) * twisted / spec.b0
     eig = twisted / spec.b0
@@ -135,5 +123,5 @@ def evolve(spec, sample_times, tol=1e-8, with_diameter=True):
     table of the monitors at the sample times."""
     problem, u0 = spectral_problem(spec)
     res = integrate_lawson(problem, u0, 0.0, sample_times, tol=tol)
-    return diagnostics_for(spec, sample_times, res.sample_modes,
+    return diagnostics_for(spec, problem, sample_times, res.sample_modes,
                            with_diameter=with_diameter)

@@ -145,17 +145,21 @@ def log_volume_ratio(values, reference):
 
 
 class MongeAmpereFlow:
-    """Mode-space face of  d(phi)/dt = V(t, omega) - phi  for the stepper.
+    """Mode-space face of  d(phi)/dt = V - phi  for the stepper, held as data.
 
-    The form is omega = B(t) + s(t) ddbar(phi), with ``background(t)``
-    giving B, s(t) = exp(t) when ``stiffening`` (a collapsing fiber, whose
-    stiffness grows like exp(t)) and 1 otherwise, and ``velocity(t, omega)``
-    the pointwise log-volume velocity.  The stiff part handed to the
-    exponential frame is (s(t)/scale) times the quarter-Laplacian, minus the
-    identity; ``scale`` is the flat part of B.  Modes are the half spectrum
+    The form is omega = sigma + exp(-t) rho + s(t) ddbar(phi), on a flat
+    ``sigma`` > 0 with ``rho`` the samples, or a constant, of a decaying
+    excess, and s(t) = exp(t) when ``stiffening`` (a collapsing fiber, whose
+    stiffness grows like exp(t)) and 1 otherwise; the velocity is
+    V = log(omega / sigma) + shift(t), ``shift`` a float of t.  Each is one
+    expression, ``_omega`` and ``_velocity``, which the march evaluates at
+    one t and ``read`` over a stack with (S, 1, 1) columns of the same
+    ``math`` scalars, so a read sample is bit for bit what the march saw.
+    The stiff part handed to the exponential frame is (s(t)/sigma) times
+    the quarter-Laplacian, minus the identity.  Modes are the half spectrum
     of ``half_modes``, cut to its first ``width`` columns: all n/2 + 1 of
-    them, or 1 for a march on y-profiles, where B and V take and give
-    profiles too.  Modes of another width raise ``ValueError``.
+    them, or 1 for a march on y-profiles, where rho is a profile or a
+    constant.  Modes of another width raise ``ValueError``.
 
     The last form built is kept with the (t, u) it was built for, so an
     attempt's last stage, the margin of its new state and the next step's
@@ -163,30 +167,39 @@ class MongeAmpereFlow:
     stepper never mutates a state after handing it to the problem.
     """
 
-    def __init__(self, grid, scale, background, velocity, stiffening, width):
-        self.grid = grid
-        self.scale = scale
-        self.background = background
-        self.velocity = velocity
+    def __init__(self, grid, sigma, rho, shift, stiffening, width):
+        self.grid, self.sigma, self.rho, self.shift = grid, sigma, rho, shift
         self.stiffening = stiffening
         self._symbol = ddbar_symbol(grid)[:, :width]
         self._last = (None, None, None)
 
+    def _stiffness(self, t):
+        return math.exp(t) if self.stiffening else 1.0
+
+    def _omega(self, decay, s, hess):
+        return self.sigma + decay * self.rho + s * hess
+
+    def _velocity(self, omega, shift):
+        return log_volume_ratio(omega, self.sigma) + shift
+
+    def _check_width(self, u):
+        if u.shape[-1] != self._symbol.shape[-1]:
+            raise ValueError(f"modes of width {u.shape[-1]} on a problem of "
+                             f"width {self._symbol.shape[-1]}")
+
     def symbol_integral(self, t0, t1):
         sweep = math.exp(t1) - math.exp(t0) if self.stiffening else t1 - t0
-        return self._symbol * (sweep / self.scale) - (t1 - t0)
+        return self._symbol * (sweep / self.sigma) - (t1 - t0)
 
     def _form(self, t, u):
         """s(t), ddbar(phi) and omega for the modes u of phi."""
         last_t, last_u, form = self._last
         if last_u is u and last_t == t:
             return form
-        if u.shape[-1] != self._symbol.shape[-1]:
-            raise ValueError(f"modes of width {u.shape[-1]} on a problem of "
-                             f"width {self._symbol.shape[-1]}")
-        s = math.exp(t) if self.stiffening else 1.0
+        self._check_width(u)
+        s = self._stiffness(t)
         hess = ddbar_modes(self.grid, u)
-        form = s, hess, self.background(t) + s * hess
+        form = s, hess, self._omega(math.exp(-t), s, hess)
         self._last = (t, u, form)
         return form
 
@@ -194,12 +207,25 @@ class MongeAmpereFlow:
         # the potential itself cancels against the identity in the stiff part;
         # the quarter-Laplacian is the same ddbar array
         s, hess, omega = self._form(t, u)
-        return half_modes(self.grid,
-                          self.velocity(t, omega) - (s / self.scale) * hess)
+        return half_modes(self.grid, self._velocity(omega, self.shift(t))
+                          - (s / self.sigma) * hess)
 
     def kaehler_margin(self, t, u):
-        """Smallest metric coefficient of omega relative to the flat scale."""
-        return float(np.min(self._form(t, u)[2])) / self.scale
+        """Smallest metric coefficient of omega relative to sigma."""
+        return float(np.min(self._form(t, u)[2])) / self.sigma
+
+    def read(self, times, modes):
+        """phi, omega and V - phi at the S sample times of a march, from the
+        (S, n, w) stack of its modes there, in one inverse transform."""
+        self._check_width(modes)
+        ts = np.asarray(times, dtype=float).tolist()
+        decay, s, shift = (np.array([fn(t) for t in ts])[:, None, None]
+                           for fn in (lambda t: math.exp(-t), self._stiffness,
+                                      self.shift))
+        phi, hess = real_samples(self.grid,
+                                 np.stack([modes, self._symbol * modes]))
+        omega = self._omega(decay, s, hess)
+        return phi, omega, self._velocity(omega, shift) - phi
 
 
 def riemann_norm(grid, g):

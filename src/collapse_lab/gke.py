@@ -15,16 +15,15 @@ BLAS, so the iterates do not depend on the thread count.  It starts from
 zero, whose metric is sigma, checked positive where the testbed forms it;
 the damping keeps each later metric positive.
 
-The parabolic variant relaxes the same equation along a decaying transient
-background, from zero to the last of its fixed sample times, and reads at
-each sample the sup gap A to the elliptic limit and its right derivative:
-the largest velocity V - phi over the points where the max is attained
-(Danskin, SIAM J. Appl. Math. 14, 1966), exact and blind to the steps the
-march took.  The read-out takes the march's whole sample stack in one
-transform pair and hands back gke-parabolic's table.
+The parabolic variant relaxes the same equation on a flat sigma and a
+constant density F along a decaying transient background, from zero to
+the last of its fixed sample times, and reads at each sample the sup gap A
+to the limit -log F and its right derivative: the largest velocity
+V - phi over the points where the max is attained (Danskin, SIAM J. Appl.
+Math. 14, 1966), exact and blind to the steps the march took.  The
+read-out is the march problem's own ``read`` of its whole sample stack.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,52 +146,39 @@ def twisted_einstein_residual(testbed, u):
 
 # ------------------------------------------------------------ parabolic run
 
-def parabolic_problem(testbed, rho):
-    """The relaxation in mode space: omega = sigma + exp(-t) rho + ddbar(u),
-    from u = 0.  Returns the problem and the modes of that start, at the
-    width sigma, rho and the density broadcast to: y-profiles when all three
-    are profiles."""
-    sigma, rho, log_f = np.broadcast_arrays(
-        testbed.sigma_form(), rho, np.log(testbed.density_field()))
-    u0 = half_modes(testbed.grid, np.zeros(sigma.shape))
-    problem = MongeAmpereFlow(
-        testbed.grid, testbed.flat_scale,
-        lambda t: sigma + math.exp(-t) * rho,
-        lambda t, omega: log_volume_ratio(omega, sigma) - log_f,
-        stiffening=False, width=u0.shape[-1])
+def parabolic_problem(grid, flat_scale, density, rho):
+    """The relaxation in mode space: omega = sigma + exp(-t) rho + ddbar(u)
+    and V = log(omega / sigma) - log F on the flat sigma = ``flat_scale``
+    with the constant ``density`` F, from u = 0.  Returns the problem and
+    the start's modes at the width of rho, 1 for a profile or a constant."""
+    u0 = half_modes(grid, np.zeros_like(rho + np.zeros((grid.shape[0], 1))))
+    shift = -np.log(density)
+    problem = MongeAmpereFlow(grid, flat_scale, rho, lambda t: shift,
+                              stiffening=False, width=u0.shape[-1])
     return problem, u0
 
 
-def parabolic_gke(testbed, rho, limit, sample_times, tol=1e-8):
-    """Run the transient relaxation from zero and track the gap to the limit.
-
-    ``rho`` (coefficient samples, or a constant, of the decaying background
-    excess) must be nonnegative so the background only ever shrinks toward
-    its limit; a NaN sample is not.  ``limit`` holds the samples of the
-    elliptic limit, or a constant: -log F for a flat sigma and a constant
-    density F.  Returns gke-parabolic's table, a length-S array per column:
-    the sorted ``sample_times`` (the march ends at the last), and the gap's
-    max, min and right derivative there.  One transform pair reads the
-    march's (S, n, w) sample stack, widened to the limit's width if that is
-    wider; each e^-t is from ``math``, so every sample reads bit for bit as
-    it would alone.
-    """
-    grid = testbed.grid
+def parabolic_gke(grid, flat_scale, density, rho, sample_times, tol=1e-8):
+    """Run the transient relaxation from zero and track the gap to the
+    limit, the closed form -log F on the flat sigma = ``flat_scale`` with
+    the constant ``density`` F that every config the schema admits runs.
+    ``rho`` (samples, or a constant, of the decaying excess) must be
+    nonnegative so the background only ever shrinks toward its limit; a NaN
+    sample is not.  Returns gke-parabolic's table, a length-S array per
+    column: the sorted ``sample_times`` (the march ends at the last), and
+    the gap's max, min and right derivative there, from one ``read`` of
+    the march's (S, n, w) sample stack."""
     if not float(np.min(rho)) >= -PSD_SLACK:
         raise ValueError("transient excess must be positive semidefinite")
+    if not (flat_scale > 0.0 and density > 0.0):
+        raise ValueError("flat_scale and density must be positive")
 
-    problem, u0 = parabolic_problem(testbed, rho)
+    problem, u0 = parabolic_problem(grid, flat_scale, density, rho)
     times = np.array(sample_times, dtype=float)
     modes = integrate_lawson(problem, u0, 0.0, times, tol=tol).sample_modes
-    lap = ddbar_symbol(grid)[:, :u0.shape[-1]]
-    phi, hess = real_samples(grid, np.stack([modes, lap * modes]))
-    decay = np.array([math.exp(-t) for t in times.tolist()])[:, None, None]
-    # the background and velocity of parabolic_problem, over the stack
-    sigma = testbed.sigma_form()
-    omega = sigma + decay * rho + hess
-    speed = (log_volume_ratio(omega, sigma)
-             - np.log(testbed.density_field()) - phi)
-    gap, speed = np.broadcast_arrays(phi - limit, speed)
+    phi, _, speed = problem.read(times, modes)
+    # omega = sigma at the limit, where the velocity vanishes: phi = shift
+    gap = phi - problem.shift(0.0)
     peak = np.max(gap, axis=(1, 2), keepdims=True)
     return {
         "t": times,

@@ -9,7 +9,8 @@ may be held as its y-profile, the (n, 1) column of its samples at y = 0,
 and numpy broadcasting widens a profile where it meets a full field.  The
 width is fixed where the samples are built: a constant is a profile.  The
 geometry operators take bare sample arrays; ``ScalarField`` validates the
-real samples a spec is given and a solve returns.
+real samples a spec is given and a solve returns.  The package no longer
+uses ``HermitianField``: only the benchmark's tracer hooks it.
 """
 
 from __future__ import annotations
@@ -129,10 +130,11 @@ class ScalarField:
 
 @dataclass
 class HermitianField:
-    """A real (1,1)-form i g dz ^ dzbar, held as its coefficient samples g:
-    in one complex dimension a metric is a positive scalar field.  Realness
-    and shape are validated on entry; the package's operators take the bare
-    samples and check positivity where a metric is formed."""
+    """A real (1,1)-form i g dz ^ dzbar, held as its coefficient samples g,
+    realness and shape validated on entry.  No code of the package builds
+    one: its operators take bare samples.  It stays only because the
+    benchmark's tracer (``perfbench/tracing.py``) hooks its
+    ``__post_init__``, until that hook is retired."""
 
     grid: GridSpec
     values: np.ndarray

@@ -120,6 +120,18 @@ def test_limit_tol_is_no_longer_a_key(tmp_path, capsys):
     assert "solver.limit_tol: unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment", ["product-ode", "fiber-flow"])
+def test_diameter_slope_is_no_longer_a_key(tmp_path, capsys, experiment):
+    # the collapse rate diam ~ exp(-t/2) is the paper's, not a knob
+    path = tmp_path / "slope.json"
+    path.write_text(json.dumps({"experiment": experiment,
+                                "acceptance": {"diameter_slope": -0.5}}),
+                    encoding="utf-8")
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert "acceptance.diameter_slope: unknown key" in \
+        capsys.readouterr().err
+
+
 def _leaves(schema):
     for spec in schema.values():
         if isinstance(spec, dict):
@@ -213,8 +225,9 @@ def test_every_experiment_validates_bare():
 @pytest.mark.parametrize("payload, path", [
     ({"experiment": "fiber-flow", "acceptance": {"phi_sup_bound": math.inf}},
      r"acceptance\.phi_sup_bound"),
-    ({"experiment": "fiber-flow", "acceptance": {"diameter_slope": math.nan}},
-     r"acceptance\.diameter_slope"),
+    ({"experiment": "fiber-flow",
+      "acceptance": {"diameter_slope_tol": math.nan}},
+     r"acceptance\.diameter_slope_tol"),
     ({"experiment": "fiber-flow", "solver": {"mode_fit_step": math.inf}},
      r"solver\.mode_fit_step"),
     ({"experiment": "fiber-flow", "model": {"b0": 10 ** 400}},

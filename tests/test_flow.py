@@ -19,11 +19,11 @@ from collapse_lab.grids import (GridSpec, PositivityError, ScalarField,
                                 require_positive)
 from collapse_lab import flow, geometry
 from collapse_lab.geometry import (ddbar, fiber_diameter, half_modes,
-                                   real_samples, riemann_norm)
+                                   log_volume_ratio, real_samples,
+                                   riemann_norm)
 from collapse_lab.models import FiberFlowSpec
 from collapse_lab.timestep import integrate_lawson
 from collapse_lab.flow import (
-    _velocity,
     diagnostics_for,
     evolve,
     relaxation_potential,
@@ -56,7 +56,20 @@ def sample_rows(table):
     return [dict(zip(table, map(float, row))) for row in zip(*table.values())]
 
 
+def monitors(spec, times, modes, **kwargs):
+    """diagnostics_for through the problem a march of ``spec`` runs."""
+    return diagnostics_for(spec, spectral_problem(spec)[0], times, modes,
+                           **kwargs)
+
+
 # ------------------------------------------------------------- rhs oracles
+
+def velocity(spec, t, twisted):
+    """The flow's velocity log a(t) + log(twisted / b0), by hand; NaN
+    wherever the twisted metric has left the positive cone."""
+    return (math.log1p((spec.a0 - 1.0) * math.exp(-t))
+            + log_volume_ratio(twisted, spec.b0))
+
 
 def map_rhs(spec, t, potential):
     """Velocity of the potential at time t, composed on the grid from the
@@ -67,7 +80,7 @@ def map_rhs(spec, t, potential):
     """
     twisted = spec.b0 + math.exp(t) * ddbar(spec.grid, potential.values)
     return ScalarField(spec.grid,
-                       _velocity(spec, t, twisted) - potential.values)
+                       velocity(spec, t, twisted) - potential.values)
 
 
 def test_map_rhs_matches_hand_formula_on_sine():
@@ -173,6 +186,25 @@ def test_modes_of_another_width_than_the_problem_raise():
         profile.kaehler_margin(0.0, w0)
     with pytest.raises(ValueError, match="width 9 on a problem of width 1"):
         integrate_lawson(profile, w0, 0.0, (1.0,))
+    with pytest.raises(ValueError, match="width 1 on a problem of width 9"):
+        full.read((0.0,), u0[None])
+
+
+@pytest.mark.parametrize("profile", [True, False],
+                         ids=["y_profile", "full_width"])
+def test_read_is_the_form_the_march_evaluates(profile):
+    # each sample of one read over the stack is bit for bit the form the
+    # march's problem builds at that time
+    spec = sine_spec(n=16, b0=1.5, a0=2.0, amp=0.01, profile=profile)
+    problem, u0 = spectral_problem(spec)
+    times = (0.0, 0.7, 2.5)
+    stack = integrate_lawson(problem, u0, 0.0, times).sample_modes
+    phi, omega, dphi = problem.read(times, stack)
+    width = 1 if profile else 16
+    assert phi.shape == omega.shape == dphi.shape == (3, 16, width)
+    for k, (t, modes) in enumerate(zip(times, stack)):
+        assert omega[k].tobytes() == problem._form(t, modes)[2].tobytes()
+        assert problem.kaehler_margin(t, modes) == np.min(omega[k]) / 1.5
 
 
 @pytest.mark.parametrize("n", [16, 64])
@@ -305,6 +337,23 @@ def test_horizon_forty_passes_every_check():
     assert [c.name for c in report.checks if not c.passed] == []
 
 
+@pytest.mark.parametrize("a0", [2.0, 0.5])
+def test_late_monitors_hold_their_digits_to_horizon_forty(a0):
+    # exp(-t) passes below machine epsilon relative to 1 before t = 40; the
+    # settled monitors must not drift there, which the base term's log1p
+    # and the closed-form relaxation shift guarantee by formulation
+    cfg = validate_config({"experiment": "fiber-flow", "model": {"a0": a0},
+                           "solver": {"horizon": 40.0,
+                                      "with_diameter": False}})
+    table = run_experiment(cfg).table
+    late = table["t"] >= 30.0
+    assert np.count_nonzero(late) == 21
+    for col in ("vtilde_sup", "q_sup"):
+        values = table[col][late]
+        spread = (np.max(values) - np.min(values)) / np.max(np.abs(values))
+        assert spread <= 1e-10, col
+
+
 # -------------------------------------------------------------- diagnostics
 
 def normalized_potential(spec, t, potential):
@@ -328,7 +377,7 @@ def test_normalized_potential_inverts_the_scaling():
 def test_diagnostics_hand_values_at_start():
     spec = sine_spec(n=16, b0=1.0, a0=2.0, amp=0.01, profile=False)
     modes = np.fft.rfftn(spec.initial_potential.values)
-    [d] = sample_rows(diagnostics_for(spec, [0.0], modes[None]))
+    [d] = sample_rows(monitors(spec, [0.0], modes[None]))
     bump = 0.01 * np.pi**2
     assert d["phi_sup"] == pytest.approx(0.01, abs=1e-15)
     # velocity peaks in the trough of the potential, where density is largest
@@ -362,7 +411,7 @@ def field_space_diagnostics(spec, t, potential):
     et = math.exp(t)
     a_hat = 1.0 + (spec.a0 - 1.0) * math.exp(-t)
     twisted = spec.b0 + et * ddbar(g, potential.values)
-    dphi = _velocity(spec, t, twisted) - potential.values
+    dphi = velocity(spec, t, twisted) - potential.values
     vol = a_hat ** p * twisted / spec.b0
     vt = normalized_potential(spec, t, potential).values
     # the trace of the initial metric in the twisted one, 1/g contracted
@@ -397,7 +446,7 @@ def test_diagnostics_from_modes_match_the_field_space_reference():
     times = (0.5, 1.5, 3.0)
     stack = sample_stack(spec, times)
     assert stack.shape == (3, 16, 1)
-    rows = sample_rows(diagnostics_for(spec, times, stack))
+    rows = sample_rows(monitors(spec, times, stack))
     for t, modes, got in zip(times, stack, rows):
         samples = real_samples(spec.grid, full_width(spec.grid, modes))
         want = field_space_diagnostics(spec, t,
@@ -411,13 +460,18 @@ def test_diagnostics_from_modes_match_the_field_space_reference():
 @pytest.mark.parametrize("n", [16, 64])
 def test_diagnostics_of_profile_modes_are_those_of_widened_ones(n):
     # bit for bit, mode_low included, so it must divide by n^2 on either
-    # width; the diameter is left out, its sources depend on exact symmetry
+    # width; the diameter is left out, its sources depend on exact symmetry.
+    # The widened modes are read by the problem of the full-width start
     spec = sine_spec(n=n, b0=1.0, a0=2.0, amp=0.01)
     times = (0.5, 1.5, 3.0)
     stack = sample_stack(spec, times)
     assert stack.shape == (3, n, 1)
-    got, want = (diagnostics_for(spec, times, m, with_diameter=False)
-                 for m in (stack, full_width(spec.grid, stack)))
+    wide = spectral_problem(sine_spec(n=n, b0=1.0, a0=2.0, amp=0.01,
+                                      profile=False))[0]
+    got, want = (diagnostics_for(spec, problem, times, m,
+                                 with_diameter=False)
+                 for problem, m in ((spectral_problem(spec)[0], stack),
+                                    (wide, full_width(spec.grid, stack))))
     del got["diameter"], want["diameter"]
     assert tuple(got) == tuple(want)
     for col in got:
@@ -440,9 +494,9 @@ def test_stacked_monitors_are_those_of_each_sample_alone(samples, half_n,
     # small enough that b0 + e^t ddbar(phi) stays positive up to t = 3
     phi = rng.uniform(-1e-5, 1e-5, (samples, n, width)) * 64 / n ** 2
     stack = half_modes(spec.grid, phi)
-    table = diagnostics_for(spec, times, stack)
+    table = monitors(spec, times, stack)
     for k, (t, modes) in enumerate(zip(times, stack)):
-        alone = diagnostics_for(spec, [t], modes[None])
+        alone = monitors(spec, [t], modes[None])
         for col, values in table.items():
             assert values[k:k + 1].tobytes() == alone[col].tobytes(), col
 
@@ -469,7 +523,7 @@ def test_stack_raises_at_the_first_sample_that_leaves_the_cone():
     with pytest.raises(PositivityError) as want:
         require_positive(metrics[1], "evolving fiber metric")
     with pytest.raises(PositivityError) as got:
-        diagnostics_for(spec, times, stack)
+        monitors(spec, times, stack)
     assert "in evolving fiber metric" in str(got.value)
     assert str(got.value) == str(want.value)
     assert got.value.point == want.value.point
@@ -483,7 +537,7 @@ def test_stack_with_a_nan_sample_raises_at_its_first_nan():
     stack, _ = cone_stack(spec, times, (0.01, 0.01, 0.01))
     stack[1, 2, 3] = math.nan
     with pytest.raises(PositivityError, match="evolving fiber metric") as err:
-        diagnostics_for(spec, times, stack)
+        monitors(spec, times, stack)
     # a NaN mode makes every sample of its metric NaN; the first is the worst
     assert err.value.point == (0, 0)
     assert math.isnan(err.value.value)
@@ -493,9 +547,9 @@ def test_evolve_reads_its_monitors_in_one_call(monkeypatch):
     spec = sine_spec(n=16, b0=1.0, a0=2.0, amp=0.01)
     calls = []
 
-    def spy(spec, times, modes, **kwargs):
+    def spy(spec, problem, times, modes, **kwargs):
         calls.append(modes.shape)
-        return diagnostics_for(spec, times, modes, **kwargs)
+        return diagnostics_for(spec, problem, times, modes, **kwargs)
 
     monkeypatch.setattr(flow, "diagnostics_for", spy)
     table = evolve(spec, tuple(np.linspace(0.0, 3.0, 7)), with_diameter=False)

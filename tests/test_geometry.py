@@ -20,7 +20,7 @@ from scipy.sparse.csgraph import dijkstra
 
 from collapse_lab import geometry, grids
 
-from collapse_lab.flow import diagnostics_for
+from collapse_lab.flow import diagnostics_for, spectral_problem
 from collapse_lab.grids import GridSpec, HermitianField, PositivityError, ScalarField
 from collapse_lab.geometry import (
     ddbar,
@@ -248,8 +248,8 @@ def test_trace_of_metric_against_itself_is_dimension():
     x, _ = coords(g)
     phi = 0.01 * np.sin(2 * np.pi * x)
     spec = FiberFlowSpec(grid=g, b0=1.5, initial_potential=ScalarField(g, phi))
-    table = diagnostics_for(spec, [0.0], half_modes(g, phi)[None],
-                            with_diameter=False)
+    table = diagnostics_for(spec, spectral_problem(spec)[0], [0.0],
+                            half_modes(g, phi)[None], with_diameter=False)
     want = np.max(np.abs(math.log(2.0) - phi))
     assert abs(table["q_sup"][0] - want) < 1e-15
 

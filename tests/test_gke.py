@@ -19,7 +19,8 @@ from collapse_lab import gke
 from collapse_lab.config import load_config
 from collapse_lab.experiments import _envelope, run_experiment
 from collapse_lab.grids import GridSpec, ScalarField
-from collapse_lab.geometry import (ddbar, ddbar_symbol, half_modes,
+from collapse_lab.geometry import (ddbar, ddbar_modes, ddbar_symbol,
+                                   half_modes, log_volume_ratio,
                                    real_samples)
 from collapse_lab.models import GkeTestbedSpec
 from collapse_lab.timestep import integrate_lawson
@@ -292,9 +293,7 @@ def test_parabolic_static_gap_decays_exactly():
     # from zero the constant mode relaxes onto -log 2 along
     # u' = -log 2 - u, so the gap is log 2 exp(-t)
     g = GridSpec(1, (16,))
-    tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 2.0))
-    limit = np.full((16, 1), -math.log(2.0))
-    res = parabolic_gke(tb, 0.0, limit, np.linspace(0.0, 3.0, 13))
+    res = parabolic_gke(g, 1.0, 2.0, 0.0, np.linspace(0.0, 3.0, 13))
     times, gap_max = res["t"], res["gap_max"]
     assert times[0] == 0.0
     assert times[-1] == 3.0
@@ -307,17 +306,15 @@ def test_parabolic_static_gap_decays_exactly():
 
 
 def _transient_case():
-    # every datum is a y-profile, so the march runs on profiles
+    # rho is a y-profile, so the march runs on profiles
     g = GridSpec(1, (16,))
     x = g.axis_coordinates(0)
-    tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 1.0))
-    rho = 0.25 + ddbar(g, 0.02 * np.cos(2 * np.pi * x))
-    return tb, rho, solve_gke(tb).potential.values
+    return g, 0.25 + ddbar(g, 0.02 * np.cos(2 * np.pi * x))
 
 
 def test_parabolic_transient_settles_onto_limit():
-    tb, rho, limit = _transient_case()
-    res = parabolic_gke(tb, rho, limit, np.linspace(0.0, 6.0, 13))
+    g, rho = _transient_case()
+    res = parabolic_gke(g, 1.0, 1.0, rho, np.linspace(0.0, 6.0, 13))
     gap_max = res["gap_max"]
     assert np.max(gap_max) > 1e-3
     assert gap_max[-1] < 0.05 * np.max(gap_max)
@@ -326,79 +323,61 @@ def test_parabolic_transient_settles_onto_limit():
 
 
 def test_parabolic_problem_marches_profiles_only_when_all_data_are():
-    tb, rho, _ = _transient_case()
-    assert parabolic_problem(tb, rho)[1].shape == (16, 1)
-    assert parabolic_problem(tb, 0.25)[1].shape == (16, 1)
-    # a density, sigma or rho that varies along y keeps every column
-    y_tb, y_rho, _ = _parabolic_case()
-    assert parabolic_problem(y_tb, rho)[1].shape == (16, 9)
-    assert parabolic_problem(tb, y_rho)[1].shape == (16, 9)
+    g, rho = _transient_case()
+    assert parabolic_problem(g, 1.0, 1.0, rho)[1].shape == (16, 1)
+    assert parabolic_problem(g, 1.0, 1.0, 0.25)[1].shape == (16, 1)
+    # a rho that varies along y keeps every column
+    y_rho = _parabolic_case()[1]
+    assert parabolic_problem(g, 1.0, 1.0, y_rho)[1].shape == (16, 9)
 
 
 def test_parabolic_profile_march_matches_the_full_width_one():
-    tb, rho, limit = _transient_case()
+    g, rho = _transient_case()
     times = np.linspace(0.0, 4.0, 9)
-    prof = parabolic_gke(tb, rho, limit, times)
-    wide = rho * np.ones(tb.grid.shape)
-    assert parabolic_problem(tb, wide)[1].shape == (16, 9)
-    full = parabolic_gke(tb, wide, limit, times)
+    prof = parabolic_gke(g, 1.0, 1.0, rho, times)
+    wide = rho * np.ones(g.shape)
+    assert parabolic_problem(g, 1.0, 1.0, wide)[1].shape == (16, 9)
+    full = parabolic_gke(g, 1.0, 1.0, wide, times)
     for name in ("gap_max", "gap_min", "dgap"):
         assert prof[name].tobytes() == full[name].tobytes()
 
 
-def test_profile_march_reads_a_full_width_limit_at_full_width():
-    # a limit that varies along y widens the gap of a profile march: its
-    # read-out equals the full-width march's, not that of the y = 0 column
-    tb, rho, limit = _transient_case()
-    _, y = coords(tb.grid)
-    wavy = limit + 0.01 * np.cos(2 * np.pi * y)
-    times = np.linspace(0.0, 1.0, 3)
-    prof = parabolic_gke(tb, rho, wavy, times)
-    full = parabolic_gke(tb, rho * np.ones(tb.grid.shape), wavy, times)
-    for name in ("gap_max", "gap_min", "dgap"):
-        assert prof[name].tobytes() == full[name].tobytes()
-    column = parabolic_gke(tb, rho, wavy[:, :1], times)
-    assert np.all(prof["gap_max"] > column["gap_max"])
-
-
-def _read_each_sample(tb, rho, limit, times):
-    """The gap read-out one sample at a time, through the problem's own
-    background and velocity: the reference the stacked read must equal."""
-    problem, u0 = parabolic_problem(tb, rho)
+def _read_each_sample(g, flat_scale, density, rho, times):
+    """The gap read-out one sample at a time, with the form and velocity
+    composed by hand from the public ddbar of the march's modes: the
+    reference the stacked read must equal."""
+    problem, u0 = parabolic_problem(g, flat_scale, density, rho)
     march = integrate_lawson(problem, u0, 0.0, times)
-    lap = ddbar_symbol(tb.grid)[:, :u0.shape[-1]]
     rows = []
     for t, modes in zip(times, march.sample_modes):
-        phi, hess = real_samples(tb.grid, np.stack([modes, lap * modes]))
-        omega = problem.background(t) + hess
-        gap, speed = np.broadcast_arrays(phi - limit,
-                                         problem.velocity(t, omega) - phi)
+        phi = real_samples(g, modes)
+        omega = flat_scale + math.exp(-t) * rho + ddbar_modes(g, modes)
+        speed = log_volume_ratio(omega, flat_scale) - np.log(density) - phi
+        gap = phi + np.log(density)
         peak = np.max(gap)
         rows.append((peak, np.min(gap), np.max(speed[gap == peak])))
     return dict(zip(("gap_max", "gap_min", "dgap"), np.array(rows).T))
 
 
-@pytest.mark.parametrize("case", ["profile", "full_width", "wider_limit",
-                                  "curved", "constant_limit"])
+@pytest.mark.parametrize("case", ["profile", "full_width",
+                                  "transient_along_y", "constant_limit"])
 def test_stacked_gap_read_is_that_of_each_sample_alone(case):
     # bit for bit, the Danskin read included: the constant-limit case ties
     # the max at every grid point
-    tb, rho, limit = _transient_case()
+    (g, rho), flat_scale, density = _transient_case(), 1.0, 1.0
     times = np.linspace(0.0, 4.0, 9)
     if case == "full_width":
-        rho = rho * np.ones(tb.grid.shape)
-    elif case == "wider_limit":
-        limit = limit + 0.01 * np.cos(2 * np.pi * coords(tb.grid)[1])
-    elif case == "curved":
-        tb, rho, limit = _parabolic_case()
+        rho = rho * np.ones(g.shape)
+    elif case == "transient_along_y":
+        flat_scale, density = 1.5, 1.3
+        rho = _parabolic_case()[1]
     elif case == "constant_limit":
-        g = tb.grid
-        tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 2.0))
-        rho, limit = 0.0, -math.log(2.0)
-    table = parabolic_gke(tb, rho, limit, times)
+        rho, density = 0.0, 2.0
+    table = parabolic_gke(g, flat_scale, density, rho, times)
     assert list(table) == ["t", "gap_max", "gap_min", "dgap"]
     assert table["t"].tobytes() == times.tobytes()
-    for name, want in _read_each_sample(tb, rho, limit, times).items():
+    for name, want in _read_each_sample(g, flat_scale, density, rho,
+                                        times).items():
         assert table[name].tobytes() == want.tobytes(), name
 
 
@@ -435,10 +414,10 @@ def test_envelope_holdout_sees_a_late_rise():
 def test_gap_derivative_matches_a_centred_difference():
     # dgap is read from the velocity at the argmax of the gap field; the
     # centred difference of gap_max over t +- 1e-4 must agree
-    tb, rho, limit = _transient_case()
+    g, rho = _transient_case()
     h = 1e-4
     for t in (0.5, 3.0):
-        res = parabolic_gke(tb, rho, limit, (t - h, t, t + h))
+        res = parabolic_gke(g, 1.0, 1.0, rho, (t - h, t, t + h))
         centred = (res["gap_max"][2] - res["gap_max"][0]) / (2.0 * h)
         assert res["dgap"][1] == pytest.approx(centred, rel=1e-5)
 
@@ -455,51 +434,57 @@ def test_a_nan_sample_is_rejected_where_the_data_are_checked(datum):
         with pytest.raises(ValueError, match="density must be positive"):
             GkeTestbedSpec(grid=g, density=ScalarField(g, data))
         return
-    tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 1.0))
     with pytest.raises(ValueError, match="semidefinite"):
-        parabolic_gke(tb, data, np.zeros((16, 1)), (1.0,))
+        parabolic_gke(g, 1.0, 1.0, data, (1.0,))
 
 
 def test_parabolic_rejects_indefinite_transient():
     g = GridSpec(1, (16,))
     x, _ = coords(g)
-    tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 1.0))
     rho = ddbar(g, 0.2 * np.cos(2 * np.pi * x))
     with pytest.raises(ValueError, match="semidefinite"):
-        parabolic_gke(tb, rho, np.zeros((16, 1)), (1.0,))
+        parabolic_gke(g, 1.0, 1.0, rho, (1.0,))
+
+
+@pytest.mark.parametrize("flat_scale, density", [
+    (0.0, 1.0), (1.0, -2.0), (1.0, math.nan)])
+def test_parabolic_rejects_a_scale_or_density_that_is_not_positive(
+        flat_scale, density):
+    g = GridSpec(1, (16,))
+    with pytest.raises(ValueError, match="must be positive"):
+        parabolic_gke(g, flat_scale, density, 0.25, (1.0,))
 
 
 def _parabolic_case():
+    # a transient that varies along y and a potential over the whole grid
     g = GridSpec(1, (16,))
     x, y = coords(g)
-    eta = ScalarField(g, 0.01 * np.cos(2 * np.pi * x))
-    dens = ScalarField(g, 1.0 + 0.2 * np.cos(2 * np.pi * y))
-    tb = GkeTestbedSpec(grid=g, eta=eta, density=dens, flat_scale=1.5)
     rho = 0.25 + ddbar(g, 0.02 * np.sin(2 * np.pi * y))
-    return tb, rho, 0.03 * np.sin(2 * np.pi * (x + y))
+    return g, rho, 0.03 * np.sin(2 * np.pi * (x + y))
 
 
 def test_parabolic_mode_space_rhs_is_velocity_less_linear_part():
-    tb, rho, phi = _parabolic_case()
+    g, rho, phi = _parabolic_case()
     t = 0.7
-    g = tb.grid
-    sigma = tb.sigma_form()
-    omega = sigma + math.exp(-t) * rho + ddbar(g, phi)
-    velocity = np.log(omega / sigma) - np.log(tb.density_field()) - phi
-    linear = ddbar(g, phi) / tb.flat_scale - phi
+    omega = 1.5 + math.exp(-t) * rho + ddbar(g, phi)
+    velocity = np.log(omega / 1.5) - math.log(1.3) - phi
+    linear = ddbar(g, phi) / 1.5 - phi
     want = np.fft.rfftn(velocity - linear)
-    got = parabolic_problem(tb, rho)[0].nonlinear_modes(t, np.fft.rfftn(phi))
+    got = parabolic_problem(g, 1.5, 1.3, rho)[0].nonlinear_modes(
+        t, np.fft.rfftn(phi))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     # without the transient the velocity is the static residual
+    tb = GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 1.3),
+                        flat_scale=1.5)
     want = np.fft.rfftn(gke_residual(tb, phi) - linear)
-    got = parabolic_problem(tb, np.zeros_like(rho))[0].nonlinear_modes(
-        t, np.fft.rfftn(phi))
+    got = parabolic_problem(g, 1.5, 1.3, np.zeros_like(rho))[0] \
+        .nonlinear_modes(t, np.fft.rfftn(phi))
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_parabolic_mode_space_rhs_is_nan_outside_the_cone():
-    tb, rho, phi = _parabolic_case()
+    g, rho, phi = _parabolic_case()
     steep = np.fft.rfftn(40.0 * phi)
-    problem = parabolic_problem(tb, rho)[0]
+    problem = parabolic_problem(g, 1.5, 1.3, rho)[0]
     assert np.isnan(problem.nonlinear_modes(0.0, steep)).all()

@@ -19,7 +19,7 @@ from collapse_lab.experiments import (CSV_COLUMNS, REGISTRY, Check,
                                       ExperimentReport, _late_growth,
                                       run_experiment, write_error,
                                       write_report)
-from collapse_lab.flow import diagnostics_for
+from collapse_lab.flow import diagnostics_for, spectral_problem
 from collapse_lab.grids import (GridSpec, PositivityError, ScalarField,
                                 require_positive)
 from collapse_lab.models import FiberFlowSpec
@@ -80,8 +80,8 @@ def test_schema_file_matches_runtime_columns():
     grid = GridSpec(1, (8,))
     spec = FiberFlowSpec(grid=grid, b0=1.0,
                          initial_potential=ScalarField.constant(grid, 0.0))
-    table = diagnostics_for(spec, [0.0], np.zeros((1, 8, 1), complex),
-                            with_diameter=False)
+    table = diagnostics_for(spec, spectral_problem(spec)[0], [0.0],
+                            np.zeros((1, 8, 1), complex), with_diameter=False)
     assert tuple(table) == CSV_COLUMNS["fiber-flow"]
 
 

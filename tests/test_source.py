@@ -13,7 +13,10 @@ No module calls a BLAS-backed product (``np.dot``, ``@`` and the like),
 whose sums OpenBLAS orders by its thread count, so every result is the same
 at any thread count.
 The geometry operators and the flow take bare sample arrays, so neither
-module reaches for a field container of ``grids``.
+module reaches for a field container of ``grids``.  Only
+``geometry.MongeAmpereFlow`` composes a flow's form and velocity: the flow
+and the parabolic run read them through its ``read``, so neither touches
+the pieces they are written from outside the elliptic solve.
 """
 
 import ast
@@ -276,6 +279,51 @@ def test_array_operators_take_no_field_container(name):
     path = SRC / name
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert field_container_uses(tree) == []
+
+
+# the geometry pieces a flow's form and velocity are written from, and the
+# functions of each module that may read them: the elliptic solve alone
+FORM_PIECES = {"log_volume_ratio", "real_samples", "ddbar_symbol"}
+FORM_READERS = {"flow.py": set(), "gke.py": {"gke_residual", "_linear_step"}}
+
+
+def form_pieces_outside(tree, readers=()):
+    """(line, name) of each read of a ``FORM_PIECES`` name, bare or as an
+    attribute, outside the functions named in ``readers``."""
+    hits = []
+
+    def visit(node, inside):
+        name = (node.id if isinstance(node, ast.Name) else
+                node.attr if isinstance(node, ast.Attribute) else None)
+        if name in FORM_PIECES and not inside:
+            hits.append((node.lineno, name))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside or (isinstance(node, ast.FunctionDef)
+                                    and node.name in readers))
+
+    visit(tree, False)
+    return sorted(hits)
+
+
+def test_checker_sees_a_hand_copied_form():
+    tree = ast.parse("from .geometry import log_volume_ratio, real_samples\n"
+                     "from . import geometry\n"
+                     "def gke_residual(g, u):\n"
+                     "    return log_volume_ratio(u, 1.0)\n"
+                     "def read(g, m):\n    phi = real_samples(g, m)\n"
+                     "    return geometry.ddbar_symbol(g) * phi\n")
+    assert form_pieces_outside(tree) == [(4, "log_volume_ratio"),
+                                         (6, "real_samples"),
+                                         (7, "ddbar_symbol")]
+    assert form_pieces_outside(tree, {"gke_residual"}) == [
+        (6, "real_samples"), (7, "ddbar_symbol")]
+
+
+@pytest.mark.parametrize("name", sorted(FORM_READERS))
+def test_only_geometry_composes_a_flow(name):
+    path = SRC / name
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert form_pieces_outside(tree, FORM_READERS[name]) == []
 
 
 def test_package_exports_are_bound_unique_and_complete():
