@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .models import SemiFlatSpec
 
-_REQUIRED = object()
-
 
 class ConfigError(ValueError):
     """Malformed, unknown, or out-of-range configuration input."""
@@ -23,13 +21,12 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class Field:
-    default: object = _REQUIRED
+    default: object = None
     kind: str = "float"
     positive: bool = False
     even: bool = False
     lo: object = None
     hi: object = None
-    choices: tuple = None
     length: int = None
     allow_none: bool = False
 
@@ -78,8 +75,6 @@ def _coerce(path, field, value):
         value = _finite(path, value)
     elif not _type_ok(field.kind, value):
         raise ConfigError(f"{path}: expected {field.kind}, got {value!r}")
-    if field.choices is not None and value not in field.choices:
-        raise ConfigError(f"{path}: must be one of {field.choices}, got {value!r}")
     if field.positive and not value > 0:
         raise ConfigError(f"{path}: must be positive (breaks a positivity "
                           f"invariant), got {value!r}")
@@ -106,8 +101,6 @@ def _apply(path, schema, data):
             out[key] = _apply(sub, spec, data.get(key, {}))
         elif key in data:
             out[key] = _coerce(sub, spec, data[key])
-        elif spec.default is _REQUIRED:
-            raise ConfigError(f"{sub}: required key missing")
         else:
             out[key] = spec.default
     return out
@@ -169,10 +162,7 @@ SCHEMAS = {
         "model": {
             "n": Field(64, "int", even=True, lo=8, hi=128),
             "flat_scale": Field(4.0, positive=True),
-            "mode": Field("manufactured", "str",
-                          choices=("manufactured", "constant")),
             "amplitude": Field(0.1),
-            "density_const": Field(2.0, positive=True),
         },
         "solver": {
             "tol": Field(1e-10, positive=True),
@@ -259,20 +249,21 @@ def validate_config(data):
     name = data.get("experiment")
     if name is None:
         raise ConfigError("experiment: required key missing")
-    if name not in SCHEMAS:
+    # a string first: a list or an object cannot be looked up in SCHEMAS
+    if not isinstance(name, str) or name not in SCHEMAS:
         raise ConfigError(f"experiment: unknown experiment {name!r}, "
                           f"want one of {EXPERIMENTS}")
     envelope = {
-        "experiment": Field(kind="str", choices=EXPERIMENTS),
         "seed": Field(0, "int", lo=0),
         "out": Field(None, "str", allow_none=True),
         "model": SCHEMAS[name]["model"],
         "solver": SCHEMAS[name]["solver"],
         "acceptance": SCHEMAS[name]["acceptance"],
     }
-    out = _apply("", envelope, data)
+    out = _apply("", envelope, {key: value for key, value in data.items()
+                                if key != "experiment"})
     _cross_checks(name, out)
-    return ExperimentConfig(experiment=out["experiment"], seed=out["seed"],
+    return ExperimentConfig(experiment=name, seed=out["seed"],
                             out=out["out"], model=out["model"],
                             solver=out["solver"], acceptance=out["acceptance"])
 
@@ -299,7 +290,7 @@ def _cross_checks(name, out):
             raise ConfigError(f"model.amplitude_rel: leaves the positive "
                               f"cone, need pi^2 amplitude_rel < 1, got "
                               f"{amp!r}")
-    if name == "gke-elliptic" and out["model"]["mode"] == "manufactured":
+    if name == "gke-elliptic":
         # a sin(2 pi x) cos(2 pi y) has ddbar -2 pi^2 times itself; the
         # bound on its smallest eigenvalue is exact when 4 divides n
         amp, scale = out["model"]["amplitude"], out["model"]["flat_scale"]
@@ -336,6 +327,8 @@ def load_config(path):
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return validate_config(data)

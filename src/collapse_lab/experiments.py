@@ -236,25 +236,14 @@ def _plane_coords(grid):
                                grid.axis_coordinates(1))
 
 
-def _elliptic_testbed(model):
-    grid = GridSpec(1, (model["n"],))
-    if model["mode"] == "manufactured":
-        x, y = _plane_coords(grid)
-        exact = ScalarField(grid, model["amplitude"] * np.sin(2 * np.pi * x)
-                            * np.cos(2 * np.pi * y))
-        testbed = GkeTestbedSpec(grid, manufactured=exact,
-                                 flat_scale=model["flat_scale"])
-        return testbed, exact
-    density = ScalarField.constant(grid, model["density_const"])
-    testbed = GkeTestbedSpec(grid, density=density,
-                             flat_scale=model["flat_scale"])
-    exact = ScalarField.constant(grid, -math.log(model["density_const"]))
-    return testbed, exact
-
-
 def _run_gke_elliptic(cfg):
     m, s, acc = cfg.model, cfg.solver, cfg.acceptance
-    testbed, exact = _elliptic_testbed(m)
+    grid = GridSpec(1, (m["n"],))
+    x, y = _plane_coords(grid)
+    exact = ScalarField(grid, m["amplitude"] * np.sin(2 * np.pi * x)
+                        * np.cos(2 * np.pi * y))
+    testbed = GkeTestbedSpec(grid, manufactured=exact,
+                             flat_scale=m["flat_scale"])
     sol = solve_gke(testbed, tol=s["tol"], max_iter=s["max_iter"])
 
     err = float(np.max(np.abs(sol.potential.values - exact.values)))

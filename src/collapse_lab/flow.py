@@ -33,8 +33,6 @@ def relaxation_potential(a0, t):
     antiderivative.
     """
     c = a0 - 1.0
-    if c == 0.0:
-        return 0.0
     x = math.exp(t)
     if c == -1.0:
         # a0 - 1 has rounded to -1, so log1p(c) reads log 0: the same

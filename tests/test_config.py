@@ -2,13 +2,17 @@
 
 import json
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
+from pathlib import Path
 
 import pytest
 
 from collapse_lab import cli
-from collapse_lab.config import (ConfigError, EXPERIMENTS, SCHEMAS,
+from collapse_lab.config import (ConfigError, EXPERIMENTS, SCHEMAS, Field,
                                  load_config, validate_config)
+from collapse_lab.experiments import REGISTRY, _dump_json
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_minimal_product_config_fills_defaults():
@@ -132,18 +136,52 @@ def test_diameter_slope_is_no_longer_a_key(tmp_path, capsys, experiment):
         capsys.readouterr().err
 
 
-def _leaves(schema):
-    for spec in schema.values():
-        if isinstance(spec, dict):
-            yield from _leaves(spec)
-        else:
-            yield spec
+@pytest.mark.parametrize("key", ["mode", "density_const"])
+def test_elliptic_constant_mode_is_no_longer_a_key(tmp_path, capsys, key):
+    # gke-elliptic solves its manufactured problem only; a constant density
+    # F has the closed-form solution -log F, which gke-parabolic's limit reads
+    path = tmp_path / "elliptic.json"
+    value = {"mode": "manufactured", "density_const": 2.0}[key]
+    path.write_text(json.dumps({"experiment": "gke-elliptic",
+                                "model": {key: value}}), encoding="utf-8")
+    assert cli.main(["validate", "--config", str(path)]) == 2
+    assert f"model.{key}: unknown key" in capsys.readouterr().err
 
 
-def test_no_schema_leaf_has_a_single_choice():
-    for name, schema in SCHEMAS.items():
-        for leaf in _leaves(schema):
-            assert leaf.choices is None or len(leaf.choices) >= 2, name
+class _ReadRecorder(dict):
+    """A config section that records the dotted path of each key read."""
+
+    def __init__(self, section, values, seen):
+        super().__init__(values)
+        self._section, self._seen = section, seen
+
+    def __getitem__(self, key):
+        self._seen.add(f"{self._section}.{key}")
+        return super().__getitem__(key)
+
+
+def _unread_keys(name):
+    """The schema keys of ``name`` that its runner does not read when it
+    runs the experiment's default config."""
+    cfg = validate_config({"experiment": name})
+    seen = set()
+    sections = {section: _ReadRecorder(section, getattr(cfg, section), seen)
+                for section in ("model", "solver", "acceptance")}
+    REGISTRY[name].runner(replace(cfg, **sections))
+    keys = {f"{section}.{key}" for section in sections
+            for key in SCHEMAS[name][section]}
+    return sorted(keys - seen)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_every_schema_key_is_read(name):
+    # a key that no run reads is a knob that does nothing
+    assert _unread_keys(name) == []
+
+
+def test_checker_sees_an_unread_key(monkeypatch):
+    monkeypatch.setitem(SCHEMAS["product-ode"]["model"], "unread", Field(1.0))
+    assert _unread_keys("product-ode") == ["model.unread"]
 
 
 @pytest.mark.parametrize("amplitude", [0.21, -0.21])
@@ -202,6 +240,59 @@ def test_malformed_json_file(tmp_path):
     path.write_text("{not json", encoding="utf-8")
     with pytest.raises(ConfigError, match="not valid JSON"):
         load_config(path)
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("content, why", [
+    (json.dumps({"experiment": ["fiber-flow"]}).encode(),
+     "experiment: unknown experiment"),
+    (json.dumps({"experiment": {"a": 1}}).encode(),
+     "experiment: unknown experiment"),
+    (json.dumps({"experiment": 5}).encode(), "experiment: unknown experiment"),
+    (b"\xff\xfe{}", "not UTF-8"),
+], ids=["list", "object", "number", "non-utf8"])
+def test_malformed_config_exits_two(tmp_path, capsys, command, content, why):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    out = tmp_path / "out"
+    argv = [command, "--config", str(path)]
+    if command == "run":
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == 2
+    assert why in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")),
+                         ids=lambda p: p.stem)
+def test_resolved_config_validates_back_to_itself(tmp_path, path):
+    # a report's resolved_config.json, as write_report writes it, is a
+    # config that resolves to the same text
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    _dump_json(first, asdict(load_config(path)))
+    _dump_json(second, asdict(load_config(first)))
+    assert second.read_text(encoding="utf-8") == \
+        first.read_text(encoding="utf-8")
+
+
+# no shipped config and no other test reaches these rejections
+@pytest.mark.parametrize("payload, why", [
+    ({"experiment": "fiber-flow", "solver": {"mode_fit_window": [0.5, 0.2]}},
+     r"solver\.mode_fit_window: need 0 <= lo < hi"),
+    ({"experiment": "fiber-flow", "solver": {"horizon": 0.5}},
+     r"solver\.mode_fit_window: exceeds the horizon"),
+    ({"experiment": "semiflat-identities", "solver": {"times": []}},
+     r"solver\.times: may not be empty"),
+    ({"experiment": "product-ode", "model": {"a0": None}},
+     r"model\.a0: may not be null"),
+    ({"experiment": "fiber-flow", "solver": {"mode_fit_window": 0.5}},
+     r"solver\.mode_fit_window: expected a list"),
+    ({"experiment": "product-ode", "model": 3}, r"model: expected an object"),
+], ids=["window-order", "window-horizon", "times-empty", "null", "not-list",
+        "section"])
+def test_rejection_names_its_path(payload, why):
+    with pytest.raises(ConfigError, match=why):
+        validate_config(payload)
 
 
 def test_load_roundtrip(tmp_path):

@@ -285,7 +285,9 @@ def test_relaxation_potential_where_a0_minus_one_rounds_to_minus_one():
 
 
 def test_relaxation_potential_trivial_at_unit_scale():
-    assert relaxation_potential(1.0, 2.0) == 0.0
+    # the general formula reads exactly 0 at a0 = 1, with no branch for it
+    for t in (0.0, 1e-300, 2.0, 40.0):
+        assert relaxation_potential(1.0, t) == 0.0
 
 
 # ------------------------------------------------------------------ evolve

@@ -6,6 +6,8 @@ evaluators, which is an independent route because the patch is never sampled
 spectrally.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -314,3 +316,41 @@ def test_gke_testbed_manufactured_density_zeroes_residual():
     lhs = sig + ddbar(g, ustar.values)
     rhs = sig * F * np.exp(ustar.values)
     assert np.max(np.abs(lhs - rhs)) < 1e-13
+
+
+# ---------------------------------------------------------- malformed input
+
+def _flow_spec(a0=1.0, base_dim=1):
+    g = fib_grid()
+    return FiberFlowSpec(grid=g, b0=1.0, a0=a0, base_dim=base_dim,
+                         initial_potential=ScalarField.constant(g, 0.0))
+
+
+def _testbed(flat_scale):
+    g = fib_grid()
+    return GkeTestbedSpec(grid=g, density=ScalarField.constant(g, 1.0),
+                          flat_scale=flat_scale)
+
+
+def _patch_volume(value):
+    spec = sf_spec()
+    return density_F(spec, np.full(patch_shape(spec), value))
+
+
+# no shipped config and no other test reaches these rejections
+@pytest.mark.parametrize("build, why", [
+    (lambda: _flow_spec(a0=0.0), "scale coefficients a0, b0 must be positive"),
+    (lambda: _flow_spec(base_dim=0), "base_dim must be >= 1"),
+    (lambda: _testbed(0.0), "flat_scale must be positive"),
+    (lambda: SemiFlatSpec(fiber_n=16, base_n=3),
+     "need base_n >= 4 and fiber_n >= 1"),
+    (lambda: SemiFlatSpec(fiber_n=0), "need base_n >= 4 and fiber_n >= 1"),
+    (lambda: SemiFlatSpec(fiber_n=16, base_extent=0.0),
+     "base_extent must be positive"),
+    (lambda: GridSpec(1, (9,)), "resolutions must be even and >= 8, got 9"),
+    (lambda: _patch_volume(0.0), "volume density must be positive"),
+], ids=["flow-a0", "flow-base-dim", "testbed-scale", "semiflat-base-n",
+        "semiflat-fiber-n", "semiflat-extent", "grid-odd", "density-volume"])
+def test_malformed_input_is_rejected_with_its_message(build, why):
+    with pytest.raises(ValueError, match=re.escape(why)):
+        build()

@@ -5,6 +5,7 @@ handling is checked with data whose early half fits a different law.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -77,8 +78,10 @@ def test_rejects_short_windows():
 
 def test_rejects_unknown_abscissa():
     t = np.linspace(0.0, 1.0, 8)
-    with pytest.raises(ValueError, match="abscissa"):
-        rate_fit(t, np.exp(-t), abscissa="t^2")
+    for bad in ("t^2", "log_t"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"unknown abscissa {bad!r}, want one of")):
+            rate_fit(t, np.exp(-t), abscissa=bad)
 
 
 @settings(max_examples=30, deadline=None)
