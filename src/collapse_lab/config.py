@@ -331,4 +331,7 @@ def load_config(path):
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} nests too deeply to parse: {exc}") \
+            from exc
     return validate_config(data)

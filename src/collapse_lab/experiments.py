@@ -89,8 +89,11 @@ class _ScaleOde:
     def symbol_integral(self, t0, t1):
         return np.array([t0 - t1, t0 - t1])
 
-    def nonlinear_modes(self, t, u):
-        return np.array([1.0 + 0.0j, 0.0 + 0.0j])
+    def nonlinear_modes(self, t, u, out=None):
+        if out is None:
+            out = np.empty(2, dtype=complex)
+        out[0], out[1] = 1.0, 0.0
+        return out
 
 
 def _run_product_ode(cfg):

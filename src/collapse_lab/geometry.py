@@ -20,8 +20,9 @@ positivity once on entry.
 
 ``fiber_diameter`` measures the king-move lattice graph of a metric.  On a
 y-profile it runs an exact layered sweep by net y-offset, in numpy alone
-and for a whole stack at once, whose distances match Dijkstra's bit for
-bit; a full-width metric keeps scipy's Dijkstra, imported on first use.
+and for a stack at once, a chunk of samples at a time under a fixed
+memory budget, whose distances match Dijkstra's bit for bit; a full-width
+metric keeps scipy's Dijkstra, imported on first use.
 """
 
 import functools
@@ -84,30 +85,36 @@ def _lattice(grid):
     return offsets, idx, rows, cols
 
 
-def half_modes(grid, values):
+def half_modes(grid, values, out=None):
     """Half-spectrum modes of real samples over their last two axes.
 
     These are the modes ``np.fft.rfftn`` gives over axes (0, 1), bit for
     bit: a real pass along y, then a complex one along x.  A y-profile,
     samples of width 1, maps to the ky = 0 column of those modes with one
     pass along x of n times itself, the sum of its n equal values along y.
-    A stack of fields is transformed in one call.  With ``real_samples``
-    this is the lab's one real transform pair.
+    A stack of fields is transformed in one call.  Given ``out``, a complex
+    array of the modes' shape, the pass along x is written there, and
+    ``out`` holds the modes.  With ``real_samples`` this is the lab's one
+    real transform pair.
     """
     if values.shape[-1] == 1:
-        return np.fft.fft(grid.shape[1] * values, axis=-2)
-    return np.fft.fft(np.fft.rfft(values, axis=-1), axis=-2)
+        return np.fft.fft(grid.shape[1] * values, axis=-2, out=out)
+    return np.fft.fft(np.fft.rfft(values, axis=-1), axis=-2, out=out)
 
 
-def real_samples(grid, modes):
+def real_samples(grid, modes, out=None):
     """Samples of real fields from their half-spectrum modes over the last
     two axes, the inverse of ``half_modes``: a complex pass along x, then a
     real one along y, bit for bit ``np.fft.irfftn`` over axes (0, 1).  The
     ky = 0 column alone gives the y-profile, the real part of its pass
-    along x over n."""
+    along x over n.  Given ``out``, a complex array of the modes' shape,
+    ``modes`` itself included, the pass along x is written there, and a
+    y-profile's samples are its real part, scaled in place."""
+    passed = np.fft.ifft(modes, axis=-2, out=out)
     if modes.shape[-1] == 1:
-        return np.fft.ifft(modes, axis=-2).real * (1.0 / grid.shape[1])
-    return np.fft.irfft(np.fft.ifft(modes, axis=-2), n=grid.shape[1], axis=-1)
+        return np.multiply(passed.real, 1.0 / grid.shape[1],
+                           out=None if out is None else passed.real)
+    return np.fft.irfft(passed, n=grid.shape[1], axis=-1)
 
 
 def ddbar_modes(grid, modes):
@@ -164,13 +171,22 @@ class MongeAmpereFlow:
     The last form built is kept with the (t, u) it was built for, so an
     attempt's last stage, the margin of its new state and the next step's
     first stage share one ddbar.  The state is matched by identity: the
-    stepper never mutates a state after handing it to the problem.
+    stepper never mutates a state after handing it to the problem.  Its
+    ddbar goes through one scratch array of the problem's: the symbol's
+    product with u, then the inverse transform's pass along x, in place,
+    whose real part is ddbar at width 1, so the kept form's ddbar lives
+    there until the next form is built.  ``nonlinear_modes(t, u, out)``
+    writes the remainder's modes into ``out``, the march's stage row.
+    Outside the positive cone the velocity is NaN; the march's errstate
+    keeps that silent, and ``read`` enters one of its own.
     """
 
     def __init__(self, grid, sigma, rho, shift, stiffening, width):
         self.grid, self.sigma, self.rho, self.shift = grid, sigma, rho, shift
         self.stiffening = stiffening
         self._symbol = ddbar_symbol(grid)[:, :width]
+        # ddbar's modes, then its pass along x, for the form being built
+        self._scratch = np.empty(self._symbol.shape, dtype=complex)
         self._last = (None, None, None)
 
     def _stiffness(self, t):
@@ -180,7 +196,9 @@ class MongeAmpereFlow:
         return self.sigma + decay * self.rho + s * hess
 
     def _velocity(self, omega, shift):
-        return log_volume_ratio(omega, self.sigma) + shift
+        velocity = np.log(omega / self.sigma)
+        velocity += shift
+        return velocity
 
     def _check_width(self, u):
         if u.shape[-1] != self._symbol.shape[-1]:
@@ -198,21 +216,23 @@ class MongeAmpereFlow:
             return form
         self._check_width(u)
         s = self._stiffness(t)
-        hess = ddbar_modes(self.grid, u)
+        modes = np.multiply(self._symbol, u, out=self._scratch)
+        hess = real_samples(self.grid, modes, out=modes)
         form = s, hess, self._omega(math.exp(-t), s, hess)
         self._last = (t, u, form)
         return form
 
-    def nonlinear_modes(self, t, u):
+    def nonlinear_modes(self, t, u, out=None):
         # the potential itself cancels against the identity in the stiff part;
         # the quarter-Laplacian is the same ddbar array
         s, hess, omega = self._form(t, u)
-        return half_modes(self.grid, self._velocity(omega, self.shift(t))
-                          - (s / self.sigma) * hess)
+        velocity = self._velocity(omega, self.shift(t))
+        velocity -= (s / self.sigma) * hess
+        return half_modes(self.grid, velocity, out=out)
 
     def kaehler_margin(self, t, u):
         """Smallest metric coefficient of omega relative to sigma."""
-        return float(np.min(self._form(t, u)[2])) / self.sigma
+        return float(self._form(t, u)[2].min()) / self.sigma
 
     def read(self, times, modes):
         """phi, omega and V - phi at the S sample times of a march, from the
@@ -225,7 +245,10 @@ class MongeAmpereFlow:
         phi, hess = real_samples(self.grid,
                                  np.stack([modes, self._symbol * modes]))
         omega = self._omega(decay, s, hess)
-        return phi, omega, self._velocity(omega, shift) - phi
+        # NaN where omega has left the cone, as the march reads it
+        with np.errstate(invalid="ignore", divide="ignore"):
+            velocity = self._velocity(omega, shift)
+        return phi, omega, velocity - phi
 
 
 def riemann_norm(grid, g):
@@ -281,14 +304,33 @@ def _dijkstra_diameter(grid, g):
     return np.max(_dijkstra(graph, directed=True, indices=sources.ravel()))
 
 
+# the memory budget of one layered sweep of y-profiles (_profile_diameters)
+_SWEEP_BYTES = 64 * 2 ** 20
+
+
 def _profile_diameters(grid, g):
     """Diameters of a stack of y-profiles, from the (S, n) array of their
-    samples along x, by the layered sweep of ``fiber_diameter``.  A layer
-    is laid out (row, sample, source row), so that one row is one block.
-    Within a layer a shortest path runs along x one way only, as one that
-    turns back repeats a node, so the closure runs forward on one copy and
-    backward on a copy with its rows reversed, each twice around the
-    circle, and keeps the smaller."""
+    samples along x, by the layered sweep of ``fiber_diameter``, a chunk of
+    samples at a time.  The sweep holds about six n x n float arrays per
+    sample at its peak; a chunk takes as many samples as fit in
+    ``_SWEEP_BYTES``, 64 MiB, at eight such arrays each, and at least one:
+    64 samples at n = 128, whose sweep peaks near 50 MiB.  The samples do
+    not mix, so the diameters are those of one sweep over the whole stack,
+    bit for bit."""
+    chunk = max(1, _SWEEP_BYTES // (8 * g.shape[-1] ** 2 * g.itemsize))
+    diameters = np.empty(len(g))
+    for i in range(0, len(g), chunk):
+        diameters[i:i + chunk] = _sweep_diameters(grid, g[i:i + chunk])
+    return diameters
+
+
+def _sweep_diameters(grid, g):
+    """Diameters of the (S, n) stack of y-profiles g by the layered sweep,
+    in one pass.  A layer is laid out (row, sample, source row), so that
+    one row is one block.  Within a layer a shortest path runs along x one
+    way only, as one that turns back repeats a node, so the closure runs
+    forward on one copy and backward on a copy with its rows reversed,
+    each twice around the circle, and keeps the smaller."""
     n, width = grid.shape
     up = np.roll(g, -1, axis=-1)
 
@@ -344,7 +386,8 @@ def fiber_diameter(grid, g):
     the lengths of ``_edge_lengths``, so every distance is the one
     floating-point fixpoint d[v] = min over u of d[u] + w(u, v), which
     scipy's Dijkstra reaches too: the result is the same bit for bit.  A
-    stack costs about (n/2 + 1) 4n small numpy calls, whatever its size.
+    stack costs about (n/2 + 1) 4n small numpy calls per chunk of samples
+    (``_profile_diameters``), whatever the chunk's size.
 
     A full-width metric keeps scipy's Dijkstra, metric by metric.  An axis
     is free when every edge length is exactly equal along it, and Dijkstra

@@ -9,11 +9,19 @@ modes that collapse below the floating-point floor land on exact zeros
 instead of oscillating.
 
 Problems supply ``symbol_integral(t0, t1)`` (the integral of the linear
-symbol per mode), ``nonlinear_modes(t, u)`` (the remainder in mode space,
-always an array, or 0.0 where there is none), and optionally
-``kaehler_margin(t, u)``; when a margin is exposed, steps that slash it by
-more than a factor of ten are rejected so the state cannot jump out of the
-positive cone between samples.
+symbol per mode), ``nonlinear_modes(t, u, out=None)`` (the remainder in
+mode space, an array of u's shape, zeros where there is none; given
+``out``, a complex array of that shape, it is written there and ``out``
+is returned), and optionally ``kaehler_margin(t, u)``; when a margin is
+exposed, steps that slash it by more than a factor of ten are rejected so
+the state cannot jump out of the positive cone between samples.  A
+remainder that has left its domain, the log of a metric outside the
+positive cone say, reads NaN, and the attempt is rejected for it.  The
+march takes every remainder, propagator and margin under one
+``np.errstate(invalid="ignore", divide="ignore")``, entered once per
+march and restored when it returns or raises, so a problem enters none of
+its own, and a caller who evaluates a remainder outside a march supplies
+its own if it wants that NaN silent.
 
 The scheme is the Lawson transform of the Dormand-Prince 5(4) pair
 (Dormand & Prince, J. Comput. Appl. Math. 6, 1980; Hochbruck & Ostermann,
@@ -21,8 +29,9 @@ Acta Numerica 19, 2010): the fifth-order solution is kept, and the error
 is the max-abs of h * sum_j e_j E(c_j -> 1) N_j, where N_j are the stages,
 E(c_j -> 1) the propagator from stage j's node to the end of the step and
 e = b - b_hat.  So it also sees the quadrature error of the integrating
-factor when the remainder does not depend on the state.  The seventh stage is the
-remainder at the new state, so it is the next step's first (FSAL).
+factor when the remainder does not depend on the state.  The seventh
+stage is the remainder at the new state, so it is the next step's first
+(FSAL).
 
 The tolerance ``tol`` bounds that max-abs in the units of the state: for
 the potential flows, the unnormalised half-spectrum modes of
@@ -50,16 +59,22 @@ propagators, one per interval between the consecutive nodes 0, 1/5, 3/10,
 node by multiplying by each interval's propagator, never by dividing, so
 stiff modes stay exact zeros once they underflow.  The seven stages of an
 attempt are one (7, *shape) stack: each interval's propagator rescales the
-earlier stages with one in-place multiply, and each stage's state and the
-error are one contraction over the stack.  All of it is elementwise over
-the state's shape, so the work of an attempt scales with the state's size.
+earlier stages with one in-place multiply, each stage's state is one
+contraction over the stack, scaled by h and added to the carried state in
+place, and its remainder is written straight into its row of the stack;
+the error is one more contraction.  All of it is elementwise over the
+state's shape, so the work of an attempt scales with the state's size.
 For the potential flows of :class:`collapse_lab.geometry.MongeAmpereFlow`
 on the torus fiber one evaluation is one transform pair: ``real_samples``
-for ddbar of the potential and ``half_modes`` back to mode space.  The
-state is the n x (n/2 + 1) half spectrum, or its n x 1 ky = 0 column for
-a march whose data are y-profiles; then each transform is one pass along
-x, and the stages, propagators and pointwise arithmetic are n/2 + 1 times
-smaller.
+for ddbar of the potential, through a scratch array of the problem's, and
+``half_modes`` back to mode space, into the stage's row.  The state is
+the n x (n/2 + 1) half spectrum, or its n x 1 ky = 0 column for a march
+whose data are y-profiles; then each transform is one pass along x, and
+the stages, propagators and pointwise arithmetic are n/2 + 1 times
+smaller.  At those sizes an evaluation costs its numpy calls, not their
+arithmetic, so the march makes as few as the operations allow: every
+floating-point operation is the one a direct transcription of the scheme
+makes, in the same order and on the same operands.
 
 The stepper never mutates a state after handing it to the problem, so a
 problem may recognise a state it has seen by identity.
@@ -129,11 +144,13 @@ def _attempt(problem, t, end, u, n1):
             base = prop * base
             stages[:k] *= prop
             here = there
-        mix = np.einsum("j,j...->...", _WEIGHTS[k - 1, :k], real[:k])
-        state = base + h * mix.view(complex)
-        stages[k] = problem.nonlinear_modes(here, state)
+        state = np.einsum("j,j...->...", _WEIGHTS[k - 1, :k],
+                          real[:k]).view(complex)
+        state *= h
+        state += base
+        problem.nonlinear_modes(here, state, out=stages[k])
     mix = np.einsum("j,j...->...", _WEIGHTS[-1], real)
-    err = h * float(np.max(np.abs(mix.view(complex))))
+    err = h * float(np.abs(mix.view(complex)).max())
     return state, stages[-1], err
 
 
@@ -147,6 +164,9 @@ def _step_factor(err, tol):
     return min(FAC_MAX, max(FAC_MIN, SAFETY * (tol / err) ** 0.2))
 
 
+# the march's one errstate: a remainder outside its domain reads NaN
+# silently, and the attempt is rejected for it (module docstring)
+@np.errstate(invalid="ignore", divide="ignore")
 def integrate_lawson(problem, u0, t0, sample_times, tol=1e-8):
     """March modes from t0 through the sorted sample times; return the
     (S, *shape) stack of the states there.  The march ends at the last

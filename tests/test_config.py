@@ -250,7 +250,8 @@ def test_malformed_json_file(tmp_path):
      "experiment: unknown experiment"),
     (json.dumps({"experiment": 5}).encode(), "experiment: unknown experiment"),
     (b"\xff\xfe{}", "not UTF-8"),
-], ids=["list", "object", "number", "non-utf8"])
+    (b"[" * 100_000, "nests too deeply to parse"),
+], ids=["list", "object", "number", "non-utf8", "deep-nesting"])
 def test_malformed_config_exits_two(tmp_path, capsys, command, content, why):
     path = tmp_path / "bad.json"
     path.write_bytes(content)

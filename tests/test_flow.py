@@ -137,7 +137,25 @@ def test_mode_space_rhs_is_nan_outside_the_cone():
     t = 2.5
     problem, modes = spectral_problem(spec)
     assert np.isnan(map_rhs(spec, t, spec.initial_potential).values).any()
-    assert np.isnan(problem.nonlinear_modes(t, modes)).all()
+    # the march's errstate, which a remainder evaluated alone lacks
+    with np.errstate(invalid="ignore", divide="ignore"):
+        assert np.isnan(problem.nonlinear_modes(t, modes)).all()
+    with pytest.warns(RuntimeWarning, match="invalid value"):
+        problem.nonlinear_modes(t, modes)
+
+
+@pytest.mark.parametrize("profile", [True, False],
+                         ids=["y_profile", "full_width"])
+def test_remainder_written_into_out_is_the_remainder(profile):
+    # at width 1 and at full width; each problem builds its own form
+    spec = sine_spec(n=16, b0=1.5, a0=2.0, amp=0.01, profile=profile)
+    problem, u0 = spectral_problem(spec)
+    kept = u0.copy()
+    want = problem.nonlinear_modes(0.7, u0)
+    buf = np.full_like(u0, np.nan)
+    assert spectral_problem(spec)[0].nonlinear_modes(0.7, u0, out=buf) is buf
+    assert buf.tobytes() == want.tobytes()
+    assert u0.tobytes() == kept.tobytes()
 
 
 @pytest.mark.parametrize("profile", [False, True],
@@ -149,17 +167,18 @@ def test_march_builds_one_ddbar_per_rhs_evaluation(monkeypatch, profile):
     problem, u0 = spectral_problem(spec)
     assert u0.shape == ((16, 1) if profile else (16, 9))
     calls = {"ddbar": 0, "rhs": 0}
-    ddbar_modes, rhs = geometry.ddbar_modes, problem.nonlinear_modes
+    inverse, rhs = geometry.real_samples, problem.nonlinear_modes
 
-    def counted_ddbar(*args):
+    # the form's ddbar is its one inverse transform
+    def counted_ddbar(*args, **kwargs):
         calls["ddbar"] += 1
-        return ddbar_modes(*args)
+        return inverse(*args, **kwargs)
 
-    def counted_rhs(t, u):
+    def counted_rhs(t, u, out=None):
         calls["rhs"] += 1
-        return rhs(t, u)
+        return rhs(t, u, out=out)
 
-    monkeypatch.setattr(geometry, "ddbar_modes", counted_ddbar)
+    monkeypatch.setattr(geometry, "real_samples", counted_ddbar)
     problem.nonlinear_modes = counted_rhs
     res = integrate_lawson(problem, u0, 0.0, (2.0,))
     assert res.accepted > 1

@@ -11,6 +11,7 @@ Newton linearisation, the fiber-flow monitors and the twisted identity.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -620,6 +621,48 @@ def test_diameter_of_a_profile_is_that_of_its_broadcast_copy(n):
     om = sine_metric(g, profile=True)
     wide = np.broadcast_to(om, g.shape)
     assert fiber_diameter(g, om) == fiber_diameter(g, wide)
+
+
+def sweep_budget(samples, n):
+    """A profile sweep budget of ``samples`` samples' worth at size n."""
+    return samples * 8 * n ** 2 * 8
+
+
+def test_a_chunked_profile_sweep_is_one_sweep_bit_for_bit(monkeypatch):
+    # a budget of three samples' worth cuts ten samples into 3, 3, 3 and 1
+    g = grid1(16)
+    stack = np.exp(np.random.default_rng(11).uniform(-2.0, 2.0, (10, 16, 1)))
+    whole = geometry._sweep_diameters(g, stack[:, :, 0])
+    assert fiber_diameter(g, stack).tobytes() == whole.tobytes()
+    chunks, sweep = [], geometry._sweep_diameters
+
+    def recorded(grid, g):
+        chunks.append(len(g))
+        return sweep(grid, g)
+
+    monkeypatch.setattr(geometry, "_SWEEP_BYTES", sweep_budget(3, 16))
+    monkeypatch.setattr(geometry, "_sweep_diameters", recorded)
+    assert fiber_diameter(g, stack).tobytes() == whole.tobytes()
+    assert chunks == [3, 3, 3, 1]
+
+
+def test_the_profile_sweep_peak_stops_growing_with_the_sample_count(
+        monkeypatch):
+    # with a budget of four samples' worth, 16 samples and 64 peak alike,
+    # where one sweep of 64 would hold four times what one of 16 holds
+    n = 32
+    monkeypatch.setattr(geometry, "_SWEEP_BYTES", sweep_budget(4, n))
+    peaks = []
+    for size in (16, 64):
+        rng = np.random.default_rng(size)
+        stack = np.exp(rng.uniform(-1.0, 1.0, (size, n, 1)))
+        tracemalloc.start()
+        try:
+            fiber_diameter(grid1(n), stack)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.1 * peaks[0]
 
 
 def nonpositive_metric_error(operator):

@@ -16,7 +16,10 @@ The geometry operators and the flow take bare sample arrays, so neither
 module reaches for a field container of ``grids``.  Only
 ``geometry.MongeAmpereFlow`` composes a flow's form and velocity: the flow
 and the parabolic run read them through its ``read``, so neither touches
-the pieces they are written from outside the elliptic solve.
+the pieces they are written from outside the elliptic solve.  No method
+that the march calls at each evaluation of that flow enters a
+floating-point error state of its own: ``timestep.integrate_lawson``
+enters one for the whole march.
 """
 
 import ast
@@ -324,6 +327,52 @@ def test_only_geometry_composes_a_flow(name):
     path = SRC / name
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     assert form_pieces_outside(tree, FORM_READERS[name]) == []
+
+
+# the methods of the flow problem that the march calls at each evaluation,
+# and the names that enter a floating-point error state (log_volume_ratio
+# enters one); the march enters one errstate around all of them
+PER_EVALUATION = {"_form", "nonlinear_modes", "_omega", "_velocity",
+                  "kaehler_margin", "symbol_integral"}
+ERRSTATE_NAMES = {"errstate", "seterr", "log_volume_ratio"}
+
+
+def errstates_per_evaluation(tree, cls="MongeAmpereFlow"):
+    """(line, method) of each read of an ``ERRSTATE_NAMES`` name, bare or
+    as an attribute, in a ``PER_EVALUATION`` method of the class ``cls``."""
+    hits = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ClassDef) and node.name == cls):
+            continue
+        for method in node.body:
+            if not (isinstance(method, ast.FunctionDef)
+                    and method.name in PER_EVALUATION):
+                continue
+            hits.extend(
+                (sub.lineno, method.name) for sub in ast.walk(method)
+                if (sub.id if isinstance(sub, ast.Name) else
+                    sub.attr if isinstance(sub, ast.Attribute) else None)
+                in ERRSTATE_NAMES)
+    return sorted(hits)
+
+
+def test_checker_sees_an_errstate_per_evaluation():
+    tree = ast.parse("class MongeAmpereFlow:\n"
+                     "    def _form(self, t, u):\n"
+                     "        with np.errstate(invalid='ignore'):\n"
+                     "            return u\n"
+                     "    def _velocity(self, omega, shift):\n"
+                     "        return log_volume_ratio(omega, 1.0) + shift\n"
+                     "    def read(self, times, modes):\n"
+                     "        with np.errstate(invalid='ignore'):\n"
+                     "            return modes\n")
+    assert errstates_per_evaluation(tree) == [(3, "_form"), (6, "_velocity")]
+
+
+def test_the_march_alone_enters_an_errstate():
+    path = SRC / "geometry.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert errstates_per_evaluation(tree) == []
 
 
 def test_package_exports_are_bound_unique_and_complete():

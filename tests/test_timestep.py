@@ -8,6 +8,8 @@ local-error ratio that pins the order of the tableau, whose order
 conditions are also checked directly.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,15 @@ from hypothesis import strategies as st
 
 from collapse_lab import timestep
 from collapse_lab.timestep import StiffnessError, integrate_lawson
+
+
+def written(u, out, value):
+    """The remainder ``value``, a scalar or an array, written into ``out``
+    as the integrator asks, or into an array of its own of u's shape."""
+    if out is None:
+        out = np.empty_like(u)
+    out[...] = value
+    return out
 
 
 class LinearProblem:
@@ -26,8 +37,8 @@ class LinearProblem:
     def symbol_integral(self, t0, t1):
         return self.rate * (t1 - t0)
 
-    def nonlinear_modes(self, t, u):
-        return 0.0
+    def nonlinear_modes(self, t, u, out=None):
+        return written(u, out, 0.0)
 
 
 class SweepProblem:
@@ -36,8 +47,8 @@ class SweepProblem:
     def symbol_integral(self, t0, t1):
         return np.array([-(np.exp(t1) - np.exp(t0))], dtype=complex)
 
-    def nonlinear_modes(self, t, u):
-        return 0.0
+    def nonlinear_modes(self, t, u, out=None):
+        return written(u, out, 0.0)
 
 
 class SweepWithSource:
@@ -47,8 +58,8 @@ class SweepWithSource:
     def symbol_integral(self, t0, t1):
         return -(np.exp(t1) - np.exp(t0)) * np.array([1.0, 1e4], dtype=complex)
 
-    def nonlinear_modes(self, t, u):
-        return np.array([1.0, 0.0], dtype=complex)
+    def nonlinear_modes(self, t, u, out=None):
+        return written(u, out, (1.0, 0.0))
 
 
 class RelaxationProblem:
@@ -60,8 +71,8 @@ class RelaxationProblem:
     def symbol_integral(self, t0, t1):
         return np.array([-(t1 - t0)], dtype=complex)
 
-    def nonlinear_modes(self, t, u):
-        return np.ones_like(u)
+    def nonlinear_modes(self, t, u, out=None):
+        return written(u, out, 1.0)
 
 
 class BernoulliProblem:
@@ -70,8 +81,8 @@ class BernoulliProblem:
     def symbol_integral(self, t0, t1):
         return np.array([-(t1 - t0)], dtype=complex)
 
-    def nonlinear_modes(self, t, u):
-        return u * u
+    def nonlinear_modes(self, t, u, out=None):
+        return np.multiply(u, u, out=out)
 
 
 class GrowthWithMargin:
@@ -80,8 +91,8 @@ class GrowthWithMargin:
     def symbol_integral(self, t0, t1):
         return np.array([t1 - t0], dtype=complex)
 
-    def nonlinear_modes(self, t, u):
-        return 0.0
+    def nonlinear_modes(self, t, u, out=None):
+        return written(u, out, 0.0)
 
     def kaehler_margin(self, t, u):
         return 1.0 - float(np.max(np.abs(u)))
@@ -119,10 +130,10 @@ class CountingProblem:
         self.symbol_calls += 1
         return np.array([-1.0, -3.0]) * (t1 - t0)
 
-    def nonlinear_modes(self, t, u):
+    def nonlinear_modes(self, t, u, out=None):
         self.calls += 1
         self.seen.append((t, u))
-        return u * u
+        return np.multiply(u, u, out=out)
 
 
 def bernoulli_exact(u0, t):
@@ -222,8 +233,9 @@ def list_attempt(problem, t, end, u, n1):
 class StiffMix:
     """Per-mode decay with a bounded nonlinear remainder.  Every third mode
     is stiff and has no remainder, so it underflows to an exact zero within
-    a step; ``none`` makes the remainder the scalar 0.0.  Keeps each array
-    it returns, with a copy of it."""
+    a step; ``none`` makes the remainder the scalar 0.0, written out.  Keeps
+    each array of its own it returns, with a copy of it, and each ``out``
+    it is handed."""
 
     def __init__(self, shape, seed, none=False):
         rng = np.random.default_rng(seed)
@@ -232,13 +244,17 @@ class StiffMix:
         self.mix = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         self.mix.flat[::3] = 0.0
         self.none = none
-        self.returned = []
+        self.returned, self.handed = [], []
 
     def symbol_integral(self, t0, t1):
         return self._keep(self.rate * (t1 - t0))
 
-    def nonlinear_modes(self, t, u):
-        return 0.0 if self.none else self._keep(self.mix * (np.tanh(u) + t))
+    def nonlinear_modes(self, t, u, out=None):
+        if out is not None:
+            self.handed.append(out)
+        value = (written(u, out, 0.0) if self.none else
+                 np.multiply(self.mix, np.tanh(u) + t, out=out))
+        return value if out is not None else self._keep(value)
 
     def _keep(self, arr):
         self.returned.append((arr, arr.copy()))
@@ -262,7 +278,11 @@ def test_stacked_attempt_matches_the_list_oracle_bit_for_bit(shape, none):
     last = np.broadcast_to(np.asarray(want[1], dtype=complex), shape)
     assert got[1].tobytes() == last.tobytes()
     assert got[2] == want[2]
-    assert len(got_prob.returned) == len(want_prob.returned)
+    # the oracle's remainders are arrays of their own; the attempt's six
+    # are written into its stage stack, the last of them returned
+    assert len(got_prob.returned) + 6 == len(want_prob.returned)
+    assert len(got_prob.handed) == 6
+    assert all(out.base is got[1].base for out in got_prob.handed)
     for arr, copy in got_prob.returned:
         assert arr.tobytes() == copy.tobytes()
 
@@ -454,9 +474,9 @@ class TimeProbe(BernoulliProblem):
         self.times += [t0, t1]
         return super().symbol_integral(t0, t1)
 
-    def nonlinear_modes(self, t, u):
+    def nonlinear_modes(self, t, u, out=None):
         self.times.append(t)
-        return super().nonlinear_modes(t, u)
+        return super().nonlinear_modes(t, u, out=out)
 
     def kaehler_margin(self, t, u):
         self.times.append(t)
@@ -476,6 +496,64 @@ def test_margin_exhaustion_raises_stiffness_error():
     with pytest.raises(StiffnessError, match="stiffness breakdown"):
         integrate_lawson(GrowthWithMargin(), np.array([0.95 + 0j]), 0.0,
                          (2.0,))
+
+
+class NanOnce(BernoulliProblem):
+    """The Bernoulli equation whose remainder reads NaN on one call partway
+    through the march, as the log of a metric that has left the positive
+    cone does; the state of the march never leaves its domain."""
+
+    def __init__(self, bad_call):
+        self.calls, self.bad_call = 0, bad_call
+
+    def nonlinear_modes(self, t, u, out=None):
+        self.calls += 1
+        out = super().nonlinear_modes(t, u, out=out)
+        if self.calls == self.bad_call:
+            out *= np.log(-np.ones(u.shape))
+        return out
+
+
+def test_a_remainder_that_turns_nan_is_rejected_without_a_warning(
+        monkeypatch):
+    # the second stage of the first attempt reads NaN: that attempt is
+    # rejected and retried at the floor 0.2 of its step, silently
+    steps = _record_attempts(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = integrate_lawson(NanOnce(bad_call=2), np.array([0.5 + 0j]),
+                               0.0, (2.0,), tol=1e-10)
+    assert res.rejected >= 1
+    assert steps[:2] == [0.01, pytest.approx(0.002, rel=1e-12)]
+    assert abs(res.sample_modes[-1][0] - bernoulli_exact(0.5, 2.0)) < 1e-9
+
+
+class ErrstateProbe(BernoulliProblem):
+    """Records the floating-point error state each remainder is taken in."""
+
+    def __init__(self):
+        self.states = []
+
+    def nonlinear_modes(self, t, u, out=None):
+        self.states.append(np.geterr())
+        return super().nonlinear_modes(t, u, out=out)
+
+
+def test_the_march_restores_the_error_state_it_was_called_in():
+    # the march ignores invalid and divide, leaves over and under as they
+    # were, and restores all four when it returns or raises
+    outer = {"divide": "raise", "over": "ignore", "under": "ignore",
+             "invalid": "print"}
+    probe = ErrstateProbe()
+    with np.errstate(**outer):
+        integrate_lawson(probe, np.array([0.5 + 0j]), 0.0, (1.0,))
+        assert np.geterr() == outer
+        with pytest.raises(StiffnessError):
+            integrate_lawson(GrowthWithMargin(), np.array([0.95 + 0j]), 0.0,
+                             (2.0,))
+        assert np.geterr() == outer
+    inside = dict(outer, invalid="ignore", divide="ignore")
+    assert probe.states and all(state == inside for state in probe.states)
 
 
 def test_zero_tolerance_is_rejected_and_step_limits_are_ordered():
