@@ -4,7 +4,9 @@ Subcommands: ``run`` executes configs and writes reports, ``validate``
 checks configs without running, ``list`` prints the registry.  Exit codes:
 0 all acceptance checks passed, 1 a check failed, 2 usage or config error,
 3 solver failure.  Configs run one after another; each writes to its own
-directory, named after the config file.
+directory, named after the config file.  Two configs of one run that would
+write to one directory, or a directory that cannot be made, exit 2 before
+any config runs.
 """
 
 import argparse
@@ -56,12 +58,23 @@ def _run_one(stem, cfg, out_dir):
 
 def _cmd_run(args):
     try:
-        jobs = []
+        jobs, writers = [], {}
         for raw in args.config:
             cfg = load_config(raw)
             stem = Path(raw).stem
-            base = args.out or cfg.out or "out"
-            jobs.append((stem, cfg, Path(base) / stem))
+            out_dir = Path(args.out or cfg.out or "out") / stem
+            key = out_dir.resolve()
+            if key in writers:
+                raise ConfigError(f"{writers[key]} and {raw} both write to "
+                                  f"{out_dir}")
+            writers[key] = raw
+            jobs.append((stem, cfg, out_dir))
+        for *_, out_dir in jobs:
+            try:
+                out_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot create output directory "
+                                  f"{out_dir}: {exc.strerror}") from exc
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

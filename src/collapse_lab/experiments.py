@@ -2,12 +2,13 @@
 
 Each experiment consumes a validated config, runs its solver, and returns
 a diagnostics table of named columns, a list of acceptance checks (measured
-value, bound, comparator, verdict), fitted rates and plots, which
+value, bound, comparator, verdict) and fitted rates, which
 ``run_experiment`` makes a report.  Reports serialize to a fixed on-disk
-layout: diagnostics.csv (columns as data/csv_schema.json declares them),
-rates.json, acceptance.json, resolved_config.json (strict JSON, non-finite
-as null), and two-column plot files under plots/.  All output is
-byte-deterministic for a fixed config and seed.
+layout, the four ``REPORT_FILES``: diagnostics.csv (columns as
+data/csv_schema.json declares them), acceptance.json, rates.json and
+resolved_config.json (strict JSON, non-finite as null).  A solver failure
+leaves ``ERROR_FILE`` instead.  All output is byte-deterministic for a
+fixed config and seed.
 """
 
 import csv
@@ -37,6 +38,11 @@ CSV_COLUMNS = {name: tuple(cols) for name, cols in json.loads(
 GKE_SAMPLES_PER_UNIT = 2
 # the collapse rate the paper proves, diam(F) ~ exp(-t/2)
 DIAMETER_SLOPE = -0.5
+# the files of a report, in the order write_report writes them, and the
+# one file a solver failure leaves instead
+REPORT_FILES = ("diagnostics.csv", "acceptance.json", "rates.json",
+                "resolved_config.json")
+ERROR_FILE = "error.json"
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,6 @@ class ExperimentReport:
     table: dict  # each of ``columns``, in order, to its 1-D values
     checks: list
     rates: dict
-    plots: dict
 
     @property
     def columns(self):
@@ -142,11 +147,7 @@ def _run_product_ode(cfg):
         _le("curvature_rel_defect", curv_defect, acc["curvature_rel_tol"]),
     ]
     rates = {"diameter": asdict(diam_fit), "fiber_scale": asdict(fiber_fit)}
-    plots = {
-        "scales": np.column_stack([samples, b_num]),
-        "diameter": np.column_stack([samples, table["diameter"]]),
-    }
-    return table, checks, rates, plots
+    return table, checks, rates
 
 
 # -------------------------------------------------------------- fiber flow
@@ -221,15 +222,13 @@ def _run_fiber_flow(cfg):
             acc["late_match_rel"]),
     ]
     rates = {"mode_low": asdict(mode_fit)}
-    plots = {"mode_low": np.column_stack([np.exp(times), table["mode_low"]])}
     if s["with_diameter"]:
         diam_fit = rate_fit(times, table["diameter"])
         checks.append(_le("diameter_slope_defect",
                           abs(diam_fit.slope - DIAMETER_SLOPE),
                           acc["diameter_slope_tol"]))
         rates["diameter"] = asdict(diam_fit)
-        plots["diameter"] = np.column_stack([times, table["diameter"]])
-    return table, checks, rates, plots
+    return table, checks, rates
 
 
 # ------------------------------------------------------------ gke elliptic
@@ -265,8 +264,7 @@ def _run_gke_elliptic(cfg):
     ]
     table = {"iteration": np.arange(len(sol.residuals)),
              "residual": sol.residuals}
-    plots = {"residual": np.column_stack([table["iteration"], sol.residuals])}
-    return table, checks, {}, plots
+    return table, checks, {}
 
 
 # ----------------------------------------------------------- gke parabolic
@@ -317,8 +315,7 @@ def _run_gke_parabolic(cfg):
         _le("gap_slope", fit.slope, acc["slope_max"]),
     ]
     rates = {"gap_max": asdict(fit)}
-    plots = {"gap": np.column_stack([times, gap_max])}
-    return table, checks, rates, plots
+    return table, checks, rates
 
 
 # ----------------------------------------------------- semi-flat identities
@@ -404,9 +401,8 @@ def _run_semiflat(cfg):
         _le("variation_form_defect", wp_worst, acc["wp_tol"]),
         _le("twisted_identity", twisted, acc["twisted_tol"]),
     ]
-    plots = {"rescale": np.column_stack([s["times"], rescale])}
     table = dict(zip(CSV_COLUMNS["semiflat-identities"], zip(*rows)))
-    return table, checks, {}, plots
+    return table, checks, {}
 
 
 # ----------------------------------------------------------------- registry
@@ -438,9 +434,8 @@ REGISTRY = {
 
 def run_experiment(cfg):
     """Execute one validated config and return its report."""
-    table, checks, rates, plots = REGISTRY[cfg.experiment].runner(cfg)
-    return ExperimentReport(cfg.experiment, asdict(cfg), table, checks, rates,
-                            plots)
+    table, checks, rates = REGISTRY[cfg.experiment].runner(cfg)
+    return ExperimentReport(cfg.experiment, asdict(cfg), table, checks, rates)
 
 
 # ------------------------------------------------------------------ output
@@ -460,52 +455,46 @@ def _dump_json(path, payload):
                                allow_nan=False) + "\n", encoding="utf-8")
 
 
+def _cleared(out_dir):
+    """The output directory, made if need be, with no report or error file
+    of an earlier run left in it."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in REPORT_FILES + (ERROR_FILE,):
+        (out / name).unlink(missing_ok=True)
+    return out
+
+
 def write_report(report, out_dir):
     """Serialize a report; returns the list of files written.  A column
-    shorter than the others raises ValueError before any file is written."""
+    shorter than the others raises ValueError before any file is written
+    or removed."""
     rows = list(zip(*(report.table[c] for c in report.columns), strict=True))
-    out = Path(out_dir)
-    (out / "plots").mkdir(parents=True, exist_ok=True)
-    written = []
+    out = _cleared(out_dir)
+    written = [out / name for name in REPORT_FILES]
+    diagnostics, acceptance, rates, config = written
 
-    path = out / "diagnostics.csv"
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open(diagnostics, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(report.columns)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
-    written.append(path)
-
-    path = out / "acceptance.json"
-    _dump_json(path, {"experiment": report.name, "passed": report.passed,
-                      "checks": [asdict(c) for c in report.checks]})
-    written.append(path)
-
-    path = out / "rates.json"
-    _dump_json(path, {"experiment": report.name, "fits": report.rates})
-    written.append(path)
-
-    path = out / "resolved_config.json"
-    _dump_json(path, report.config)
-    written.append(path)
-
-    for name, data in sorted(report.plots.items()):
-        path = out / "plots" / f"{name}.dat"
-        lines = [f"{_fmt(a)} {_fmt(b)}" for a, b in np.asarray(data)]
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(path)
+    _dump_json(acceptance, {"experiment": report.name,
+                            "passed": report.passed,
+                            "checks": [asdict(c) for c in report.checks]})
+    _dump_json(rates, {"experiment": report.name, "fits": report.rates})
+    _dump_json(config, report.config)
     return written
 
 
 def write_error(out_dir, experiment, exc):
     """Record a solver failure in the output directory.
 
-    A positivity failure also records the grid point where the cone was
+    It replaces any report or error file of an earlier run there.  A
+    positivity failure also records the grid point where the cone was
     left and the eigenvalue or density found there.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "error.json"
+    path = _cleared(out_dir) / ERROR_FILE
     record = {"experiment": experiment,
               "error": type(exc).__name__, "message": str(exc)}
     if isinstance(exc, PositivityError):

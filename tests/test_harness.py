@@ -15,10 +15,10 @@ import pytest
 from collapse_lab import cli, geometry, timestep
 from collapse_lab.config import (EXPERIMENTS, SCHEMAS, load_config,
                                  validate_config)
-from collapse_lab.experiments import (CSV_COLUMNS, REGISTRY, Check,
-                                      ExperimentReport, _late_growth,
-                                      run_experiment, write_error,
-                                      write_report)
+from collapse_lab.experiments import (CSV_COLUMNS, ERROR_FILE, REGISTRY,
+                                      REPORT_FILES, Check, ExperimentReport,
+                                      _late_growth, run_experiment,
+                                      write_error, write_report)
 from collapse_lab.flow import diagnostics_for, spectral_problem
 from collapse_lab.grids import (GridSpec, PositivityError, ScalarField,
                                 require_positive)
@@ -51,6 +51,12 @@ def _blowup_config():
     """
     cfg = validate_config({"experiment": "fiber-flow"})
     return replace(cfg, model=dict(cfg.model, amplitude_rel=0.15))
+
+
+def _listing(out_dir):
+    """Every file under ``out_dir``, by its path relative to it."""
+    return sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*")
+                  if p.is_file())
 
 
 def _fast_product(tmp_path, **overrides):
@@ -127,12 +133,25 @@ def test_report_table_is_its_csv_columns(experiment):
 
 
 def test_a_short_column_raises_and_writes_no_csv(tmp_path):
+    # the refused write also leaves the earlier run's files where they are
+    write_error(tmp_path, "gke-parabolic", RuntimeError("earlier run"))
     table = {"t": [0.0, 0.5, 1.0], "gap_max": [1.0, 0.5, 0.25],
              "gap_min": [0.0, 0.0], "dgap": [-1.0, -0.5, -0.25]}
-    report = ExperimentReport("gke-parabolic", {}, table, [], {}, {})
+    report = ExperimentReport("gke-parabolic", {}, table, [], {})
     with pytest.raises(ValueError):
         write_report(report, tmp_path)
-    assert not (tmp_path / "diagnostics.csv").exists()
+    assert _listing(tmp_path) == [ERROR_FILE]
+
+
+@pytest.mark.parametrize("experiment", list(REGISTRY))
+def test_report_directory_holds_exactly_the_report_files(tmp_path,
+                                                         experiment):
+    path = _write(tmp_path, "short.json",
+                  dict(_SHORT_RUNS[experiment], experiment=experiment))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) in \
+        (0, 1)
+    assert _listing(out) == sorted(f"short/{name}" for name in REPORT_FILES)
 
 
 # ------------------------------------------------------------------- list
@@ -265,10 +284,8 @@ def test_run_writes_full_report_layout(tmp_path, capsys):
     assert header == ",".join(CSV_COLUMNS["product-ode"])
     rates = json.loads((report_dir / "rates.json").read_text())
     assert rates["fits"]["diameter"]["abscissa"] == "t"
-    for plot in (report_dir / "plots").iterdir():
-        first = plot.read_text().splitlines()[0].split()
-        assert len(first) == 2
     assert (report_dir / "resolved_config.json").exists()
+    assert not (report_dir / "plots").exists()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -279,8 +296,9 @@ def test_rerun_is_byte_identical(tmp_path):
         assert cli.main(["run", "--config", str(path),
                          "--out", str(out)]) == 0
         dirs.append(out / "fast_product")
-    for rel in ("acceptance.json", "diagnostics.csv", "rates.json",
-                "plots/diameter.dat"):
+    listing = _listing(dirs[0])
+    assert listing == _listing(dirs[1]) == sorted(REPORT_FILES)
+    for rel in listing:
         assert (dirs[0] / rel).read_bytes() == (dirs[1] / rel).read_bytes()
 
 
@@ -364,6 +382,69 @@ def test_every_solver_error_exits_three_with_error_file(tmp_path, capsys,
     error = json.loads((out / "fast_product" / "error.json").read_text())
     assert error == {"experiment": "product-ode", "error": name,
                      "message": str(exc)}
+
+
+@pytest.mark.parametrize("fails", [(True, False), (False, True)],
+                         ids=["pass-after-error", "error-after-pass"])
+def test_a_rerun_leaves_only_its_own_files(tmp_path, monkeypatch, fails):
+    # one config run twice into one directory: a pass leaves the four
+    # report files and no error.json, a solver failure error.json alone
+    path = _fast_product(tmp_path)
+    out = tmp_path / "out"
+    run = cli.run_experiment
+
+    def fail(cfg):
+        raise StiffnessError("step size underflow")
+
+    for failing in fails:
+        monkeypatch.setattr(cli, "run_experiment", fail if failing else run)
+        code = cli.main(["run", "--config", str(path), "--out", str(out)])
+        assert code == (3 if failing else 0)
+        assert _listing(out / "fast_product") == (
+            [ERROR_FILE] if failing else sorted(REPORT_FILES))
+
+
+def test_two_configs_with_one_output_directory_exit_two(tmp_path, capsys,
+                                                        monkeypatch):
+    # a/x.json and b/x.json both write to <out>/x; so does one config named
+    # twice; nothing runs and nothing is written
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", ran.append)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    a = _write(tmp_path / "a", "x.json", {"experiment": "product-ode"})
+    b = _write(tmp_path / "b", "x.json",
+               {"experiment": "product-ode", "model": {"a0": 5}})
+    out = tmp_path / "out"
+    for first, second in ((a, b), (a, a)):
+        assert cli.main(["run", "--config", str(first), "--config",
+                         str(second), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: {first} and {second} both write to "
+                       f"{out / 'x'}\n")
+    assert not ran and not out.exists()
+
+
+@pytest.mark.parametrize("at_stem", [False, True], ids=["out", "stem"])
+def test_an_output_directory_that_cannot_be_made_exits_two(tmp_path, capsys,
+                                                           monkeypatch,
+                                                           at_stem):
+    # a regular file where --out or the config's own directory goes: one
+    # error line, no traceback, and no config runs
+    ran = []
+    monkeypatch.setattr(cli, "run_experiment", ran.append)
+    path = _fast_product(tmp_path)
+    out = tmp_path / "out"
+    blocker = out / "fast_product" if at_stem else out
+    blocker.parent.mkdir(exist_ok=True)
+    blocker.write_text("not a directory", encoding="utf-8")
+    assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory "
+                          f"{out / 'fast_product'}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not ran
+    assert blocker.read_text(encoding="utf-8") == "not a directory"
 
 
 @pytest.mark.parametrize("payload, check", [
@@ -620,11 +701,8 @@ def test_write_report_returns_written_files(tmp_path):
                                       "samples_per_unit": 8}})
     report = run_experiment(cfg)
     files = write_report(report, tmp_path / "r")
-    names = {f.name for f in files}
-    assert {"diagnostics.csv", "acceptance.json", "rates.json",
-            "resolved_config.json"} <= names
-    table = np.loadtxt(tmp_path / "r" / "plots" / "diameter.dat")
-    assert table.shape[1] == 2
+    assert files == [tmp_path / "r" / name for name in REPORT_FILES]
+    assert _listing(tmp_path / "r") == sorted(REPORT_FILES)
 
 
 def test_report_echoes_config_and_writes_non_finite_values_as_null(tmp_path):
